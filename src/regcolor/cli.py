@@ -30,13 +30,32 @@ def _emit_json(args, doc):
     _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _load_coloring(path, k):
+def _load_coloring(path, G, k):
+    if path is None:
+        raise ValidationError("--coloring is required")
     with open(path) as fh:
-        return colorings.parse_coloring(fh.read(), k)
+        sigma = colorings.parse_coloring(fh.read(), k)
+    if sigma.n != G.n:
+        raise ValidationError("coloring has %d entries, graph has %d vertices"
+                              % (sigma.n, G.n))
+    return sigma
+
+
+def _parse_range(text, flag):
+    """`lo..hi` with integers lo <= hi, as (lo, hi)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        bounds = int(lo), int(hi)
+    except ValueError:
+        bounds = None
+    if not sep or bounds is None or bounds[0] > bounds[1]:
+        raise ValidationError("%s must be lo..hi with integers lo <= hi, "
+                              "got %r" % (flag, text))
+    return bounds
 
 
 def cmd_sample(args):
-    generator = rng.stream(args.seed, 0)
+    generator = rng.stream(args.seed or 0, 0)
     if args.planted:
         if args.k is None:
             raise ValidationError("--planted needs --k")
@@ -56,7 +75,7 @@ def cmd_sample(args):
 def cmd_count(args):
     G = graphs.read_graph(args.graph)
     if args.predicate:
-        sigma = _load_coloring(args.coloring, args.k)
+        sigma = _load_coloring(args.coloring, G, args.k)
         name = args.predicate
         witnesses = None
         if name == "proper":
@@ -103,8 +122,8 @@ def cmd_rates(args):
     if args.k_range or args.d_range:
         if not (args.k_range and args.d_range):
             raise ValidationError("sweep needs both --k-range and --d-range")
-        k_lo, k_hi = (int(x) for x in args.k_range.split(".."))
-        d_lo, d_hi = (int(x) for x in args.d_range.split(".."))
+        k_lo, k_hi = _parse_range(args.k_range, "--k-range")
+        d_lo, d_hi = _parse_range(args.d_range, "--d-range")
         lines = ["k,d,first_moment_rate,second_moment_flat,dplus"]
         for k in range(k_lo, k_hi + 1):
             for d in range(d_lo, d_hi + 1):
@@ -134,28 +153,27 @@ def cmd_optimize(args):
     region = None
     if args.region and args.region != "unconstrained":
         region = ("stable", int(args.region.split("-")[0]))
+    seed = args.seed or 0
     res = birkhoff.maximize_f(args.k, args.d, region=region,
                               restarts=args.restarts,
-                              rng=rng.stream(args.seed, 0), kappa=args.kappa)
+                              rng=rng.stream(seed, 0), kappa=args.kappa)
     _emit_json(args, {
         "k": args.k, "d": args.d,
         "region": args.region or "unconstrained",
         "best_value": res.value, "f_flat": res.f_flat,
         "exceeded_flat": res.exceeded_flat,
         "argmax": [[float(x) for x in row] for row in res.best],
-        "restarts": args.restarts, "seed": args.seed,
+        "restarts": args.restarts, "seed": seed,
     })
 
 
 def cmd_core(args):
     G = graphs.read_graph(args.graph)
-    sigma = _load_coloring(args.coloring, args.k)
-    wuy = clustergeo.build_WUY(G, sigma, args.ell)
-    core = clustergeo.sigma_ell_core(G, sigma, args.ell).core
-    rep = clustergeo.freedom_report(G, sigma, args.ell, mode=args.mode)
-    ok, _ = clustergeo.check_core_inclusion(G, sigma, args.ell)
+    sigma = _load_coloring(args.coloring, G, args.k)
+    res = clustergeo.core_analysis(G, sigma, args.ell, mode=args.mode)
+    wuy, rep = res.wuy, res.freedom
     _emit_json(args, {
-        "core_size": len(core),
+        "core_size": len(res.core.core),
         "W": len(wuy.W_union),
         "U": len(set().union(*wuy.U.values()) if wuy.U else set()),
         "U_prime": len(set().union(*wuy.U_prime.values()) if wuy.U_prime
@@ -164,12 +182,12 @@ def cmd_core(args):
         "F1": len(rep.free_1), "F2": len(rep.free_2),
         "complete": len(rep.complete),
         "cluster_log2_upper": rep.cluster_log2_upper,
-        "inclusion_ok": ok,
+        "inclusion_ok": res.inclusion_ok,
     })
 
 
 def cmd_threshold(args):
-    k_lo, k_hi = (int(x) for x in args.k_range.split(".."))
+    k_lo, k_hi = _parse_range(args.k_range, "--k-range")
     _write(args, threshold.format_csv(k_lo, k_hi, args.eps_mode,
                                       args.eps_value))
 
@@ -177,7 +195,7 @@ def cmd_threshold(args):
 def cmd_experiment(args):
     with open(args.spec) as fh:
         spec = experiments.parse_spec(fh.read())
-    if args.seed is not None and args.seed != 0:
+    if args.seed is not None:
         spec = experiments.ExperimentSpec(spec.kind, spec.params,
                                           spec.samples, args.seed)
     report = experiments.run_experiment(spec)
@@ -186,7 +204,7 @@ def cmd_experiment(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="regcolor")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     sub = p.add_subparsers(dest="command", required=True)

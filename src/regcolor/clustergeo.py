@@ -117,26 +117,13 @@ def build_WUY(G, sigma, ell):
     for s in W.values():
         w_members |= s
 
-    # e(v, W_j) for v outside W
-    w_by_color = [set() for _ in range(k)]
-    for (i, j), s in W.items():
-        w_by_color[i] |= s
-    U = {}
-    U_prime = {}
-    for i in range(k):
-        for j in range(k):
-            if j == i:
-                continue
-            U[(i, j)] = set()
-            U_prime[(i, j)] = set()
+    U = {key: set() for key in W}
+    U_prime = {key: set() for key in W}
     for v in range(G.n):
         if v in w_members:
             continue
         i = assign[v]
-        into_w = [0] * k
-        for u, m in adj[v].items():
-            if u in w_members:
-                into_w[assign[u]] += m if u != v else 2 * m
+        into_w = _edges_into_classes(adj, assign, k, w_members, v)
         for j in range(k):
             if j == i:
                 continue
@@ -170,16 +157,29 @@ def build_WUY(G, sigma, ell):
                    {"w_low": 3 * ell, "degree_high": hi, "ell": ell})
 
 
+def _edges_into_classes(adj, assign, k, S, v):
+    """[e(v, S cap V_j) for j in range(k)]; a loop at v in S counts twice."""
+    into = [0] * k
+    for u, m in adj[v].items():
+        if u in S:
+            into[assign[u]] += m if u != v else 2 * m
+    return into
+
+
+def _inclusion_witness(n, wuy, core):
+    """Smallest vertex of V minus (W cup Y) outside the core, or None."""
+    outside = wuy.W_union | wuy.Y
+    return next((v for v in range(n) if v not in outside and v not in core),
+                None)
+
+
 def check_core_inclusion(G, sigma, ell):
     """Verify V minus (W cup Y) is contained in the (sigma, ell)-core.
     Returns (ok, offending vertex or None)."""
     wuy = build_WUY(G, sigma, ell)
     core = sigma_ell_core(G, sigma, ell).core
-    outside = wuy.W_union | wuy.Y
-    for v in range(G.n):
-        if v not in outside and v not in core:
-            return False, v
-    return True, None
+    witness = _inclusion_witness(G.n, wuy, core)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -191,29 +191,16 @@ class FreedomReport:
     mode: str
 
 
-def freedom_report(G, sigma, ell, mode="prose"):
-    """Classify vertices by how many colors have no neighbor inside the core.
-
-    mode="prose": count colors other than sigma(v); a-free iff at least a
-    such colors are core-vacant.  mode="strict": count over all k colors and
-    require at least a+1, the displayed-formula reading.  The two differ only
-    for vertices whose own class has no core neighbor.
-    """
+def _freedom(G, sigma, core, mode):
     if mode not in ("prose", "strict"):
         raise ValidationError("mode must be prose or strict")
     k = sigma.k
     assign = sigma.assignment
-    core = sigma_ell_core(G, sigma, ell).core
     adj = G.adjacency()
     free_1 = set()
     free_2 = set()
     for v in range(G.n):
-        into_core = [0] * k
-        for u, m in adj[v].items():
-            if u in core and u != v:
-                into_core[assign[u]] += m
-            elif u == v and v in core:
-                into_core[assign[v]] += 2 * m
+        into_core = _edges_into_classes(adj, assign, k, core, v)
         if mode == "prose":
             vacant = sum(1 for i in range(k)
                          if i != assign[v] and into_core[i] == 0)
@@ -229,6 +216,34 @@ def freedom_report(G, sigma, ell, mode="prose"):
     bound = len(free_1 - free_2) * 1.0 + len(free_2) * math.log2(k)
     return FreedomReport(frozenset(free_1), frozenset(free_2), complete,
                          bound, mode)
+
+
+def freedom_report(G, sigma, ell, mode="prose"):
+    """Classify vertices by how many colors have no neighbor inside the core.
+
+    mode="prose": count colors other than sigma(v); a-free iff at least a
+    such colors are core-vacant.  mode="strict": count over all k colors and
+    require at least a+1, the displayed-formula reading.  The two differ only
+    for vertices whose own class has no core neighbor.
+    """
+    return _freedom(G, sigma, sigma_ell_core(G, sigma, ell).core, mode)
+
+
+@dataclass(frozen=True)
+class CoreAnalysis:
+    core: CoreResult
+    wuy: WUYSets
+    freedom: FreedomReport
+    inclusion_ok: bool
+
+
+def core_analysis(G, sigma, ell, mode="prose"):
+    """The (sigma, ell)-core, the W/U/U'/Y sets, the freedom report and the
+    core-inclusion check, from one peel and one W/U/Y construction."""
+    core = sigma_ell_core(G, sigma, ell)
+    wuy = build_WUY(G, sigma, ell)
+    return CoreAnalysis(core, wuy, _freedom(G, sigma, core.core, mode),
+                        _inclusion_witness(G.n, wuy, core.core) is None)
 
 
 def density_predicate(G, bound_c=5, size_cap=None, k=None):

@@ -53,7 +53,14 @@ def format_coloring(sigma):
 
 
 def parse_coloring(text, k):
-    return coloring([int(x) for x in text.split()], k)
+    values = []
+    for token in text.split():
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValidationError("coloring entry %r is not an integer"
+                                  % token) from None
+    return coloring(values, k)
 
 
 def is_proper(G, sigma):
@@ -76,10 +83,6 @@ def overlap(sigma, tau):
     for a, b in zip(sigma.assignment, tau.assignment):
         counts[a][b] += 1
     return tuple(tuple(Fraction(k * c, n) for c in row) for row in counts)
-
-
-def overlap_array(sigma, tau):
-    return np.array([[float(x) for x in row] for row in overlap(sigma, tau)])
 
 
 def in_cluster(sigma, tau):

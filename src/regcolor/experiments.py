@@ -152,18 +152,16 @@ def _run_core_profile(params, stream_rng, out):
     sigma = flat_planted_coloring(n, k)
     G = graphs.sample_planted(sigma.assignment, k, d, flat_planted_mu(k),
                               stream_rng)
-    wuy = clustergeo.build_WUY(G, sigma, ell)
-    core = clustergeo.sigma_ell_core(G, sigma, ell).core
-    ok = (frozenset(range(n)) - wuy.W_union - wuy.Y) <= core
-    rep = clustergeo.freedom_report(G, sigma, ell)
-    out.setdefault("core_size", []).append(len(core))
-    out.setdefault("w_size", []).append(len(wuy.W_union))
-    out.setdefault("y_size", []).append(len(wuy.Y))
+    res = clustergeo.core_analysis(G, sigma, ell)
+    rep = res.freedom
+    out.setdefault("core_size", []).append(len(res.core.core))
+    out.setdefault("w_size", []).append(len(res.wuy.W_union))
+    out.setdefault("y_size", []).append(len(res.wuy.Y))
     out.setdefault("f1_size", []).append(len(rep.free_1))
     out.setdefault("f2_size", []).append(len(rep.free_2))
     out.setdefault("complete_size", []).append(len(rep.complete))
     out.setdefault("cluster_log2_upper", []).append(rep.cluster_log2_upper)
-    out.setdefault("inclusion_ok", []).append(1.0 if ok else 0.0)
+    out.setdefault("inclusion_ok", []).append(1.0 if res.inclusion_ok else 0.0)
 
 
 def _run_moment_vs_oracle(params, stream_rng, out):

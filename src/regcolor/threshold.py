@@ -46,6 +46,11 @@ class ThresholdRecord:
         return self.hi_offset - self.lo_offset
 
 
+def _several_integers(k, ints):
+    return GuardError("interval for k=%d contains %d integers: %s"
+                      % (k, len(ints), ints))
+
+
 def threshold_record(k, eps=None):
     """I_k = ((2k-1)ln k - 2 ln 2 - eps, (2k-1)ln k - 1 + eps); d_col is the
     unique integer inside if there is one, else the midpoint.  Two or more
@@ -63,8 +68,7 @@ def threshold_record(k, eps=None):
     first = math.floor(lo) + 1  # smallest integer > lo (endpoints irrational)
     ints = [m for m in range(first, math.floor(hi) + 1) if lo < m < hi]
     if len(ints) > 1:
-        raise GuardError("interval for k=%d contains %d integers: %s"
-                         % (k, len(ints), ints))
+        raise _several_integers(k, ints)
     if len(ints) == 1:
         return ThresholdRecord(k, eps, base, lo_off, hi_off, float(ints[0]),
                                ints[0], "integer")
@@ -93,8 +97,10 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     hi_off = -1 + eps
     lo = base + lo_off
     hi = base + hi_off
-    n_int = np.floor(hi).astype(np.int64) - np.floor(lo).astype(np.int64)
-    d_col = np.where(n_int == 1, np.floor(hi), (lo + hi) / 2)
+    # integers strictly inside (lo, hi), as in threshold_record
+    n_int = (np.ceil(hi).astype(np.int64) - np.floor(lo).astype(np.int64)
+             - 1)
+    d_col = np.where(n_int == 1, np.floor(lo) + 1, (lo + hi) / 2)
     return {"k": ks.astype(np.int64), "lo": lo, "hi": hi,
             "length": hi_off - lo_off, "n_integers": n_int, "d_col": d_col}
 
@@ -126,21 +132,29 @@ def kpgw_intervals(k):
                                                 (2 * k - 1) * math.log(k))
 
 
+_CSV_BLOCK = 4096  # rows per joined string; one list of all rows costs more
+
+
 def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
-    """CSV table `k,lo,hi,d_col,method` for k in [k_lo, k_hi]."""
-    lines = ["k,lo,hi,d_col,method"]
-    for k in range(k_lo, k_hi + 1):
-        eps = None
-        if eps_mode == "zero":
-            eps = 0.0
-        elif eps_mode == "value":
-            eps = eps_value
-        elif eps_mode != "pow09":
-            raise ValidationError("unknown eps_mode %r" % (eps_mode,))
-        rec = threshold_record(k, eps)
-        lines.append("%d,%.12g,%.12g,%.12g,%s"
-                     % (rec.k, rec.lo, rec.hi, rec.d_col, rec.method))
-    return "\n".join(lines) + "\n"
+    """CSV table `k,lo,hi,d_col,method` for k in [k_lo, k_hi], from one
+    threshold_scan.  An interval with several integers is refused."""
+    scan = threshold_scan(k_lo, k_hi, eps_mode, eps_value)
+    n_int = scan["n_integers"]
+    bad = np.flatnonzero(n_int > 1)
+    if bad.size:
+        idx = int(bad[0])
+        first = math.floor(scan["lo"][idx]) + 1
+        raise _several_integers(int(scan["k"][idx]),
+                                list(range(first, first + int(n_int[idx]))))
+    cols = (scan["k"], scan["lo"], scan["hi"], scan["d_col"], n_int)
+    blocks = ["k,lo,hi,d_col,method\n"]
+    for start in range(0, n_int.size, _CSV_BLOCK):
+        rows = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))
+        blocks.append("".join(
+            "%d,%.12g,%.12g,%.12g,%s\n"
+            % (k, lo, hi, d_col, "integer" if n == 1 else "midpoint")
+            for k, lo, hi, d_col, n in rows))
+    return "".join(blocks)
 
 
 def smallest_reliable_k(k_max=10 ** 6, eps_mode="pow09", eps_value=None):

@@ -128,6 +128,54 @@ def test_experiment(tmp_path):
     assert run(["--seed", "99", "--out", str(out2), "experiment",
                 "--spec", str(spec)]) == 0
     assert json.loads(out2.read_text())["spec"]["seed"] == 99
+    # --seed 0 is an override too, not the same as leaving it out
+    assert run(["--seed", "0", "--out", str(out2), "experiment",
+                "--spec", str(spec)]) == 0
+    assert json.loads(out2.read_text())["spec"]["seed"] == 0
+    assert run(["--out", str(out2), "experiment", "--spec", str(spec)]) == 0
+    assert json.loads(out2.read_text())["spec"]["seed"] == 11
+
+
+def refused(argv, capsys, needle):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused:") and needle in err, err
+
+
+def test_threshold_refusals(tmp_path, capsys):
+    refused(["threshold", "--k-range", "3..x"], capsys, "--k-range")
+    refused(["threshold", "--k-range", "5..4"], capsys, "--k-range")
+    refused(["threshold", "--k-range", "3..10", "--eps-mode", "value"],
+            capsys, "eps_value")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = 10\n"
+                    "eps_mode = value\n")
+    refused(["experiment", "--spec", str(spec)], capsys, "eps_value")
+    refused(["threshold", "--k-range", "3..100", "--eps-mode", "value",
+             "--eps-value", "0.4"], capsys, "contains 2 integers")
+
+
+def test_rates_range_refusals(capsys):
+    refused(["rates", "--k-range", "3..4", "--d-range", "5"], capsys,
+            "--d-range")
+    refused(["rates", "--k-range", "4..3", "--d-range", "5..6"], capsys,
+            "--k-range")
+
+
+def test_coloring_refusals(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    assert run(["--seed", "4", "--out", str(gpath), "sample", "--n", "12",
+                "--d", "4", "--k", "3", "--planted"]) == 0
+    refused(["count", "--graph", str(gpath), "--k", "3", "--predicate",
+             "proper"], capsys, "--coloring")
+    short = tmp_path / "short.txt"
+    short.write_text("0 1 2\n")
+    refused(["core", "--graph", str(gpath), "--coloring", str(short),
+             "--k", "3"], capsys, "3 entries")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1 x\n")
+    refused(["core", "--graph", str(gpath), "--coloring", str(bad),
+             "--k", "3"], capsys, "'x'")
 
 
 def test_stdout_path(capsys):

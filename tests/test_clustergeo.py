@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcolor import clustergeo, colorings, graphs, rng
 from regcolor.errors import ValidationError
@@ -134,6 +136,57 @@ def test_freedom_report_complete_on_dense_planted():
         assert rep.cluster_log2_upper == 0.0
     bound = len(rep.free_1 - rep.free_2) + len(rep.free_2) * math.log2(3)
     assert abs(rep.cluster_log2_upper - bound) < 1e-12
+
+
+@st.composite
+def planted_instances(draw):
+    k = draw(st.sampled_from((3, 4)))
+    n = k * draw(st.integers(1, 120 // k))
+    d = (k - 1) * draw(st.integers(1, 4))   # flat mu * d n is integral
+    if d * n % 2:
+        d *= 2
+    G, sigma = planted(n, k, d, draw(st.integers(0, 10 ** 6)))
+    return G, sigma, draw(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_instances(), st.sampled_from(("prose", "strict")))
+def test_core_analysis_matches_separate_calls(instance, mode):
+    G, sigma, ell = instance
+    res = clustergeo.core_analysis(G, sigma, ell, mode=mode)
+    assert res.core == clustergeo.sigma_ell_core(G, sigma, ell)
+    assert res.wuy == clustergeo.build_WUY(G, sigma, ell)
+    assert res.freedom == clustergeo.freedom_report(G, sigma, ell, mode=mode)
+    assert res.inclusion_ok == clustergeo.check_core_inclusion(G, sigma,
+                                                               ell)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 5), st.integers(2, 4),
+       st.integers(0, 10 ** 6))
+def test_edges_into_classes_brute_force(n, d, k, seed):
+    # uniform configurations contract to graphs with loops and multi-edges
+    if n * d % 2:
+        n += 1
+    gen = rng.stream(seed, 0)
+    G = graphs.contract(graphs.sample_configuration(n, d, gen))
+    assign = [int(c) for c in gen.integers(k, size=n)]
+    S = {v for v in range(n) if gen.random() < 0.5}
+    brute = [[0] * k for _ in range(n)]
+    for u, v in G.edges:
+        if v in S:
+            brute[u][assign[v]] += 1
+        if u in S:
+            brute[v][assign[u]] += 1
+    adj = G.adjacency()
+    assert [clustergeo._edges_into_classes(adj, assign, k, S, v)
+            for v in range(n)] == brute
+
+
+def test_core_analysis_mode_validation():
+    G, sigma = planted(30, 3, 4, 1)
+    with pytest.raises(ValidationError):
+        clustergeo.core_analysis(G, sigma, 1, mode="loose")
 
 
 def test_density_predicate():

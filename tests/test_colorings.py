@@ -25,6 +25,8 @@ def test_coloring_basics():
         colorings.coloring([0, 3], 3)
     text = colorings.format_coloring(sigma)
     assert colorings.parse_coloring(text, 3) == sigma
+    with pytest.raises(ValidationError, match="'x'"):
+        colorings.parse_coloring("0 1 x", 3)
 
 
 def test_is_proper():

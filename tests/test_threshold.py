@@ -143,6 +143,55 @@ def test_format_csv():
     assert first[4] in ("integer", "midpoint")
 
 
+def record_csv(k_lo, k_hi, eps=None):
+    """The per-k reference table built from threshold_record."""
+    lines = ["k,lo,hi,d_col,method"]
+    for k in range(k_lo, k_hi + 1):
+        rec = threshold.threshold_record(k, eps)
+        lines.append("%d,%.12g,%.12g,%.12g,%s"
+                     % (rec.k, rec.lo, rec.hi, rec.d_col, rec.method))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("eps_mode,eps_value,eps", [
+    ("pow09", None, None), ("zero", None, 0.0), ("value", 0.05, 0.05),
+    ("value", 0.0, 0.0)])
+@pytest.mark.parametrize("k_lo,k_hi", [
+    (3, 3), (3, 200), (3, 2 + threshold._CSV_BLOCK),
+    (3, 3 + threshold._CSV_BLOCK), (10, 10 + 2 * threshold._CSV_BLOCK),
+    (9990, 10010)])
+def test_format_csv_matches_records(eps_mode, eps_value, eps, k_lo, k_hi):
+    assert (threshold.format_csv(k_lo, k_hi, eps_mode, eps_value)
+            == record_csv(k_lo, k_hi, eps))
+
+
+def test_format_csv_integer_endpoint():
+    # hi = 5 exactly: the open interval (3.6, 5) holds the one integer 4
+    eps = 6.0 - 5 * math.log(3)
+    assert threshold.threshold_record(3, eps).hi == 5.0
+    assert (threshold.format_csv(3, 3, "value", eps)
+            == record_csv(3, 3, eps))
+
+
+# at eps 0.307 the first refused k after 110738 is 127121
+@pytest.mark.parametrize("k_lo,k_hi,eps", [(3, 100, 0.4),
+                                           (110738, 128000, 0.307)])
+def test_format_csv_guard_message(k_lo, k_hi, eps):
+    with pytest.raises(GuardError) as scan_err:
+        threshold.format_csv(k_lo, k_hi, "value", eps)
+    with pytest.raises(GuardError) as rec_err:
+        record_csv(k_lo, k_hi, eps)
+    assert str(scan_err.value) == str(rec_err.value)
+    assert "contains 2 integers" in str(scan_err.value)
+
+
+def test_format_csv_refusals():
+    with pytest.raises(ValidationError):
+        threshold.format_csv(5, 4)
+    with pytest.raises(ValidationError):
+        threshold.format_csv(3, 10, "value")
+
+
 def test_smallest_reliable_k():
     k0 = threshold.smallest_reliable_k(k_max=10 ** 5)
     assert k0 >= 3
