@@ -1,12 +1,17 @@
 """Numerical exploration of the second-moment rate f over the Birkhoff
 polytope: Sinkhorn projection, stability classification, analytic gradient
 and Hessian in the (k^2-1)-parameter chart that drops entry (k,k), and
-multi-start projected-gradient maximization.
+multi-start maximization.
 
 The chart L maps the k^2-1 free entries to a full matrix with
 rho_kk = k - sum(others); f = H(rho/k) + E(rho) is evaluated on that matrix
 whether or not it is doubly stochastic, which is what makes the chart
 derivatives meaningful.
+
+The maximizer runs projected-gradient ascent in the tangent space of the
+polytope.  Row and column sums are linear constraints, so a step along a
+zero-row-sum, zero-column-sum direction keeps them exact; Sinkhorn is only
+used to put each start on the polytope.
 """
 
 import math
@@ -18,7 +23,6 @@ from .errors import ValidationError
 from .moments import DS_TOL
 
 ARMIJO = 1e-4
-CLIP = 1e-12
 
 
 def project_doubly_stochastic(M, tol=1e-12, max_iters=10000):
@@ -156,37 +160,31 @@ def _in_region(rho, region, kappa):
 
 
 def _ascend(R, k, d, max_iters=150):
-    """Projected-gradient ascent with backtracking from 1.0 and Sinkhorn
-    re-projection after every step.  A step whose projection fails to
-    converge (candidate too close to the boundary) counts as a failed step
-    and the step size is halved.  The projection tolerance is looser than
-    the caller-facing one; maximizers on the boundary are only reached to
-    that accuracy, which is far below the reporting precision."""
-    R = project_doubly_stochastic(np.clip(R, CLIP, None), tol=1e-9,
-                                  max_iters=300)[0]
-    val = _f_entries(np.clip(R, CLIP, None), k, d)
+    """Projected-gradient ascent inside the polytope.  Sinkhorn puts the
+    start on the polytope once; each step then moves along the gradient
+    projected onto the tangent space {X : X 1 = 0, 1^T X = 0}, so row and
+    column sums stay 1 without re-projection.  Armijo backtracking starts
+    from min(1, 0.9 x the largest step that keeps every entry positive)."""
+    R = project_doubly_stochastic(R)[0]
+    val = _f_entries(R, k, d)
     for it in range(max_iters):
-        g = grad_f(np.clip(R, CLIP, None), d)
-        G = from_chart_grad(g, k)
+        # the chart gradient is the full gradient minus its (k,k) entry; the
+        # projection removes that constant along with the row/column means
+        G = np.append(grad_f(R, d), 0.0).reshape(k, k)
+        G = (G - G.mean(axis=1, keepdims=True) - G.mean(axis=0, keepdims=True)
+             + G.mean())
         gnorm2 = (G ** 2).sum()
         if gnorm2 < 1e-20:
             break
-        step = 1.0
+        down = G < 0
+        step = min(1.0, 0.9 * (R[down] / -G[down]).min())
         improved = False
         for _ in range(25):
-            try:
-                cand = np.clip(R + step * G, CLIP, None)
-                cand = project_doubly_stochastic(cand, tol=1e-9,
-                                                 max_iters=300)[0]
-            except ValidationError:
-                step /= 2
-                continue
-            cand = np.clip(cand, CLIP, None)
+            cand = R + step * G
             cval = _f_entries(cand, k, d)
             if cval >= val + ARMIJO * step * gnorm2:
-                gain = cval - val
+                improved = cval - val > 1e-11
                 R, val = cand, cval
-                improved = gain > 1e-11
                 break
             step /= 2
         if not improved:
@@ -194,28 +192,19 @@ def _ascend(R, k, d, max_iters=150):
     return R, val, it + 1
 
 
-def from_chart_grad(g, k):
-    """Lift a chart gradient to a full-matrix ascent direction (entry (k,k)
-    moves opposite to the sum of the others)."""
-    G = np.empty(k * k)
-    G[:-1] = g
-    G[-1] = -g.sum()
-    return G.reshape(k, k)
-
-
-def _corner_starts(k, rng):
-    """Mixtures of the flat matrix with permutation matrices, probing the
-    stability-class corners."""
+def _starts(k, restarts, rng):
+    """The flat matrix, `restarts` random positive matrices, and mixtures of
+    the flat matrix with permutation matrices, probing the stability-class
+    corners."""
     flat = np.full((k, k), 1 / k)
-    perms = [np.eye(k)]
-    p = rng.permutation(k)
+    out = [flat]
+    for _ in range(restarts):
+        out.append(np.exp(rng.standard_normal((k, k))))
     P = np.zeros((k, k))
-    P[np.arange(k), p] = 1.0
-    perms.append(P)
-    out = []
-    for P in perms:
+    P[np.arange(k), rng.permutation(k)] = 1.0
+    for corner in (np.eye(k), P):
         for t in (0.5, 0.9, 0.99):
-            out.append((1 - t) * flat + t * P)
+            out.append((1 - t) * flat + t * corner)
     return out
 
 
@@ -226,19 +215,17 @@ def maximize_f(k, d, region=None, restarts=20, rng=None, kappa=0.1):
     not barrier).  Deterministic merge by (value, start index)."""
     if k < 3:
         raise ValidationError("k >= 3 required")
+    if not 0 < d < math.inf:
+        raise ValidationError("d must be positive and finite, got %r" % (d,))
+    if restarts < 0:
+        raise ValidationError("restarts >= 0 required, got %r" % (restarts,))
     if rng is None:
         rng = np.random.default_rng(0)
-    flat = np.full((k, k), 1 / k)
-    f_flat = _f_entries(flat, k, d)
-    starts = [flat]
-    for _ in range(restarts):
-        starts.append(np.exp(rng.standard_normal((k, k))))
-    starts.extend(_corner_starts(k, rng))
-
+    f_flat = _f_entries(np.full((k, k), 1 / k), k, d)
     trace = []
     best = None
     best_key = None
-    for idx, s in enumerate(starts):
+    for idx, s in enumerate(_starts(k, restarts, rng)):
         R, val, iters = _ascend(s, k, d)
         ok = bool(_in_region(R, region, kappa))
         trace.append({"start": idx, "value": float(val), "iters": iters,

@@ -17,10 +17,19 @@ from . import (graphs, colorings, clustergeo, moments, birkhoff, threshold,
                experiments, rng)
 
 
+def _open(path, mode="r"):
+    """open() a file the user named; failing to is a refusal naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValidationError("cannot open %s: %s"
+                              % (path, exc.strerror or exc)) from None
+
+
 def _write(args, payload):
     data = payload if isinstance(payload, bytes) else payload.encode()
     if args.out:
-        with open(args.out, "wb") as fh:
+        with _open(args.out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.write(data.decode())
@@ -33,7 +42,7 @@ def _emit_json(args, doc):
 def _load_coloring(path, G, k):
     if path is None:
         raise ValidationError("--coloring is required")
-    with open(path) as fh:
+    with _open(path) as fh:
         sigma = colorings.parse_coloring(fh.read(), k)
     if sigma.n != G.n:
         raise ValidationError("coloring has %d entries, graph has %d vertices"
@@ -64,7 +73,7 @@ def cmd_sample(args):
                                   experiments.flat_planted_mu(args.k),
                                   generator)
         if args.coloring_out:
-            with open(args.coloring_out, "w") as fh:
+            with _open(args.coloring_out, "w") as fh:
                 fh.write(colorings.format_coloring(sigma))
     else:
         G = graphs.contract(graphs.sample_configuration(args.n, args.d,
@@ -72,8 +81,13 @@ def cmd_sample(args):
     _write(args, graphs.format_graph(G))
 
 
+def _load_graph(path):
+    with _open(path) as fh:
+        return graphs.parse_graph(fh.read())
+
+
 def cmd_count(args):
-    G = graphs.read_graph(args.graph)
+    G = _load_graph(args.graph)
     if args.predicate:
         sigma = _load_coloring(args.coloring, G, args.k)
         name = args.predicate
@@ -149,10 +163,20 @@ def cmd_rates(args):
     _emit_json(args, doc)
 
 
+def _parse_region(text):
+    """None for no constraint, ("stable", s) for `<s>-stable`."""
+    if text is None or text == "unconstrained":
+        return None
+    s, sep, rest = text.partition("-")
+    if not (s.isdecimal() and sep and rest == "stable"):
+        raise ValidationError("--region must be 'unconstrained' or "
+                              "'<s>-stable' with an integer s >= 0, got %r"
+                              % text)
+    return ("stable", int(s))
+
+
 def cmd_optimize(args):
-    region = None
-    if args.region and args.region != "unconstrained":
-        region = ("stable", int(args.region.split("-")[0]))
+    region = _parse_region(args.region)
     seed = args.seed or 0
     res = birkhoff.maximize_f(args.k, args.d, region=region,
                               restarts=args.restarts,
@@ -168,7 +192,7 @@ def cmd_optimize(args):
 
 
 def cmd_core(args):
-    G = graphs.read_graph(args.graph)
+    G = _load_graph(args.graph)
     sigma = _load_coloring(args.coloring, G, args.k)
     res = clustergeo.core_analysis(G, sigma, args.ell, mode=args.mode)
     wuy, rep = res.wuy, res.freedom
@@ -193,7 +217,7 @@ def cmd_threshold(args):
 
 
 def cmd_experiment(args):
-    with open(args.spec) as fh:
+    with _open(args.spec) as fh:
         spec = experiments.parse_spec(fh.read())
     if args.seed is not None:
         spec = experiments.ExperimentSpec(spec.kind, spec.params,

@@ -40,6 +40,15 @@ class ExperimentSpec:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
+def _int_field(fields, key, default):
+    val = fields.pop(key, default)
+    try:
+        return int(val)
+    except ValueError:
+        raise ValidationError("spec %s must be an integer, got %r"
+                              % (key, val)) from None
+
+
 def parse_spec(text):
     """One `key = value` pair per line; '#' starts a comment.  Required keys:
     kind, samples, seed; everything else is a parameter."""
@@ -58,8 +67,8 @@ def parse_spec(text):
     if kind not in KINDS:
         raise ValidationError("unknown kind %r (one of %s)"
                               % (kind, ", ".join(KINDS)))
-    samples = int(fields.pop("samples", "1"))
-    seed = int(fields.pop("seed", "0"))
+    samples = _int_field(fields, "samples", "1")
+    seed = _int_field(fields, "seed", "0")
     if samples < 1:
         raise ValidationError("samples >= 1 required")
     params = {}

@@ -319,16 +319,29 @@ def format_graph(G):
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(line):
+    try:
+        a, b = (int(x) for x in line.split())
+    except ValueError:
+        raise ValidationError("graph line %r is not two integers"
+                              % line) from None
+    return a, b
+
+
 def parse_graph(text, check=True):
+    """Header `n d`, then one `u v` line per edge."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError("empty graph file")
-    n, d = (int(x) for x in lines[0].split())
-    edge_list = []
-    for ln in lines[1:]:
-        u, v = (int(x) for x in ln.split())
-        edge_list.append((u, v))
-    return multigraph(n, d, edge_list, check)
+    n, d = _int_pair(lines[0])
+    if n < 0 or d < 0:
+        raise ValidationError("graph header needs n, d >= 0, got %d %d"
+                              % (n, d))
+    # checked before the degree count, which allocates n counters
+    if check and d > 0 and n * d != 2 * (len(lines) - 1):
+        raise ValidationError("header %d %d needs n*d/2 edges, the file "
+                              "lists %d" % (n, d, len(lines) - 1))
+    return multigraph(n, d, [_int_pair(ln) for ln in lines[1:]], check)
 
 
 def write_graph(G, path):

@@ -7,8 +7,12 @@ depend on scheduling order.
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def stream(seed, index=0):
     """Generator for stream `index` under the given 64-bit master seed."""
+    if seed < 0:
+        raise ValidationError("seed must be >= 0, got %d" % seed)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return np.random.default_rng(ss)

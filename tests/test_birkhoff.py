@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcolor import birkhoff, moments, rng
 from regcolor.errors import ValidationError
@@ -157,3 +160,77 @@ def test_maximize_f_callable_region():
     assert res.value >= res.f_flat - 1e-9
     with pytest.raises(ValidationError):
         birkhoff.maximize_f(2, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 8), st.floats(0.01, 60), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 3.0))
+def test_ascend_stays_on_polytope_and_improves(k, d, seed, spread):
+    r = np.random.default_rng(seed)
+    start = np.exp(spread * r.standard_normal((k, k)))
+    P, _ = birkhoff.project_doubly_stochastic(start)
+    R, val, iters = birkhoff._ascend(start, k, d)
+    assert np.abs(R.sum(axis=0) - 1).max() < 1e-12
+    assert np.abs(R.sum(axis=1) - 1).max() < 1e-12
+    assert (R > 0).all()
+    assert 1 <= iters <= 150
+    assert val == birkhoff._f_entries(R, k, d)
+    assert val >= moments.second_moment_rate(P, d)
+
+
+@pytest.mark.parametrize("k, d, value", [
+    (3, 10, -0.915093294),   # a start stopped by the cap ends near -0.91731
+    (5, 14, 0.185939914),
+    (10, 40, 0.390749560),   # the flat value: below the threshold at k = 10
+])
+def test_maximize_f_pinned(k, d, value):
+    res = birkhoff.maximize_f(k, d, restarts=20, rng=rng.stream(7, 0))
+    assert abs(res.value - value) < 1e-8
+    assert all(entry["iters"] < 150 for entry in res.trace)
+
+
+def _neg_f(x, k, d):
+    R = x.reshape(k, k)
+    S = 1 - 2 / k + (R ** 2).sum() / k ** 2
+    return (R / k * np.log(R / k)).sum() - d / 2 * math.log(S)
+
+
+def _neg_f_grad(x, k, d):
+    R = x.reshape(k, k)
+    S = 1 - 2 / k + (R ** 2).sum() / k ** 2
+    return ((np.log(R / k) + 1) / k - d * R / (k ** 2 * S)).ravel()
+
+
+def _trust_constr_max(R0, k, d):
+    """max f by scipy's trust-constr under the row and column sum
+    constraints (one column sum dropped: it follows from the others)."""
+    A = np.vstack([np.kron(np.eye(k), np.ones(k)),
+                   np.kron(np.ones(k), np.eye(k))[:-1]])
+    res = scipy.optimize.minimize(
+        _neg_f, R0.ravel(), args=(k, d), jac=_neg_f_grad,
+        method="trust-constr",
+        constraints=[scipy.optimize.LinearConstraint(A, 1, 1)],
+        bounds=scipy.optimize.Bounds(1e-12, np.inf, keep_feasible=True),
+        options={"gtol": 1e-12, "xtol": 1e-14, "maxiter": 2000})
+    assert res.constr_violation < 1e-12
+    return -res.fun
+
+
+# the flat matrix is a local maximum iff d < (k-1)^2: 4 at k = 3, 9 at k = 4
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("k, d", [(3, 2), (3, 10), (4, 6), (4, 14)])
+def test_maximize_f_matches_trust_constr(k, d):
+    res = birkhoff.maximize_f(k, d, restarts=2, rng=rng.stream(0, 0))
+    assert _trust_constr_max(res.best, k, d) <= res.value + 1e-7
+    starts = birkhoff._starts(k, 2, rng.stream(0, 0))
+    assert len(starts) == len(res.trace)
+    best = max(_trust_constr_max(
+        birkhoff.project_doubly_stochastic(s)[0], k, d) for s in starts)
+    assert res.value >= best - 1e-7
+
+
+@pytest.mark.parametrize("d, restarts", [(0, 2), (-5, 2), (math.inf, 2),
+                                         (math.nan, 2), (5, -3)])
+def test_maximize_f_refuses_bad_input(d, restarts):
+    with pytest.raises(ValidationError):
+        birkhoff.maximize_f(3, d, restarts=restarts)

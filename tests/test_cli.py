@@ -1,7 +1,12 @@
 import json
 import math
 
-from regcolor import cli, colorings, graphs, moments, threshold
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regcolor import cli, colorings, experiments, graphs, moments, threshold
+from regcolor.errors import ValidationError
 
 
 def run(argv):
@@ -182,3 +187,93 @@ def test_stdout_path(capsys):
     assert run(["rates", "--k", "3", "--d", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["k"] == 3
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--d", "-5"], "d must be positive"),
+    (["--d", "0"], "d must be positive"),
+    (["--restarts", "-3"], "restarts"),
+    (["--region", "x-stable"], "--region"),
+    (["--region", "3-stbl"], "--region"),
+])
+def test_optimize_refusals(flags, needle, capsys):
+    argv = ["optimize", "--k", "3", "--d", "5", "--restarts", "1"]
+    refused(argv + flags, capsys, needle)
+
+
+def test_optimize_region(tmp_path):
+    out = tmp_path / "o.json"
+    assert run(["--out", str(out), "optimize", "--k", "3", "--d", "20",
+                "--restarts", "1", "--region", "3-stable"]) == 0
+    assert json.loads(out.read_text())["region"] == "3-stable"
+
+
+def test_spec_refusals(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = optimize-sweep\nk = 3\nd = -5\n")
+    refused(["experiment", "--spec", str(spec)], capsys, "d must be positive")
+    spec.write_text("kind = cycle-census\nn = 10\nd = 3\nsamples = many\n")
+    refused(["experiment", "--spec", str(spec)], capsys, "'many'")
+    spec.write_text("kind = cycle-census\nn = 10\nd = 3\nseed = -1\n")
+    refused(["experiment", "--spec", str(spec)], capsys, "seed")
+    refused(["--seed", "-1", "sample", "--n", "10", "--d", "3"], capsys,
+            "seed")
+
+
+def test_missing_file_refusals(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.txt"
+    assert run(["--seed", "4", "--out", str(gpath), "sample", "--n", "12",
+                "--d", "4", "--k", "3", "--planted",
+                "--coloring-out", str(cpath)]) == 0
+    missing = str(tmp_path / "nope.txt")
+    refused(["core", "--graph", missing, "--coloring", str(cpath),
+             "--k", "3"], capsys, missing)
+    refused(["core", "--graph", str(gpath), "--coloring", missing,
+             "--k", "3"], capsys, missing)
+    refused(["count", "--graph", missing, "--k", "3"], capsys, missing)
+    refused(["experiment", "--spec", missing], capsys, missing)
+    bad_out = str(tmp_path / "no-dir" / "out.json")
+    refused(["--out", bad_out, "rates", "--k", "3", "--d", "5"], capsys,
+            bad_out)
+
+
+def test_graph_file_refusals(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    for text, needle in [("3 x\n", "'3 x'"),
+                         ("3 2\n0 1\n1 2\n2 0 1\n", "'2 0 1'"),
+                         ("-4 2\n", "n, d >= 0"),
+                         ("4 3\n0 1\n", "n*d/2 edges")]:
+        gpath.write_text(text)
+        refused(["count", "--graph", str(gpath), "--k", "3"], capsys, needle)
+
+
+class _ClosedPipe:
+    def write(self, data):
+        raise BrokenPipeError
+
+
+def test_broken_pipe_exits_zero(monkeypatch):
+    monkeypatch.setattr(cli.sys, "stdout", _ClosedPipe())
+    assert run(["rates", "--k", "3", "--d", "5"]) == 0
+
+
+_spec_lines = st.lists(st.tuples(
+    st.sampled_from(("kind", "samples", "seed", "n", "d", "k")) | st.text(),
+    st.sampled_from(experiments.KINDS) | st.integers().map(str) | st.text(),
+).map(lambda kv: "%s = %s" % kv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("graph", "spec", "coloring")),
+       st.text() | st.text("0123456789 -\n") | _spec_lines.map("\n".join))
+def test_parsers_refuse_only_with_validation_error(parser, text):
+    try:
+        if parser == "graph":
+            graphs.parse_graph(text)
+        elif parser == "spec":
+            experiments.parse_spec(text)
+        else:
+            colorings.parse_coloring(text, 3)
+    except ValidationError:
+        pass
