@@ -26,6 +26,18 @@ def _open(path, mode="r"):
                               % (path, exc.strerror or exc)) from None
 
 
+def _read(path):
+    """Text of a file the user named; bytes that do not decode are a
+    refusal naming it."""
+    with _open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s is not %s text: %s at byte %d"
+                                  % (path, exc.encoding, exc.reason,
+                                     exc.start)) from None
+
+
 def _write(args, payload):
     data = payload if isinstance(payload, bytes) else payload.encode()
     if args.out:
@@ -42,8 +54,7 @@ def _emit_json(args, doc):
 def _load_coloring(path, G, k):
     if path is None:
         raise ValidationError("--coloring is required")
-    with _open(path) as fh:
-        sigma = colorings.parse_coloring(fh.read(), k)
+    sigma = colorings.parse_coloring(_read(path), k)
     if sigma.n != G.n:
         raise ValidationError("coloring has %d entries, graph has %d vertices"
                               % (sigma.n, G.n))
@@ -82,8 +93,7 @@ def cmd_sample(args):
 
 
 def _load_graph(path):
-    with _open(path) as fh:
-        return graphs.parse_graph(fh.read())
+    return graphs.parse_graph(_read(path))
 
 
 def cmd_count(args):
@@ -217,8 +227,7 @@ def cmd_threshold(args):
 
 
 def cmd_experiment(args):
-    with _open(args.spec) as fh:
-        spec = experiments.parse_spec(fh.read())
+    spec = experiments.parse_spec(_read(args.spec))
     if args.seed is not None:
         spec = experiments.ExperimentSpec(spec.kind, spec.params,
                                           spec.samples, args.seed)

@@ -49,9 +49,40 @@ def _int_field(fields, key, default):
                               % (key, val)) from None
 
 
+# kind -> (required parameters, optional parameters) that its runner reads;
+# all are integers except threshold-table's eps_mode (a name checked by the
+# threshold module) and eps_value (a number)
+_PARAMS = {
+    "cycle-census": (("n", "d"), ("L",)),
+    "colorability-frequency": (("n", "d", "k"), ()),
+    "vacant-fractions": (("n", "d", "k"), ()),
+    "core-profile": (("n", "d", "k"), ("ell",)),
+    "moment-vs-oracle": (("n", "d", "k"), ()),
+    "optimize-sweep": (("k", "d"), ("restarts",)),
+    "threshold-table": (("k_lo", "k_hi"), ("eps_mode", "eps_value")),
+}
+
+
+def _check_params(kind, params):
+    required, optional = _PARAMS[kind]
+    for key in required + optional:
+        val = params.get(key)
+        if val is None:
+            if key in required:
+                raise ValidationError("%s spec needs %s" % (kind, key))
+        elif key == "eps_value":
+            if isinstance(val, str):
+                raise ValidationError("%s spec: %s must be a number, got %r"
+                                      % (kind, key, val))
+        elif key != "eps_mode" and not isinstance(val, int):
+            raise ValidationError("%s spec: %s must be an integer, got %r"
+                                  % (kind, key, val))
+
+
 def parse_spec(text):
-    """One `key = value` pair per line; '#' starts a comment.  Required keys:
-    kind, samples, seed; everything else is a parameter."""
+    """One `key = value` pair per line; '#' starts a comment.  Keys: kind,
+    samples, seed; everything else is a parameter.  The parameters the kind
+    reads are checked for presence and type (`_PARAMS`)."""
     fields = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -80,6 +111,7 @@ def parse_spec(text):
                 params[key] = float(val)
             except ValueError:
                 params[key] = val
+    _check_params(kind, params)
     return ExperimentSpec(kind, params, samples, seed)
 
 

@@ -12,6 +12,7 @@ contributes 2 to the degree of its endpoint.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 import numpy as np
@@ -71,7 +72,7 @@ def sample_configuration(n, d, rng):
     match = np.empty(n * d, dtype=np.int64)
     match[perm[0::2]] = perm[1::2]
     match[perm[1::2]] = perm[0::2]
-    return Configuration(n, d, tuple(int(x) for x in match))
+    return Configuration(n, d, tuple(match.tolist()))
 
 
 def enumerate_configurations(n, d):
@@ -150,11 +151,8 @@ def multigraph(n, d, edge_list, check=True):
 def contract(conf):
     """Contract the d clones of each vertex into one vertex."""
     d = conf.d
-    pairs = []
-    for c, c2 in enumerate(conf.match):
-        if c < c2:
-            u, v = c // d, c2 // d
-            pairs.append((u, v) if u <= v else (v, u))
+    # c < c2 gives c // d <= c2 // d, so every pair is already (u, v), u <= v
+    pairs = [(c // d, c2 // d) for c, c2 in enumerate(conf.match) if c < c2]
     pairs.sort()
     return MultiGraph(conf.n, d, tuple(pairs))
 
@@ -214,28 +212,80 @@ class CycleCensus:
         return self.counts[j - 1]
 
 
+def _weighted_triangles(n, key, mult):
+    """Triangles of the multigraph whose distinct non-loop edges are
+    key = u*n + v (u < v, sorted, unique) with multiplicities `mult`, each
+    weighted by the product of its three multiplicities.
+
+    Chiba-Nishizeki wedge count: orient every edge away from its end of lower
+    (degree, id), pair each out-edge of a vertex with the later out-edges of
+    the same vertex, and look the closing edge up among the keys.  The lowest
+    vertex of a triangle sees its two other vertices as out-neighbours, so
+    each triangle is found once; out-degrees are O(sqrt(m)), so the wedges
+    number O(m^1.5).
+    """
+    u, v = np.divmod(key, n)
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    flip = rank[u] > rank[v]
+    tail, head = np.where(flip, v, u), np.where(flip, u, v)
+    del deg, rank, flip, u, v
+    order = np.lexsort((head, tail))
+    tail, head, w = tail[order], head[order], mult[order]
+    del order
+    # out-edges of one vertex are contiguous; edge p pairs with p+1 .. end-1
+    end = np.cumsum(np.bincount(tail, minlength=n))[tail]
+    later = end - np.arange(tail.size) - 1
+    del end
+    first = np.repeat(np.arange(tail.size), later)
+    starts = np.cumsum(later) - later
+    second = first + 1 + np.arange(first.size) - np.repeat(starts, later)
+    del later, starts
+    # heads ascend within each vertex, so head[first] < head[second]
+    closing = head[first] * n + head[second]
+    wedge = w[first] * w[second]
+    del first, second, tail, head
+    pos = np.minimum(np.searchsorted(key, closing), key.size - 1)
+    hit = key[pos] == closing
+    return int((wedge[hit] * mult[pos[hit]]).sum())
+
+
 def cycle_census(G, L):
     """Count j-cycles for j = 1..L.  1-cycles are self-loops, 2-cycles are
     unordered pairs of parallel edges; for j >= 3 every set of j distinct
     vertices in cyclic order counts once, weighted by the product of the edge
-    multiplicities along the cycle."""
+    multiplicities along the cycle.
+
+    j <= 3 are counted from the edge array (triangles by
+    `_weighted_triangles`); j >= 4 by a depth-first search over the
+    adjacency."""
     if L < 1:
         raise ValidationError("L must be >= 1")
     if L > guards.MAX_CYCLE_LENGTH:
         raise GuardError("cycle census intended for short cycles (L <= %d)"
                          % guards.MAX_CYCLE_LENGTH)
     counts = [0] * L
-    mult = Counter(G.edges)
-    for (u, v), m in mult.items():
-        if u == v:
-            counts[0] += m
-        elif m >= 2 and L >= 2:
-            counts[1] += m * (m - 1) // 2
+    n = G.n
+    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.int64,
+                       count=2 * len(G.edges)).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    loop = u == v
+    counts[0] = int(loop.sum())
+    if L >= 2:
+        key, mult = np.unique(u[~loop] * n + v[~loop], return_counts=True)
+        del ends, u, v, loop
+        counts[1] = int((mult * (mult - 1) // 2).sum())
+        if L >= 3 and key.size:
+            counts[2] = _weighted_triangles(n, key, mult)
+        del key, mult
+    if L < 4:
+        return CycleCensus(tuple(counts))
     adj = G.adjacency()
 
     def extend(start, path, weight, length):
         v = path[-1]
-        if length >= 3:
+        if length >= 4:
             # close the cycle; path[1] < path[-1] picks one direction
             m_close = adj[v].get(start, 0)
             if m_close and path[1] < v:
@@ -248,11 +298,10 @@ def cycle_census(G, L):
                 extend(start, path, weight * m, length + 1)
                 path.pop()
 
-    if L >= 3:
-        for s in range(G.n):
-            for w, m in adj[s].items():
-                if w > s:
-                    extend(s, [s, w], m, 2)
+    for s in range(n):
+        for w, m in adj[s].items():
+            if w > s:
+                extend(s, [s, w], m, 2)
     return CycleCensus(tuple(counts))
 
 
@@ -307,7 +356,7 @@ def sample_planted(assignment, k, d, mu, rng):
             for ca, cb in zip(a, b):
                 match[ca] = cb
                 match[cb] = ca
-    conf = Configuration(n, d, tuple(int(x) for x in match))
+    conf = Configuration(n, d, tuple(match.tolist()))
     return contract(conf)
 
 

@@ -220,6 +220,49 @@ def test_spec_refusals(tmp_path, capsys):
             "seed")
 
 
+@pytest.mark.parametrize("text, needle", [
+    ("kind = cycle-census\nd = 3\n", "cycle-census spec needs n"),
+    ("kind = cycle-census\nn = abc\nd = 3\n", "n must be an integer"),
+    ("kind = cycle-census\nn = 10\nd = 3\nL = 2.5\n",
+     "L must be an integer"),
+    ("kind = colorability-frequency\nn = 10\nd = 3\n",
+     "colorability-frequency spec needs k"),
+    ("kind = vacant-fractions\nn = 10\nd = x\nk = 2\n",
+     "d must be an integer"),
+    ("kind = core-profile\nn = 12\nd = 4\nk = 3\nell = one\n",
+     "ell must be an integer"),
+    ("kind = moment-vs-oracle\nd = 2\nk = 3\n",
+     "moment-vs-oracle spec needs n"),
+    ("kind = optimize-sweep\nk = 3\nd = 3.5\n", "d must be an integer"),
+    ("kind = optimize-sweep\nk = 3\nd = 5\nrestarts = some\n",
+     "restarts must be an integer"),
+    ("kind = threshold-table\nk_lo = 3\n",
+     "threshold-table spec needs k_hi"),
+    ("kind = threshold-table\nk_lo = 3\nk_hi = 9\neps_mode = value\n"
+     "eps_value = small\n", "eps_value must be a number"),
+], ids=["census-no-n", "census-n-abc", "census-L-float", "colorable-no-k",
+        "vacant-d-x", "core-ell-one", "moment-no-n", "sweep-d-float",
+        "sweep-restarts-some", "table-no-k_hi", "table-eps_value-small"])
+def test_spec_parameter_refusals(text, needle, tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    refused(["experiment", "--spec", str(spec)], capsys, needle)
+
+
+def test_undecodable_file_refusals(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.txt"
+    assert run(["--seed", "4", "--out", str(gpath), "sample", "--n", "12",
+                "--d", "4", "--k", "3", "--planted",
+                "--coloring-out", str(cpath)]) == 0
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe3\x002\x00\n\x00")
+    refused(["count", "--graph", str(bad), "--k", "3"], capsys, str(bad))
+    refused(["core", "--graph", str(gpath), "--coloring", str(bad),
+             "--k", "3"], capsys, str(bad))
+    refused(["experiment", "--spec", str(bad)], capsys, str(bad))
+
+
 def test_missing_file_refusals(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "c.txt"

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcolor import graphs, rng
 from regcolor.errors import GuardError, ValidationError
@@ -173,6 +177,86 @@ def test_cycle_census_guards():
         graphs.cycle_census(G, 0)
     with pytest.raises(GuardError):
         graphs.cycle_census(G, 13)
+
+
+def _census_oracle(G, L):
+    """Cycle counts straight from the definition: loops; pairs of parallel
+    edges; for j >= 3 every j-subset of vertices in every cyclic order (first
+    vertex the smallest, one of the two directions), weighted by the product
+    of the multiplicities of its edges."""
+    mult = Counter(G.edges)
+    counts = [sum(m for (u, v), m in mult.items() if u == v)]
+    counts.append(sum(m * (m - 1) // 2 for (u, v), m in mult.items()
+                      if u != v))
+    for j in range(3, L + 1):
+        total = 0
+        for subset in itertools.combinations(range(G.n), j):
+            for rest in itertools.permutations(subset[1:]):
+                if rest[0] > rest[-1]:
+                    continue
+                cycle = (subset[0],) + rest
+                weight = 1
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    weight *= mult[(min(a, b), max(a, b))]
+                total += weight
+        counts.append(total)
+    return tuple(counts[:L])
+
+
+@st.composite
+def _skewed_multigraphs(draw):
+    """Multigraphs with loops and parallel edges; half of them also get a
+    star at vertex 0, whose degree then dominates (star plus chords)."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=24))
+    if draw(st.booleans()):
+        edges += [(0, v) for v in range(1, n)] * draw(st.integers(1, 3))
+    return graphs.multigraph(n, 0, edges, check=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_skewed_multigraphs(), st.integers(1, 5))
+def test_cycle_census_matches_definition(G, L):
+    assert graphs.cycle_census(G, L).counts == _census_oracle(G, L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+             unique=True))),
+       st.integers(3, 6))
+def test_cycle_census_matches_networkx(graph, L):
+    n, edges = graph
+    nxG = nx.Graph()
+    nxG.add_nodes_from(range(n))
+    nxG.add_edges_from(edges)
+    want = [0] * L
+    for cycle in nx.simple_cycles(nxG, length_bound=L):
+        want[len(cycle) - 1] += 1
+    G = graphs.multigraph(n, 0, edges, check=False)
+    assert graphs.cycle_census(G, L).counts == tuple(want)
+
+
+@pytest.mark.parametrize("seed, idx, digest, counts", [
+    (20240817, 0,
+     "697f4475fe640c08e23bff892f9acb103b9763c9ffe3e8ae8a0c11dc0ab71954",
+     (0, 1, 3, 1, 1)),
+    (20240817, 1,
+     "1f5b5eb16a4774c06f6f550e90e198775595ca7146f5d9172b2245815fadb9c4",
+     (1, 0, 1)),
+    (7, 3,
+     "692d548c21bc766917f9c72c8bdfb80180fa8690cb4d75d6279068e0d72575d2",
+     (1, 4, 1, 2, 6)),
+], ids=["20240817-0", "20240817-1", "7-3"])
+def test_seeded_sample_pinned(seed, idx, digest, counts):
+    # the same seed draws the same permutation, graph and counts
+    G = graphs.contract(graphs.sample_configuration(10 ** 4, 3,
+                                                    rng.stream(seed, idx)))
+    text = graphs.format_graph(G).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+    assert graphs.cycle_census(G, len(counts)).counts == counts
 
 
 def test_sample_planted_exact_profile():
