@@ -74,6 +74,18 @@ def _parse_range(text, flag):
     return bounds
 
 
+def _parse_profile(text):
+    """`--profile`: comma-separated rationals such as 1/2,1/4,1/4."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(Fraction(token))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError("--profile entry %r is not a rational "
+                                  "number" % token) from None
+    return values
+
+
 def cmd_sample(args):
     generator = rng.stream(args.seed or 0, 0)
     if args.planted:
@@ -134,9 +146,7 @@ def cmd_count(args):
             doc["witnesses"] = witnesses
         _emit_json(args, doc)
         return
-    profile = None
-    if args.profile:
-        profile = [Fraction(x) for x in args.profile.split(",")]
+    profile = _parse_profile(args.profile) if args.profile else None
     count = colorings.count_colorings(G, args.k, args.filter, profile)
     _emit_json(args, {"n": G.n, "d": G.d, "k": args.k, "filter": args.filter,
                       "count": str(count)})

@@ -2,9 +2,13 @@
 clusters, separability, skewedness, niceness, rainbow and vacant vertices,
 plus exact counting oracles by backtracking.
 
-All counts are over labeled colorings (color classes are distinguishable);
-no symmetry reduction.  Exhaustive cluster machinery is guarded to tiny
-instances.
+One search engine (`_search`) counts, decides and enumerates proper
+colorings.  All counts are over labeled colorings (color classes are
+distinguishable), but counting and deciding break the color symmetry: a
+vertex may open only the smallest unused color, and a coloring with c colors
+stands for its k!/(k-c)! relabellings.  Enumeration, and counting with
+unequal class sizes (the profile filter), visit every labeling.  Exhaustive
+cluster machinery is guarded to tiny instances.
 """
 
 import math
@@ -110,40 +114,82 @@ def _neighbor_sets(G):
     return nbrs
 
 
-def _enumerate_proper(G, k, balanced):
-    """Yield proper color assignments (tuples) by backtracking, vertices in
-    descending-degree order, with class-size pruning when balanced."""
-    n = G.n
-    nbrs = _neighbor_sets(G)
+def _leaves(nbrs, k, caps, symmetric):
+    """Depth-first search over proper assignments: vertices in
+    descending-degree order, colors tried in order 0..k-1, class c holding
+    at most caps[c] vertices (caps None: no bound).  Yields (assign, weight)
+    at each leaf; `assign` is the live list, valid until the next step.
+    There is no leaf when nbrs is None (a loop) or the caps do not sum
+    to n.
+
+    Without symmetry, every proper assignment is a leaf of weight 1.  With
+    it (sound only when all caps are equal), a vertex may open only the
+    smallest unused color, so a leaf stands for the k!/(k-c)! relabellings
+    of its c colors and weighs that much.
+
+    Iterative, so a leaf costs one generator step whatever n is."""
     if nbrs is None:
         return
-    if balanced and n % k != 0:
+    n = len(nbrs)
+    if caps is not None and sum(caps) != n:
         return
-    cap = n // k if balanced else n
+    caps = caps or [n] * k
+    weight = [math.perm(k, c) if symmetric else 1 for c in range(k + 1)]
     order = sorted(range(n), key=lambda v: -len(nbrs[v]))
     assign = [-1] * n
     sizes = [0] * k
-
-    def rec(pos):
+    used = [0] * n          # colors among the placed neighbors of order[pos]
+    opened = [0] * (n + 1)  # colors in use among order[:pos]
+    pos = 0
+    while pos >= 0:
         if pos == n:
-            yield tuple(assign)
-            return
+            yield assign, weight[opened[n]]
+            pos -= 1
+            continue
         v = order[pos]
-        used = {assign[w] for w in nbrs[v] if assign[w] >= 0}
-        for c in range(k):
-            if c in used or sizes[c] >= cap:
-                continue
-            assign[v] = c
-            sizes[c] += 1
-            yield from rec(pos + 1)
+        c = assign[v]
+        if c < 0:
+            mask = 0
+            for w in nbrs[v]:
+                if assign[w] >= 0:
+                    mask |= 1 << assign[w]
+            used[pos] = mask
+        else:
             sizes[c] -= 1
+        top = min(opened[pos] + 1, k) if symmetric else k
+        mask = used[pos]
+        c += 1
+        while c < top and (mask >> c & 1 or sizes[c] >= caps[c]):
+            c += 1
+        if c == top:
             assign[v] = -1
+            pos -= 1
+            continue
+        assign[v] = c
+        sizes[c] += 1
+        opened[pos + 1] = max(opened[pos], c + 1)
+        pos += 1
 
-    yield from rec(0)
+
+def _search(G, k, mode, caps=None):
+    """The one exact-search engine over proper k-colorings of G.
+
+    mode "yield": every assignment as a tuple, in the search order of
+    `_leaves`; "count": their number; "exists": whether there is one.
+    count and exists break color symmetry when all caps are equal (None
+    included); counts stay over labeled colorings."""
+    symmetric = mode != "yield" and (caps is None or len(set(caps)) == 1)
+    leaves = _leaves(_neighbor_sets(G), k, caps, symmetric)
+    if mode == "yield":
+        return (tuple(assign) for assign, _ in leaves)
+    if mode == "exists":
+        return next(leaves, None) is not None
+    return sum(w for _, w in leaves)
 
 
 def enumerate_proper_colorings(G, k, balanced=False):
-    for assign in _enumerate_proper(G, k, balanced):
+    caps = [G.n // k] * k if balanced else None
+    for assign in _search(G, k, "yield", caps):
         yield Coloring(assign, k)
 
 
@@ -279,10 +325,19 @@ def vacant_table(G, sigma):
 
 
 def _count_guard(G, k):
+    if k < 1:
+        raise ValidationError("exact counting needs k >= 1, got k=%d" % k)
     if G.n > guards.MAX_COUNT_VERTICES or k > guards.MAX_COUNT_COLORS:
         raise GuardError(
             "exact counting limited to n <= %d, k <= %d"
             % (guards.MAX_COUNT_VERTICES, guards.MAX_COUNT_COLORS))
+
+
+def is_colorable(G, k):
+    """Whether G has a proper k-coloring: the search stops at the first one.
+    Guarded like count_colorings."""
+    _count_guard(G, k)
+    return _search(G, k, "exists")
 
 
 def count_colorings(G, k, filter="none", profile=None):
@@ -295,32 +350,22 @@ def count_colorings(G, k, filter="none", profile=None):
     _count_guard(G, k)
     n = G.n
     if filter == "none":
-        nbrs = _neighbor_sets(G)
-        if nbrs is None:
-            return 0
-        return _count_backtrack(n, k, nbrs, caps=None)
+        return _search(G, k, "count")
     if filter == "balanced":
-        if n % k != 0:
-            return 0
-        nbrs = _neighbor_sets(G)
-        if nbrs is None:
-            return 0
-        return _count_backtrack(n, k, nbrs, caps=[n // k] * k, exact=True)
+        return _search(G, k, "count", [n // k] * k)
     if filter == "profile":
         if profile is None:
             raise ValidationError("profile filter needs a profile")
-        sizes = []
-        for x in profile:
-            s = Fraction(x) * n if not isinstance(x, Fraction) else x * n
-            if s.denominator != 1:
-                return 0
-            sizes.append(int(s))
+        fracs = [Fraction(x) for x in profile]
+        if any(x < 0 for x in fracs):
+            raise ValidationError("profile entries must be >= 0, got %s"
+                                  % ",".join(map(str, fracs)))
+        sizes = [x * n for x in fracs]
+        if any(s.denominator != 1 for s in sizes):
+            return 0
         if sum(sizes) != n or len(sizes) != k:
             raise ValidationError("profile must have k entries summing to 1")
-        nbrs = _neighbor_sets(G)
-        if nbrs is None:
-            return 0
-        return _count_backtrack(n, k, nbrs, caps=sizes, exact=True)
+        return _search(G, k, "count", [int(s) for s in sizes])
     if filter == "skewed":
         total = 0
         for tau in enumerate_proper_colorings(G, k, balanced=True):
@@ -335,40 +380,6 @@ def count_colorings(G, k, filter="none", profile=None):
                 total += 1
         return total
     raise ValidationError("unknown filter %r" % (filter,))
-
-
-def _count_backtrack(n, k, nbrs, caps, exact=False):
-    """Backtracking count with class-size caps.  When the caps sum to n
-    (exact=True) every leaf automatically meets them exactly."""
-    if exact and sum(caps) != n:
-        return 0
-    order = sorted(range(n), key=lambda v: -len(nbrs[v]))
-    assign = [-1] * n
-    sizes = [0] * k
-
-    def rec(pos):
-        if pos == n:
-            return 1
-        v = order[pos]
-        used = 0
-        for w in nbrs[v]:
-            c = assign[w]
-            if c >= 0:
-                used |= 1 << c
-        total = 0
-        for c in range(k):
-            if used >> c & 1:
-                continue
-            if caps is not None and sizes[c] >= caps[c]:
-                continue
-            assign[v] = c
-            sizes[c] += 1
-            total += rec(pos + 1)
-            sizes[c] -= 1
-            assign[v] = -1
-        return total
-
-    return rec(0)
 
 
 def count_pairs_with_overlap(G, k, rho):

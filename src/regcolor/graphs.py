@@ -1,7 +1,8 @@
 """Configuration model: pairings of vertex clones, contraction to regular
-multigraphs, uniform and planted samplers, exhaustive enumeration for tiny
-instances, and structural queries (edge counts between vertex sets, cycle
-census, simplicity).
+multigraphs, uniform and planted samplers, exhaustive enumeration of
+configurations and of contracted multigraphs (each with its configuration
+count) for tiny instances, and structural queries (edge counts between vertex
+sets, cycle census, simplicity).
 
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
@@ -75,15 +76,18 @@ def sample_configuration(n, d, rng):
     return Configuration(n, d, tuple(match.tolist()))
 
 
-def enumerate_configurations(n, d):
-    """Yield every configuration exactly once.  Guarded: dn <= 16."""
+def _check_enumerable(n, d):
     _check_even(n, d)
-    m = n * d
-    if m > guards.MAX_ENUM_CLONES:
+    if n * d > guards.MAX_ENUM_CLONES:
         raise GuardError(
             "enumeration refused: dn=%d exceeds the %d-clone bound"
-            % (m, guards.MAX_ENUM_CLONES))
+            % (n * d, guards.MAX_ENUM_CLONES))
 
+
+def enumerate_configurations(n, d):
+    """Yield every configuration exactly once.  Guarded: dn <= 16."""
+    _check_enumerable(n, d)
+    m = n * d
     match = [-1] * m
 
     def rec(free):
@@ -155,6 +159,49 @@ def contract(conf):
     pairs = [(c // d, c2 // d) for c, c2 in enumerate(conf.match) if c < c2]
     pairs.sort()
     return MultiGraph(conf.n, d, tuple(pairs))
+
+
+def enumerate_multigraphs(n, d):
+    """Yield (G, w) for every contracted d-regular multigraph G on n vertices
+    exactly once, where w is the number of configurations that contract to
+    G:
+
+        w = (d!)^n / (prod_{u<v} m_uv! * prod_v 2^{l_v} l_v!),
+
+    with m_uv the multiplicity of the edge {u, v} and l_v the number of loops
+    at v (the d! orderings of each vertex's clones, up to permuting parallel
+    edges and flipping or permuting loops).  The weights sum to
+    count_configurations(n, d).  Guarded like enumerate_configurations.
+
+    Edge groups are chosen in the order of G.edges, so each edge list is
+    built already sorted; the recursion is one level per group."""
+    _check_enumerable(n, d)
+    free = [d] * n       # clones of each vertex not yet on an edge
+    edges = []
+    top = factorial(d) ** n
+
+    def rec(u, v, denom):
+        # vertices before u are full; u's next partner is v or later
+        while u < n and free[u] == 0:
+            u += 1
+            v = u
+        if u == n:
+            yield MultiGraph(n, d, tuple(edges)), top // denom
+            return
+        for w in range(v, n):
+            loop = w == u
+            most = free[u] // 2 if loop else min(free[u], free[w])
+            for m in range(1, most + 1):
+                free[u] -= m    # a loop takes 2m clones of u
+                free[w] -= m
+                edges.extend([(u, w)] * m)
+                yield from rec(u, w + 1,
+                               denom * factorial(m) * (2 ** m if loop else 1))
+                del edges[-m:]
+                free[u] += m
+                free[w] += m
+
+    yield from rec(0, 0, 1)
 
 
 def is_simple(G):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +66,49 @@ def test_count_guard_exit_code(tmp_path):
     assert run(["--seed", "0", "--out", str(gpath),
                 "sample", "--n", "40", "--d", "3"]) == 0
     assert run(["count", "--graph", str(gpath), "--k", "3"]) == 2
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--k", "3", "--filter", "profile", "--profile", "1/3,abc,1/3"],
+     "--profile entry 'abc'"),
+    (["--k", "3", "--filter", "profile", "--profile", "1/0,0,0"],
+     "--profile entry '1/0'"),
+    (["--k", "2", "--filter", "profile", "--profile", "3/2,-1/2"],
+     "profile entries must be >= 0"),
+    (["--k", "0"], "k >= 1"),
+    (["--k", "-2"], "k >= 1"),
+], ids=["profile-abc", "profile-zero-denominator", "profile-negative",
+        "k-0", "k-minus-2"])
+def test_count_refusals(flags, needle, tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("3 2\n0 1\n1 2\n0 2\n")
+    refused(["count", "--graph", str(gpath)] + flags, capsys, needle)
+
+
+def test_count_profile(tmp_path):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("3 2\n0 1\n1 2\n0 2\n")
+    out = tmp_path / "count.json"
+    assert run(["--out", str(out), "count", "--graph", str(gpath), "--k", "3",
+                "--filter", "profile", "--profile", "1/3, 1/3 ,1/3"]) == 0
+    assert json.loads(out.read_text())["count"] == "6"
+
+
+def test_python_dash_m(tmp_path):
+    src = Path(colorings.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "regcolor", "rates",
+                           "--k", "3", "--d", "5"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["k"] == 3
+    proc = subprocess.run([sys.executable, "-m", "regcolor", "count",
+                           "--graph", str(tmp_path / "nope.txt"), "--k", "3"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("refused: cannot open")
 
 
 def test_rates(tmp_path):
@@ -227,6 +274,8 @@ def test_spec_refusals(tmp_path, capsys):
      "L must be an integer"),
     ("kind = colorability-frequency\nn = 10\nd = 3\n",
      "colorability-frequency spec needs k"),
+    ("kind = colorability-frequency\nn = 10\nd = 3\nk = 0\n",
+     "exact counting needs k >= 1"),
     ("kind = vacant-fractions\nn = 10\nd = x\nk = 2\n",
      "d must be an integer"),
     ("kind = core-profile\nn = 12\nd = 4\nk = 3\nell = one\n",
@@ -241,8 +290,9 @@ def test_spec_refusals(tmp_path, capsys):
     ("kind = threshold-table\nk_lo = 3\nk_hi = 9\neps_mode = value\n"
      "eps_value = small\n", "eps_value must be a number"),
 ], ids=["census-no-n", "census-n-abc", "census-L-float", "colorable-no-k",
-        "vacant-d-x", "core-ell-one", "moment-no-n", "sweep-d-float",
-        "sweep-restarts-some", "table-no-k_hi", "table-eps_value-small"])
+        "colorable-k-0", "vacant-d-x", "core-ell-one", "moment-no-n",
+        "sweep-d-float", "sweep-restarts-some", "table-no-k_hi",
+        "table-eps_value-small"])
 def test_spec_parameter_refusals(text, needle, tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text(text)

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcolor import colorings, graphs, rng
 from regcolor.errors import GuardError, ValidationError
@@ -128,6 +130,148 @@ def test_enumerate_matches_count():
         assert {c.assignment for c in bal} <= {c.assignment for c in cols}
 
 
+def _distinct_neighbors(G):
+    """Neighbor sets, or None when G has a loop."""
+    if any(u == v for u, v in G.edges):
+        return None
+    nbrs = [set() for _ in range(G.n)]
+    for u, v in G.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def _count_backtrack(n, k, nbrs, caps, exact=False):
+    """The plain backtracking counter the engine replaced, kept as its
+    reference: every labeled coloring is a leaf, no symmetry breaking."""
+    if exact and sum(caps) != n:
+        return 0
+    order = sorted(range(n), key=lambda v: -len(nbrs[v]))
+    assign = [-1] * n
+    sizes = [0] * k
+
+    def rec(pos):
+        if pos == n:
+            return 1
+        v = order[pos]
+        used = 0
+        for w in nbrs[v]:
+            c = assign[w]
+            if c >= 0:
+                used |= 1 << c
+        total = 0
+        for c in range(k):
+            if used >> c & 1:
+                continue
+            if caps is not None and sizes[c] >= caps[c]:
+                continue
+            assign[v] = c
+            sizes[c] += 1
+            total += rec(pos + 1)
+            sizes[c] -= 1
+            assign[v] = -1
+        return total
+
+    return rec(0)
+
+
+def _proper_assignments(G, k):
+    """Every proper assignment, in itertools.product order."""
+    return [a for a in itertools.product(range(k), repeat=G.n)
+            if all(a[u] != a[v] for u, v in G.edges)]
+
+
+@st.composite
+def _small_multigraphs(draw):
+    """At most 8 vertices, parallel edges in most cases, loops in a quarter
+    of them."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    if draw(st.integers(0, 3)):
+        pairs = [(u, v) for u, v in pairs if u != v]
+    pairs += pairs[:draw(st.integers(0, len(pairs)))]
+    return graphs.multigraph(n, 0, pairs, check=False)
+
+
+@st.composite
+def _graph_and_profile(draw):
+    """A small multigraph, k and class sizes summing to n."""
+    G = draw(_small_multigraphs())
+    k = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, G.n), min_size=k - 1,
+                                max_size=k - 1)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [G.n])]
+    return G, k, sizes
+
+
+@settings(max_examples=250, deadline=None)
+@given(_graph_and_profile())
+def test_engine_count_matches_references(case):
+    G, k, sizes = case
+    n = G.n
+    nbrs = _distinct_neighbors(G)
+    proper = _proper_assignments(G, k)
+    balanced = [a for a in proper if all(a.count(c) * k == n
+                                         for c in range(k))]
+    profiled = [a for a in proper if all(a.count(c) == sizes[c]
+                                         for c in range(k))]
+    profile = [Fraction(s, n) for s in sizes]
+    count = colorings.count_colorings(G, k)
+    assert count == len(proper)
+    assert colorings.count_colorings(G, k, "balanced") == len(balanced)
+    assert colorings.count_colorings(G, k, "profile", profile) == \
+        len(profiled)
+    assert colorings.is_colorable(G, k) == (count > 0)
+    if nbrs is not None:
+        assert count == _count_backtrack(n, k, nbrs, None)
+        assert len(balanced) == (_count_backtrack(n, k, nbrs, [n // k] * k,
+                                                  exact=True)
+                                 if n % k == 0 else 0)
+        assert len(profiled) == _count_backtrack(n, k, nbrs, sizes,
+                                                 exact=True)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_small_multigraphs(), st.integers(1, 4), st.booleans())
+def test_engine_yield_order(G, k, balanced):
+    """Vertices in descending order of distinct-neighbor count (ties by
+    index), colors ascending: the assignments come out in lexicographic
+    order of their colors read in that vertex order."""
+    want = _proper_assignments(G, k)
+    if balanced:
+        want = [a for a in want
+                if all(a.count(c) * k == G.n for c in range(k))]
+    nbrs = _distinct_neighbors(G)
+    if nbrs is not None:
+        order = sorted(range(G.n), key=lambda v: -len(nbrs[v]))
+        want.sort(key=lambda a: [a[v] for v in order])
+    got = [c.assignment for c in
+           colorings.enumerate_proper_colorings(G, k, balanced)]
+    assert got == want
+
+
+def test_is_colorable():
+    assert colorings.is_colorable(cycle_graph(6), 2)
+    assert not colorings.is_colorable(cycle_graph(5), 2)
+    assert colorings.is_colorable(cycle_graph(5), 3)
+    assert not colorings.is_colorable(complete_graph(5), 4)
+    assert not colorings.is_colorable(graphs.multigraph(1, 2, [(0, 0)]), 4)
+
+
+def test_count_refuses_bad_k():
+    G = cycle_graph(4)
+    for k in (0, -2):
+        for call in (colorings.count_colorings, colorings.is_colorable):
+            with pytest.raises(ValidationError,
+                               match="^exact counting needs k >= 1, got "
+                               "k=%d$" % k):
+                call(G, k)
+    with pytest.raises(GuardError, match="^exact counting limited to "
+                       "n <= 30, k <= 4$"):
+        colorings.is_colorable(G, 5)
+
+
 def test_count_profile_filter():
     G = cycle_graph(6)
     total = 0
@@ -142,6 +286,9 @@ def test_count_profile_filter():
         colorings.count_colorings(G, 3, filter="profile", profile=None)
     with pytest.raises(ValidationError):
         colorings.count_colorings(G, 3, filter="bogus")
+    with pytest.raises(ValidationError, match=">= 0"):
+        colorings.count_colorings(G, 2, filter="profile",
+                                  profile=[Fraction(3, 2), Fraction(-1, 2)])
 
 
 def test_count_guard():

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from regcolor import experiments, moments, rng, threshold
-from regcolor.errors import ValidationError
+from regcolor.errors import GuardError, ValidationError
 
 
 def test_parse_spec():
@@ -97,6 +99,40 @@ def test_moment_vs_oracle():
     rate = rep.metrics["rate"].mean
     assert abs(rate - moments.first_moment_rate(3, 3)) < 1e-12
     assert abs(log_exact - rate) <= 1.5 * math.log(4) / 4
+
+
+@pytest.mark.parametrize("n, d, k, value, digest", [
+    (6, 2, 3, 0.6308949291763516,
+     "d8f256e4836da82408a8141a2d17f55540fa7d630b070153f4e8137cd740e77c"),
+    (4, 3, 3, 0.3297887645705655,
+     "d0a0aa3f34994e9d45c76c8b7872f60ae3f942f10f5b83ea7cf1bcf8cd7854e3"),
+])
+def test_moment_vs_oracle_pinned(n, d, k, value, digest):
+    # E[#colorings] over all (dn-1)!! configurations, as a float of the
+    # exact rational; the digest is of the whole emitted JSON
+    rep = run("kind = moment-vs-oracle\nn = %d\nd = %d\nk = %d\n" % (n, d, k))
+    out = experiments.emit(rep)
+    assert json.loads(out)["metrics"]["log_exact_over_n"]["mean"] == value
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, d, k, error, text", [
+    (6, 3, 3, GuardError, "enumeration refused: dn=18 exceeds the "
+     "16-clone bound"),
+    (3, 3, 3, ValidationError, "dn must be even, got n=3 d=3"),
+    (4, 3, 5, GuardError, "exact counting limited to n <= 30, k <= 4"),
+    (4, 3, 0, ValidationError, "exact counting needs k >= 1, got k=0"),
+])
+def test_moment_vs_oracle_refusal_texts(n, d, k, error, text):
+    with pytest.raises(error, match="^%s$" % re.escape(text)):
+        run("kind = moment-vs-oracle\nn = %d\nd = %d\nk = %d\n" % (n, d, k))
+
+
+def test_colorability_refuses_bad_k():
+    with pytest.raises(ValidationError, match="k >= 1"):
+        run("kind = colorability-frequency\nn = 10\nd = 3\nk = 0\n")
+    with pytest.raises(GuardError, match="k <= 4"):
+        run("kind = colorability-frequency\nn = 10\nd = 3\nk = 5\n")
 
 
 def test_optimize_sweep():

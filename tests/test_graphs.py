@@ -62,6 +62,47 @@ def test_enumerate_guard():
         next(graphs.enumerate_configurations(6, 3))  # dn = 18 > 16
 
 
+# every (n, d) with dn even and at most 16
+_ENUMERABLE = [(n, d) for n in range(1, 17) for d in range(1, 17)
+               if n * d <= 16 and n * d % 2 == 0]
+
+
+@pytest.mark.parametrize("n, d", [nd for nd in _ENUMERABLE
+                                  if nd[0] * nd[1] <= 12])
+def test_enumerate_multigraphs_matches_contraction(n, d):
+    got = {}
+    for G, w in graphs.enumerate_multigraphs(n, d):
+        assert G.edges not in got
+        got[G.edges] = w
+    want = Counter(graphs.contract(conf).edges
+                   for conf in graphs.enumerate_configurations(n, d))
+    assert got == want
+
+
+# (16, 1) is left out for time: its 15!! = 2,027,025 perfect matchings take
+# about 30 s to enumerate
+@pytest.mark.parametrize("n, d", [nd for nd in _ENUMERABLE if nd != (16, 1)])
+def test_enumerate_multigraphs_weights_sum(n, d):
+    total = 0
+    for G, w in graphs.enumerate_multigraphs(n, d):
+        assert G.degrees() == [d] * n
+        total += w
+    assert total == graphs.count_configurations(n, d)
+
+
+@pytest.mark.parametrize("enumerate_", [graphs.enumerate_configurations,
+                                        graphs.enumerate_multigraphs])
+def test_enumeration_refusal_texts(enumerate_):
+    with pytest.raises(GuardError, match=r"^enumeration refused: dn=18 "
+                       r"exceeds the 16-clone bound$"):
+        next(enumerate_(6, 3))
+    with pytest.raises(ValidationError,
+                       match=r"^dn must be even, got n=3 d=3$"):
+        next(enumerate_(3, 3))
+    with pytest.raises(ValidationError, match=r"^n and d must be positive$"):
+        next(enumerate_(0, 2))
+
+
 def test_sample_configuration_deterministic():
     a = graphs.sample_configuration(10, 3, rng.stream(7, 0))
     b = graphs.sample_configuration(10, 3, rng.stream(7, 0))
