@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .moments import DS_TOL
+from .moments import DS_TOL, f_entries
 
 ARMIJO = 1e-4
 
@@ -72,13 +72,6 @@ def classify_stability(rho, kappa=0.1):
                            else "non-separable")
 
 
-def _f_entries(R, k, d):
-    """H(R/k) + E(R) on an arbitrary positive matrix of total sum k."""
-    S = 1 - 2 / k + (R ** 2).sum() / k ** 2
-    H = -(R / k * (np.log(R) - math.log(k))).sum()
-    return H + d / 2 * math.log(S)
-
-
 def from_chart(x, k):
     R = np.empty(k * k)
     R[:-1] = x
@@ -94,7 +87,7 @@ def f_chart(x, k, d):
     R = from_chart(np.asarray(x, dtype=float), k)
     if (R <= 0).any():
         raise ValidationError("chart point leaves the positive orthant")
-    return _f_entries(R, k, d)
+    return f_entries(R, k, d)
 
 
 def grad_f(rho, d):
@@ -166,7 +159,7 @@ def _ascend(R, k, d, max_iters=150):
     column sums stay 1 without re-projection.  Armijo backtracking starts
     from min(1, 0.9 x the largest step that keeps every entry positive)."""
     R = project_doubly_stochastic(R)[0]
-    val = _f_entries(R, k, d)
+    val = f_entries(R, k, d)
     for it in range(max_iters):
         # the chart gradient is the full gradient minus its (k,k) entry; the
         # projection removes that constant along with the row/column means
@@ -181,7 +174,7 @@ def _ascend(R, k, d, max_iters=150):
         improved = False
         for _ in range(25):
             cand = R + step * G
-            cval = _f_entries(cand, k, d)
+            cval = f_entries(cand, k, d)
             if cval >= val + ARMIJO * step * gnorm2:
                 improved = cval - val > 1e-11
                 R, val = cand, cval
@@ -221,7 +214,7 @@ def maximize_f(k, d, region=None, restarts=20, rng=None, kappa=0.1):
         raise ValidationError("restarts >= 0 required, got %r" % (restarts,))
     if rng is None:
         rng = np.random.default_rng(0)
-    f_flat = _f_entries(np.full((k, k), 1 / k), k, d)
+    f_flat = f_entries(np.full((k, k), 1 / k), k, d)
     trace = []
     best = None
     best_key = None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 from . import guards
-from .graphs import vertex_class_degrees
+from .graphs import degrees, vertex_class_degrees, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -100,49 +100,33 @@ def build_WUY(G, sigma, ell):
     from U cup U' by repeatedly adding the smallest-index vertex with more
     than ell edges into the current Y."""
     k = sigma.k
-    assign = sigma.assignment
-    deg = vertex_class_degrees(G, assign, k)
+    color = np.asarray(sigma.assignment, dtype=np.int64)
+    deg = vertex_class_degrees(G, color, k)
     hi = 2 * ell * math.log(k)
-    adj = G.adjacency()
 
+    row_ok = (deg < hi).all(axis=1)
+    in_w = np.zeros(G.n, dtype=bool)
     W = {}
-    w_members = set()
-    for i in range(k):
-        Vi = [v for v in range(G.n) if assign[v] == i]
-        row_ok = [v for v in Vi if all(deg[v, h] < hi for h in range(k))]
-        for j in range(k):
-            if j == i:
-                continue
-            W[(i, j)] = {v for v in row_ok if deg[v, j] < 3 * ell}
-    for s in W.values():
-        w_members |= s
+    for i, j in itertools.permutations(range(k), 2):
+        w_ij = (color == i) & row_ok & (deg[:, j] < 3 * ell)
+        W[(i, j)] = _members(w_ij)
+        in_w |= w_ij
 
-    U = {key: set() for key in W}
-    U_prime = {key: set() for key in W}
-    for v in range(G.n):
-        if v in w_members:
-            continue
-        i = assign[v]
-        into_w = _edges_into_classes(adj, assign, k, w_members, v)
-        for j in range(k):
-            if j == i:
-                continue
-            if into_w[j] > ell:
-                U[(i, j)].add(v)
-            if deg[v, j] > hi:
-                U_prime[(i, j)].add(v)
+    into_w = vertex_class_degrees(G, color, k, within=in_w)
+    in_y = np.zeros(G.n, dtype=bool)
+    U, U_prime = {}, {}
+    for i, j in itertools.permutations(range(k), 2):
+        outside = (color == i) & ~in_w
+        u_ij = outside & (into_w[:, j] > ell)
+        u_prime_ij = outside & (deg[:, j] > hi)
+        U[(i, j)], U_prime[(i, j)] = _members(u_ij), _members(u_prime_ij)
+        in_y |= u_ij | u_prime_ij
 
-    Y = set()
-    for s in U.values():
-        Y |= s
-    for s in U_prime.values():
-        Y |= s
-    into_y = np.zeros(G.n, dtype=np.int64)
-    for y in Y:
-        for u, m in adj[y].items():
-            into_y[u] += m if u != y else 2 * m
-    heap = [v for v in range(G.n) if v not in Y and into_y[v] > ell]
-    heapq.heapify(heap)
+    Y = _members(in_y)
+    into_y = vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
+    # ascending, so already a heap
+    heap = np.flatnonzero(~in_y & (into_y > ell)).tolist()
+    adj = G.adjacency()
     while heap:
         v = heapq.heappop(heap)
         if v in Y or into_y[v] <= ell:
@@ -153,17 +137,13 @@ def build_WUY(G, sigma, ell):
                 into_y[u] += m
                 if u not in Y and into_y[u] > ell:
                     heapq.heappush(heap, u)
-    return WUYSets(W, frozenset(w_members), U, U_prime, frozenset(Y),
+    return WUYSets(W, frozenset(_members(in_w)), U, U_prime, frozenset(Y),
                    {"w_low": 3 * ell, "degree_high": hi, "ell": ell})
 
 
-def _edges_into_classes(adj, assign, k, S, v):
-    """[e(v, S cap V_j) for j in range(k)]; a loop at v in S counts twice."""
-    into = [0] * k
-    for u, m in adj[v].items():
-        if u in S:
-            into[assign[u]] += m if u != v else 2 * m
-    return into
+def _members(mask):
+    """The vertices marked in a boolean mask, as a set of ints."""
+    return set(np.flatnonzero(mask).tolist())
 
 
 def _inclusion_witness(n, wuy, core):
@@ -195,23 +175,15 @@ def _freedom(G, sigma, core, mode):
     if mode not in ("prose", "strict"):
         raise ValidationError("mode must be prose or strict")
     k = sigma.k
-    assign = sigma.assignment
-    adj = G.adjacency()
-    free_1 = set()
-    free_2 = set()
-    for v in range(G.n):
-        into_core = _edges_into_classes(adj, assign, k, core, v)
-        if mode == "prose":
-            vacant = sum(1 for i in range(k)
-                         if i != assign[v] and into_core[i] == 0)
-            one, two = vacant >= 1, vacant >= 2
-        else:
-            vacant = sum(1 for i in range(k) if into_core[i] == 0)
-            one, two = vacant >= 2, vacant >= 3
-        if one:
-            free_1.add(v)
-        if two:
-            free_2.add(v)
+    color = np.asarray(sigma.assignment, dtype=np.int64)
+    vacant = vertex_class_degrees(G, color, k,
+                                  within=vertex_mask(G.n, core)) == 0
+    n_vacant = vacant.sum(axis=1)
+    if mode == "prose":
+        n_vacant -= vacant[np.arange(G.n), color]  # only colors != sigma(v)
+    else:
+        n_vacant -= 1  # all k colors, a-free needs a + 1 of them
+    free_1, free_2 = _members(n_vacant >= 1), _members(n_vacant >= 2)
     complete = frozenset(range(G.n)) - free_1
     bound = len(free_1 - free_2) * 1.0 + len(free_2) * math.log2(k)
     return FreedomReport(frozenset(free_1), frozenset(free_2), complete,
@@ -258,8 +230,7 @@ def density_predicate(G, bound_c=5, size_cap=None, k=None):
     violations = []
 
     adj = G.adjacency()
-    degs = {v: sum(2 * m if u == v else m for u, m in adj[v].items())
-            for v in range(n)}
+    degs = degrees(G).tolist()
     alive = set(range(n))
     m_cur = len(G.edges)
 

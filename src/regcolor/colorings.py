@@ -225,13 +225,15 @@ def is_separable(G, sigma, kappa=0.1):
 def is_skewed(G, sigma):
     """Some inter-class edge count deviates from dn/(k(k-1)) by more than
     sqrt(n) ln n (strict)."""
+    n, k = sigma.n, sigma.k
+    if k < 2:
+        raise ValidationError("skewedness needs k >= 2, got k=%d" % k)
     if not is_balanced(sigma):
         raise ValidationError("skewedness is defined for balanced colorings")
-    n, k = sigma.n, sigma.k
     target = G.d * n / (k * (k - 1))
     M = class_edge_matrix(G, sigma.assignment, k)
-    dev = max(abs(M[i][j] - target) for i in range(k) for j in range(i + 1, k))
-    return dev > math.sqrt(n) * math.log(n)
+    dev = np.abs(M[np.triu_indices(k, 1)] - target).max()
+    return bool(dev > math.sqrt(n) * math.log(n))
 
 
 def star_cluster(G, sigma):
@@ -293,13 +295,10 @@ def is_nice(G, sigma, check_cluster=False):
 
 def rainbow_vertices(G, sigma):
     """Vertices with a neighbor of every color other than their own."""
-    k = sigma.k
-    deg = vertex_class_degrees(G, sigma.assignment, k)
-    out = set()
-    for v in range(G.n):
-        if all(deg[v, i] > 0 for i in range(k) if i != sigma.assignment[v]):
-            out.add(v)
-    return out
+    color = np.asarray(sigma.assignment, dtype=np.int64)
+    reached = vertex_class_degrees(G, color, sigma.k) > 0
+    reached[np.arange(G.n), color] = True
+    return set(np.flatnonzero(reached.all(axis=1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -314,13 +313,14 @@ class VacantTable:
 
 def vacant_table(G, sigma):
     k = sigma.k
-    deg = vertex_class_degrees(G, sigma.assignment, k)
+    color = np.asarray(sigma.assignment, dtype=np.int64)
+    vacant = vertex_class_degrees(G, color, k) == 0
     sets = {}
     for i in range(k):
+        members = np.flatnonzero(color == i)
         for j in range(k):
             if i != j:
-                sets[(i, j)] = {v for v in range(G.n)
-                                if sigma.assignment[v] == i and deg[v, j] == 0}
+                sets[(i, j)] = set(members[vacant[members, j]].tolist())
     return VacantTable(sets, k)
 
 

@@ -145,14 +145,21 @@ def _summarize(values):
     return MetricStats(mean, var, mean - half, mean + half, n)
 
 
+def _check_planted_k(k):
+    if k < 2:
+        raise ValidationError("flat planting needs k >= 2, got k=%d" % k)
+
+
 def flat_planted_coloring(n, k):
     """Blocks of n/k consecutive vertices per color."""
+    _check_planted_k(k)
     if n % k != 0:
         raise ValidationError("flat planting needs k | n")
     return colorings.coloring([v // (n // k) for v in range(n)], k)
 
 
 def flat_planted_mu(k):
+    _check_planted_k(k)
     off = Fraction(1, k * (k - 1))
     return [[Fraction(0) if i == j else off for j in range(k)]
             for i in range(k)]

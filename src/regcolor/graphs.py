@@ -1,8 +1,9 @@
 """Configuration model: pairings of vertex clones, contraction to regular
 multigraphs, uniform and planted samplers, exhaustive enumeration of
 configurations and of contracted multigraphs (each with its configuration
-count) for tiny instances, and structural queries (edge counts between vertex
-sets, cycle census, simplicity).
+count) for tiny instances, and structural queries (cycle census, simplicity,
+and degrees, class degrees and edge counts between vertex sets, all counted
+from one (m, 2) array of the edges).
 
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
@@ -108,28 +109,13 @@ def enumerate_configurations(n, d):
 @dataclass(frozen=True)
 class MultiGraph:
     """Contracted multigraph.  `edges` is the edge multiset as a sorted tuple
-    of (u, v) pairs with u <= v; loops appear as (u, u)."""
+    of (u, v) pairs with u <= v; loops appear as (u, u).  Nothing is checked
+    here: `multigraph` is the checked builder, and `contract` and
+    `enumerate_multigraphs` are d-regular by construction."""
     n: int
     d: int
     edges: tuple
-    check: bool = True
     _adj: list = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.check and self.d > 0:
-            degs = self.degrees()
-            bad = [v for v in range(self.n) if degs[v] != self.d]
-            if bad:
-                raise ValidationError(
-                    "vertex %d has degree %d, expected %d"
-                    % (bad[0], degs[bad[0]], self.d))
-
-    def degrees(self):
-        degs = [0] * self.n
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return degs
 
     def adjacency(self):
         """adj[v] = Counter of neighbors with edge multiplicities (a loop at v
@@ -144,12 +130,33 @@ class MultiGraph:
         return self._adj
 
 
-def multigraph(n, d, edge_list, check=True):
+def edge_array(G):
+    """G.edges as a fresh (m, 2) int64 array; not cached, so a caller that
+    drops it frees it."""
+    return np.fromiter(chain.from_iterable(G.edges), dtype=np.int64,
+                       count=2 * len(G.edges)).reshape(-1, 2)
+
+
+def degrees(G):
+    """Integer array of vertex degrees; a loop adds 2 to its endpoint."""
+    return np.bincount(edge_array(G).ravel(), minlength=G.n)
+
+
+def multigraph(n, d, edge_list):
+    """The checked builder: endpoints must lie in range(n) and, when d > 0,
+    every vertex must have degree d.  d = 0 accepts any multigraph."""
     edges = tuple(sorted((u, v) if u <= v else (v, u) for u, v in edge_list))
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError("edge endpoint out of range: (%d,%d)" % (u, v))
-    return MultiGraph(n, d, edges, check)
+    G = MultiGraph(n, d, edges)
+    if d > 0:
+        degs = degrees(G)
+        bad = np.flatnonzero(degs != d)
+        if bad.size:
+            raise ValidationError("vertex %d has degree %d, expected %d"
+                                  % (bad[0], degs[bad[0]], d))
+    return G
 
 
 def contract(conf):
@@ -214,41 +221,46 @@ def is_simple(G):
     return True
 
 
+def vertex_mask(n, S):
+    """Boolean array of length n marking the vertices in S."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(S)] = True
+    return mask
+
+
 def edge_count_between(G, A, B):
     """e(A, B) counted clone-wise: each edge {u,v} contributes
     [u in A][v in B] + [v in A][u in B]; a loop inside A counts 2 toward
     e(A, A)."""
-    A = set(A)
-    B = set(B)
-    total = 0
-    for u, v in G.edges:
-        if u in A and v in B:
-            total += 1
-        if v in A and u in B:
-            total += 1
-    return total
+    u, v = edge_array(G).T
+    in_a, in_b = vertex_mask(G.n, A), vertex_mask(G.n, B)
+    return int((in_a[u] & in_b[v]).sum() + (in_a[v] & in_b[u]).sum())
 
 
 def class_edge_matrix(G, assignment, k):
     """k x k integer matrix with entry (i,j) = e(V_i, V_j) for the color
     classes of `assignment`.  Diagonal counts a loop twice, a non-loop
     monochromatic edge twice."""
-    M = np.zeros((k, k), dtype=np.int64)
-    for u, v in G.edges:
-        i, j = assignment[u], assignment[v]
-        M[i, j] += 1
-        M[j, i] += 1
-    return M
+    i, j = np.asarray(assignment, dtype=np.int64)[edge_array(G).T]
+    M = np.bincount(i * k + j, minlength=k * k).reshape(k, k)
+    return M + M.T
 
 
-def vertex_class_degrees(G, assignment, k):
-    """n x k integer array: entry (v, j) = e(v, V_j).  A loop at v adds 2 to
-    column assignment[v]."""
-    out = np.zeros((G.n, k), dtype=np.int64)
-    for u, v in G.edges:
-        out[u, assignment[v]] += 1
-        out[v, assignment[u]] += 1
-    return out
+def vertex_class_degrees(G, assignment, k, within=None):
+    """n x k integer array: entry (v, j) = e(v, S cap V_j), where S is the
+    set of vertices marked in the boolean mask `within` (every vertex when
+    None).  A loop at v in S adds 2 to column assignment[v]."""
+    color = np.asarray(assignment, dtype=np.int64)
+    ends = edge_array(G)
+    out = np.zeros(G.n * k, dtype=np.int64)
+    # each edge counts once from either end: u's count of v, then v's of u
+    for a, b in ((0, 1), (1, 0)):
+        src, dst = ends[:, a], ends[:, b]
+        if within is not None:
+            keep = within[dst]
+            src, dst = src[keep], dst[keep]
+        out += np.bincount(src * k + color[dst], minlength=G.n * k)
+    return out.reshape(G.n, k)
 
 
 @dataclass(frozen=True)
@@ -314,8 +326,7 @@ def cycle_census(G, L):
                          % guards.MAX_CYCLE_LENGTH)
     counts = [0] * L
     n = G.n
-    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.int64,
-                       count=2 * len(G.edges)).reshape(-1, 2)
+    ends = edge_array(G)
     u, v = ends[:, 0], ends[:, 1]
     loop = u == v
     counts[0] = int(loop.sum())
@@ -424,7 +435,7 @@ def _int_pair(line):
     return a, b
 
 
-def parse_graph(text, check=True):
+def parse_graph(text):
     """Header `n d`, then one `u v` line per edge."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -434,10 +445,10 @@ def parse_graph(text, check=True):
         raise ValidationError("graph header needs n, d >= 0, got %d %d"
                               % (n, d))
     # checked before the degree count, which allocates n counters
-    if check and d > 0 and n * d != 2 * (len(lines) - 1):
+    if d > 0 and n * d != 2 * (len(lines) - 1):
         raise ValidationError("header %d %d needs n*d/2 edges, the file "
                               "lists %d" % (n, d, len(lines) - 1))
-    return multigraph(n, d, [_int_pair(ln) for ln in lines[1:]], check)
+    return multigraph(n, d, [_int_pair(ln) for ln in lines[1:]])
 
 
 def write_graph(G, path):
@@ -445,6 +456,6 @@ def write_graph(G, path):
         fh.write(format_graph(G))
 
 
-def read_graph(path, check=True):
+def read_graph(path):
     with open(path) as fh:
-        return parse_graph(fh.read(), check)
+        return parse_graph(fh.read())

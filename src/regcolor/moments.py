@@ -247,13 +247,22 @@ def _check_doubly_stochastic(rho):
     return r
 
 
+def f_entries(R, k, d):
+    """H(R/k) + E(R) on a nonnegative k x k float matrix of total sum k, with
+    0 ln 0 = 0.  The one formula for f: `second_moment_rate` and the
+    Birkhoff ascent both call it, so they agree to the last bit."""
+    S = 1 - 2 / k + (R ** 2).sum() / k ** 2
+    logs = np.log(R, out=np.zeros_like(R), where=R > 0)
+    H = -(R / k * (logs - math.log(k))).sum()
+    return H + d / 2 * math.log(S)
+
+
 def second_moment_rate(rho, d):
     """f(rho) = H(rho/k) + E(rho) for a doubly stochastic k x k overlap
     matrix: H(rho/k) = -sum (rho_ij/k) ln(rho_ij/k) and
     E(rho) = (d/2) ln(1 - 2/k + k^{-2} sum rho_ij^2)."""
     r = _check_doubly_stochastic(rho)
-    k = r.shape[0]
-    return entropy(r / k) + d / 2 * math.log(1 - 2 / k + (r ** 2).sum() / k ** 2)
+    return f_entries(r, r.shape[0], d)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcolor import birkhoff, moments, rng
@@ -165,6 +165,8 @@ def test_maximize_f_callable_region():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(3, 8), st.floats(0.01, 60), st.integers(0, 2 ** 32 - 1),
        st.floats(0.0, 3.0))
+# a near-flat start where two formulas for f once differed in the last bit
+@example(8, 1.0, 1, 1e-12)
 def test_ascend_stays_on_polytope_and_improves(k, d, seed, spread):
     r = np.random.default_rng(seed)
     start = np.exp(spread * r.standard_normal((k, k)))
@@ -174,7 +176,7 @@ def test_ascend_stays_on_polytope_and_improves(k, d, seed, spread):
     assert np.abs(R.sum(axis=1) - 1).max() < 1e-12
     assert (R > 0).all()
     assert 1 <= iters <= 150
-    assert val == birkhoff._f_entries(R, k, d)
+    assert val == moments.f_entries(R, k, d)
     assert val >= moments.second_moment_rate(P, d)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +25,7 @@ def test_sample_and_count(tmp_path):
                 "sample", "--n", "10", "--d", "3"]) == 0
     G = graphs.read_graph(gpath)
     assert G.n == 10 and G.d == 3
-    assert G.degrees() == [3] * 10
+    assert graphs.degrees(G).tolist() == [3] * 10
 
     out = tmp_path / "count.json"
     assert run(["--out", str(out), "count", "--graph", str(gpath),
@@ -370,3 +372,141 @@ def test_parsers_refuse_only_with_validation_error(parser, text):
             colorings.parse_coloring(text, 3)
     except ValidationError:
         pass
+
+
+def test_skewed_predicate(tmp_path):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.txt"
+    assert run(["--seed", "2", "--out", str(gpath), "sample", "--n", "12",
+                "--d", "3", "--k", "3", "--planted",
+                "--coloring-out", str(cpath)]) == 0
+    out = tmp_path / "p.json"
+    assert run(["--out", str(out), "count", "--graph", str(gpath), "--k", "3",
+                "--predicate", "skewed", "--coloring", str(cpath)]) == 0
+    # a planted flat profile has every e(V_i, V_j) on target
+    assert json.loads(out.read_text()) == {"predicate": "skewed",
+                                           "value": False}
+
+
+def test_skewed_refuses_one_color(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("4 0\n")
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("0 0 0 0\n")
+    refused(["count", "--graph", str(gpath), "--k", "1", "--predicate",
+             "skewed", "--coloring", str(cpath)], capsys, "k >= 2")
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_sample_planted_refuses_few_colors(k, capsys):
+    refused(["sample", "--planted", "--n", "12", "--d", "4", "--k", str(k)],
+            capsys, "flat planting needs k >= 2")
+
+
+@pytest.mark.parametrize("kind", ["vacant-fractions", "core-profile"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_planted_spec_refuses_few_colors(kind, k, tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = %s\nn = 12\nd = 4\nk = %d\n" % (kind, k))
+    refused(["experiment", "--spec", str(spec)], capsys,
+            "flat planting needs k >= 2")
+
+
+def test_exit_code_sweep(tmp_path, capsys, monkeypatch):
+    # every subcommand over small values around 0: a refusal exits 2, never
+    # 1 (an internal error).  One parser serves every call, for speed.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    small = ("-1", "0", "1", "2", "3")
+    internal = []
+
+    def go(*argv):
+        code = run([str(a) for a in argv])
+        err = capsys.readouterr().err
+        if code not in (0, 2):
+            internal.append((argv, code, err))
+        return code
+
+    files = []
+    for n, d, k in itertools.product(("-1", "0", "1", "6"), small, small):
+        gpath = tmp_path / ("g%s_%s_%s" % (n, d, k))
+        cpath = tmp_path / ("c%s_%s_%s" % (n, d, k))
+        if go("--seed", "1", "--out", gpath, "sample", "--planted", "--n", n,
+              "--d", d, "--k", k, "--coloring-out", cpath) == 0:
+            files.append((gpath, cpath))
+    assert len(files) == 6
+    one_color = tmp_path / "zeros.txt"
+    one_color.write_text("0 " * 6)
+    for gpath, cpath in files:
+        for k, coloring in itertools.product(small, (cpath, one_color)):
+            for predicate in ("proper", "balanced", "skewed", "separable",
+                              "nice", "rainbow", "vacant"):
+                go("count", "--graph", gpath, "--k", k, "--predicate",
+                   predicate, "--coloring", coloring)
+            for ell, mode in itertools.product(small[:4], ("prose", "strict")):
+                go("core", "--graph", gpath, "--coloring", coloring, "--k", k,
+                   "--ell", ell, "--mode", mode)
+        for k, flags in itertools.product(small, (
+                ["--filter", "none"], ["--filter", "balanced"],
+                ["--filter", "profile", "--profile", "1/2,1/2"],
+                ["--filter", "skewed"], ["--filter", "nice12"])):
+            go("count", "--graph", gpath, "--k", k, *flags)
+    for k, d in itertools.product(small, small):
+        go("rates", "--k", k, "--d", d)
+        go("optimize", "--k", k, "--d", d, "--restarts", "1")
+    go("rates", "--k-range=-1..3", "--d-range=-1..3")
+
+    spec = tmp_path / "spec.txt"
+    sizes = {"n": ("-1", "0", "1", "4"), "d": small[:4], "k": small[:4],
+             "ell": small[:3], "L": small[:4], "k_lo": small, "k_hi": small}
+    for kind in experiments.KINDS:
+        required, optional = experiments._PARAMS[kind]
+        keys = [key for key in required + optional if key in sizes]
+        for values in itertools.product(*(sizes[key] for key in keys)):
+            spec.write_text("kind = %s\nrestarts = 1\n" % kind + "".join(
+                "%s = %s\n" % kv for kv in zip(keys, values)))
+            go("experiment", "--spec", spec)
+    assert internal == []
+
+
+# sha256 of the `core` JSON (the same for both modes: a planted coloring is
+# proper) and of the core-profile JSON (2 samples), planted at seed 4
+_CORE_PINS = {
+    (300, 9, 3, 1): (
+        "d5739157a24ef464fac92235aeec14779d1c38779c1ddefaf8903422c7a0b0b8",
+        "c519429fc3df73b6caf8fecaedfdff11c0e580aa5403db08d2ab94465cd7a9f6"),
+    (300, 9, 3, 2): (
+        "e36ae60ec2fd92b00ea870748cca91abc2d99deb2c4b5a331935acd261b4431d",
+        "f42bb8888ce4fa1793afd95169d9a02b935f9b908e7e7dc5a20127aeb4cc5c2e"),
+    (300, 9, 3, 3): (
+        "c412eed706fd448db97e08a75ebb60b387bd1d87142f75490b67ac5e3462815f",
+        "461a80a11b6e615d6d1710f064fdbcfcfe2a0ef9096005f3ab07c70d33f83d95"),
+    (400, 12, 4, 1): (
+        "72bca5bf1761a65a7eb0564f3245e5ce74c8f932f6a54b95406774cdbd9226d3",
+        "09d04fb0df45c1492d450c60cd47efe4e44b4839c28c98a75ad53f59d74135b3"),
+    (400, 12, 4, 2): (
+        "de92ea19c1da7368cf29555edf44061d0bb7f8380957fcd8cd96fe3657bfa08a",
+        "5411d3c6d2a754a2bc11c3dce45aa638edb17c56eacefa95c6c7725a5e96d2c7"),
+    (400, 12, 4, 3): (
+        "64a0377d453754e87574d824dcd9657ed8d97b57cd82ccf0aeeaf0d03125309c",
+        "effe628cc9a11dcd0692138701e4557233f509818e59f664681a49910addaaa4"),
+}
+
+
+@pytest.mark.parametrize("n, d, k, ell", sorted(_CORE_PINS))
+def test_core_outputs_pinned(n, d, k, ell, tmp_path):
+    core_digest, profile_digest = _CORE_PINS[(n, d, k, ell)]
+    gpath, cpath, out = tmp_path / "g", tmp_path / "c", tmp_path / "o"
+    assert run(["--seed", "4", "--out", str(gpath), "sample", "--planted",
+                "--n", str(n), "--d", str(d), "--k", str(k),
+                "--coloring-out", str(cpath)]) == 0
+    for mode in ("prose", "strict"):
+        assert run(["--out", str(out), "core", "--graph", str(gpath),
+                    "--coloring", str(cpath), "--k", str(k), "--ell",
+                    str(ell), "--mode", mode]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == core_digest
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = core-profile\nn = %d\nd = %d\nk = %d\nell = %d\n"
+                    "samples = 2\nseed = 4\n" % (n, d, k, ell))
+    assert run(["--out", str(out), "experiment", "--spec", str(spec)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == profile_digest

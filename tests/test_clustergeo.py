@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ def planted(n, k, d, seed):
 def test_core_hand_instance():
     # path 0-1-2-3 with alternating colors, ell=1: the endpoints each have a
     # cross neighbor, so nothing peels; raise ell to 2 and everything peels
-    G = graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)], check=False)
+    G = graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
     sigma = colorings.coloring([0, 1, 0, 1], 2)
     res = clustergeo.sigma_ell_core(G, sigma, 1)
     assert res.core == frozenset(range(4))
@@ -38,7 +39,7 @@ def test_core_hand_instance():
 def test_core_cascade():
     # C6 alternating, ell=1: removing no one; but a pendant-ish structure
     # cascades: star center keeps the leaves alive, leaves depend on center
-    G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (0, 3)], check=False)
+    G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (0, 3)])
     sigma = colorings.coloring([0, 1, 1, 1], 2)
     assert clustergeo.sigma_ell_core(G, sigma, 1).core == frozenset(range(4))
     # with ell=2 the leaves fail (one cross edge each), then the center
@@ -93,7 +94,7 @@ def test_y_growth():
     # phase even though it sits in W (one edge into each class, all below
     # the degree thresholds)
     G = graphs.multigraph(6, 0, [(0, 1), (0, 1), (4, 0), (4, 1),
-                                 (2, 3)], check=False)
+                                 (2, 3)])
     sigma = colorings.coloring([0, 1, 0, 1, 0, 1], 2)
     w = clustergeo.build_WUY(G, sigma, 1)
     assert 0 in w.U_prime[(0, 1)] and 1 in w.U_prime[(1, 0)]
@@ -111,7 +112,7 @@ def test_check_core_inclusion_planted():
 
 def test_freedom_report_modes():
     # graph with an empty core: every color is core-vacant for everyone
-    G = graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)], check=False)
+    G = graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
     sigma = colorings.coloring([0, 1, 0, 1], 2)
     # ell=2 empties the core
     prose = clustergeo.freedom_report(G, sigma, 2, mode="prose")
@@ -178,9 +179,102 @@ def test_edges_into_classes_brute_force(n, d, k, seed):
             brute[u][assign[v]] += 1
         if u in S:
             brute[v][assign[u]] += 1
+    mask = np.array([v in S for v in range(n)], dtype=bool)
+    got = graphs.vertex_class_degrees(G, assign, k, within=mask)
+    assert got.tolist() == brute
+    everyone = np.ones(n, dtype=bool)
+    assert (graphs.vertex_class_degrees(G, assign, k, within=everyone)
+            == graphs.vertex_class_degrees(G, assign, k)).all()
+
+
+# --- per-vertex references for the array code of build_WUY and _freedom ---
+
+def _edges_into_classes(adj, assign, k, S, v):
+    """[e(v, S cap V_j) for j in range(k)]; a loop at v in S counts twice."""
+    into = [0] * k
+    for u, m in adj[v].items():
+        if u in S:
+            into[assign[u]] += m if u != v else 2 * m
+    return into
+
+
+def _reference_wu(G, sigma, ell):
+    """W, U and U' by one Python loop per vertex."""
+    k, assign = sigma.k, sigma.assignment
     adj = G.adjacency()
-    assert [clustergeo._edges_into_classes(adj, assign, k, S, v)
-            for v in range(n)] == brute
+    deg = [_edges_into_classes(adj, assign, k, range(G.n), v)
+           for v in range(G.n)]
+    hi = 2 * ell * math.log(k)
+    W = {(i, j): set() for i in range(k) for j in range(k) if i != j}
+    for v in range(G.n):
+        if all(deg[v][h] < hi for h in range(k)):
+            for j in range(k):
+                if j != assign[v] and deg[v][j] < 3 * ell:
+                    W[(assign[v], j)].add(v)
+    w_members = set().union(*W.values())
+    U = {key: set() for key in W}
+    U_prime = {key: set() for key in W}
+    for v in range(G.n):
+        if v in w_members:
+            continue
+        into_w = _edges_into_classes(adj, assign, k, w_members, v)
+        for j in range(k):
+            if j != assign[v]:
+                if into_w[j] > ell:
+                    U[(assign[v], j)].add(v)
+                if deg[v][j] > hi:
+                    U_prime[(assign[v], j)].add(v)
+    return W, frozenset(w_members), U, U_prime
+
+
+def _reference_freedom(G, sigma, core, mode):
+    """(F1, F2) by one Python loop per vertex."""
+    k, assign = sigma.k, sigma.assignment
+    adj = G.adjacency()
+    free_1, free_2 = set(), set()
+    for v in range(G.n):
+        into_core = _edges_into_classes(adj, assign, k, core, v)
+        if mode == "prose":
+            vacant = sum(1 for i in range(k)
+                         if i != assign[v] and into_core[i] == 0)
+            one, two = vacant >= 1, vacant >= 2
+        else:
+            vacant = sum(1 for i in range(k) if into_core[i] == 0)
+            one, two = vacant >= 2, vacant >= 3
+        if one:
+            free_1.add(v)
+        if two:
+            free_2.add(v)
+    return frozenset(free_1), frozenset(free_2)
+
+
+@st.composite
+def uniform_instances(draw):
+    """Uniform multigraphs (loops, multi-edges) under random colorings, so
+    some edges are monochromatic and the two freedom modes differ."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    if n * d % 2:
+        n += 1
+    gen = rng.stream(draw(st.integers(0, 10 ** 6)), 0)
+    G = graphs.contract(graphs.sample_configuration(n, d, gen))
+    k = draw(st.integers(2, 4))
+    sigma = colorings.coloring(gen.integers(k, size=n), k)
+    return G, sigma, draw(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(planted_instances(), uniform_instances()),
+       st.sampled_from(("prose", "strict")))
+def test_wu_and_freedom_match_per_vertex_reference(instance, mode):
+    G, sigma, ell = instance
+    wuy = clustergeo.build_WUY(G, sigma, ell)
+    assert (wuy.W, wuy.W_union, wuy.U, wuy.U_prime) == \
+        _reference_wu(G, sigma, ell)
+    rep = clustergeo.freedom_report(G, sigma, ell, mode=mode)
+    core = clustergeo.sigma_ell_core(G, sigma, ell).core
+    assert (rep.free_1, rep.free_2) == \
+        _reference_freedom(G, sigma, core, mode)
+    assert rep.complete == frozenset(range(G.n)) - rep.free_1
 
 
 def test_core_analysis_mode_validation():

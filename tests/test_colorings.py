@@ -100,8 +100,8 @@ def chromatic_polynomial(G, k):
 
 def test_count_matches_chromatic_polynomial():
     cases = [cycle_graph(5), cycle_graph(6), complete_graph(4),
-             graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)], check=False),
-             graphs.multigraph(4, 0, [(0, 1), (0, 1), (2, 3)], check=False)]
+             graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)]),
+             graphs.multigraph(4, 0, [(0, 1), (0, 1), (2, 3)])]
     for G in cases:
         for k in (2, 3, 4):
             assert colorings.count_colorings(G, k) == \
@@ -191,7 +191,7 @@ def _small_multigraphs(draw):
     if draw(st.integers(0, 3)):
         pairs = [(u, v) for u, v in pairs if u != v]
     pairs += pairs[:draw(st.integers(0, len(pairs)))]
-    return graphs.multigraph(n, 0, pairs, check=False)
+    return graphs.multigraph(n, 0, pairs)
 
 
 @st.composite
@@ -292,7 +292,7 @@ def test_count_profile_filter():
 
 
 def test_count_guard():
-    G = graphs.multigraph(31, 0, [], check=False)
+    G = graphs.multigraph(31, 0, [])
     with pytest.raises(GuardError):
         colorings.count_colorings(G, 2)
 
@@ -309,7 +309,7 @@ def test_cluster_of():
 
 
 def test_cluster_guard():
-    big = graphs.multigraph(20, 0, [], check=False)
+    big = graphs.multigraph(20, 0, [])
     with pytest.raises(GuardError):
         colorings.cluster_of(big, colorings.coloring([0] * 20, 2))
 
@@ -321,7 +321,7 @@ def test_is_separable():
     sigma = colorings.coloring([0, 1, 0, 1, 0, 1], 2)
     assert colorings.is_separable(G, sigma, kappa=0.1)
     # path-ish graph with many colorings: a 0.67 overlap breaks separability
-    H = graphs.multigraph(6, 0, [(0, 1), (2, 3), (4, 5)], check=False)
+    H = graphs.multigraph(6, 0, [(0, 1), (2, 3), (4, 5)])
     tau = colorings.coloring([0, 1, 0, 1, 0, 1], 2)
     assert not colorings.is_separable(H, tau, kappa=0.1)
 
@@ -386,7 +386,7 @@ def test_rainbow_and_vacant_consistency():
 
 
 def test_rainbow_hand_instance():
-    G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (1, 2)], check=False)
+    G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (1, 2)])
     sigma = colorings.coloring([0, 1, 2, 0], 3)
     assert colorings.rainbow_vertices(G, sigma) == {0, 1, 2}
     table = colorings.vacant_table(G, sigma)

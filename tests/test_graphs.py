@@ -85,7 +85,7 @@ def test_enumerate_multigraphs_matches_contraction(n, d):
 def test_enumerate_multigraphs_weights_sum(n, d):
     total = 0
     for G, w in graphs.enumerate_multigraphs(n, d):
-        assert G.degrees() == [d] * n
+        assert graphs.degrees(G).tolist() == [d] * n
         total += w
     assert total == graphs.count_configurations(n, d)
 
@@ -131,11 +131,11 @@ def test_contract_and_degrees():
     conf = graphs.Configuration(2, 2, (2, 3, 0, 1))
     G = graphs.contract(conf)
     assert G.edges == ((0, 1), (0, 1))
-    assert G.degrees() == [2, 2]
+    assert graphs.degrees(G).tolist() == [2, 2]
     conf2 = graphs.Configuration(2, 2, (1, 0, 3, 2))  # two loops
     G2 = graphs.contract(conf2)
     assert G2.edges == ((0, 0), (1, 1))
-    assert G2.degrees() == [2, 2]
+    assert graphs.degrees(G2).tolist() == [2, 2]
 
 
 def test_multigraph_validation():
@@ -143,7 +143,7 @@ def test_multigraph_validation():
         graphs.multigraph(2, 2, [(0, 1)])  # degree 1, expected 2
     with pytest.raises(ValidationError):
         graphs.multigraph(2, 1, [(0, 2)])  # endpoint out of range
-    G = graphs.multigraph(3, 0, [(0, 1)], check=False)
+    G = graphs.multigraph(3, 0, [(0, 1)])
     assert G.edges == ((0, 1),)
 
 
@@ -170,7 +170,7 @@ def test_probability_simple_plausible():
 
 
 def test_edge_count_between():
-    G = graphs.multigraph(4, 0, [(0, 1), (0, 0), (2, 3)], check=False)
+    G = graphs.multigraph(4, 0, [(0, 1), (0, 0), (2, 3)])
     assert graphs.edge_count_between(G, {0}, {1}) == 1
     assert graphs.edge_count_between(G, {0, 1}, {0, 1}) == 4  # loop counts 2
     assert graphs.edge_count_between(G, {0}, {0}) == 2
@@ -179,7 +179,7 @@ def test_edge_count_between():
 
 
 def test_class_edge_matrix():
-    G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (1, 1)], check=False)
+    G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (1, 1)])
     M = graphs.class_edge_matrix(G, [0, 0, 1, 1], 2)
     # (0,1) monochromatic in class 0 counts twice, loop at 1 counts twice
     assert M.tolist() == [[4, 1], [1, 0]]
@@ -187,7 +187,7 @@ def test_class_edge_matrix():
 
 
 def test_vertex_class_degrees():
-    G = graphs.multigraph(3, 0, [(0, 1), (1, 1), (1, 2)], check=False)
+    G = graphs.multigraph(3, 0, [(0, 1), (1, 1), (1, 2)])
     deg = graphs.vertex_class_degrees(G, [0, 1, 1], 2)
     assert deg[0].tolist() == [0, 1]
     assert deg[1].tolist() == [1, 3]  # loop contributes 2 to own class
@@ -196,8 +196,7 @@ def test_vertex_class_degrees():
 
 def test_cycle_census_hand_instances():
     # loop + doubled edge + triangle through the doubled edge
-    H = graphs.multigraph(3, 0, [(0, 1), (0, 1), (1, 2), (0, 2), (2, 2)],
-                          check=False)
+    H = graphs.multigraph(3, 0, [(0, 1), (0, 1), (1, 2), (0, 2), (2, 2)])
     assert graphs.cycle_census(H, 3).counts == (1, 1, 2)
     K4 = graphs.multigraph(4, 3, [(a, b) for a, b in
                                   itertools.combinations(range(4), 2)])
@@ -253,7 +252,7 @@ def _skewed_multigraphs(draw):
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=24))
     if draw(st.booleans()):
         edges += [(0, v) for v in range(1, n)] * draw(st.integers(1, 3))
-    return graphs.multigraph(n, 0, edges, check=False)
+    return graphs.multigraph(n, 0, edges)
 
 
 @settings(max_examples=300, deadline=None)
@@ -276,8 +275,29 @@ def test_cycle_census_matches_networkx(graph, L):
     want = [0] * L
     for cycle in nx.simple_cycles(nxG, length_bound=L):
         want[len(cycle) - 1] += 1
-    G = graphs.multigraph(n, 0, edges, check=False)
+    G = graphs.multigraph(n, 0, edges)
     assert graphs.cycle_census(G, L).counts == tuple(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_skewed_multigraphs(), st.integers(1, 4), st.data())
+def test_edge_counts_match_brute_force(G, k, data):
+    vertices = st.sets(st.integers(0, G.n - 1))
+    A, B = data.draw(vertices), data.draw(vertices)
+    assignment = data.draw(st.lists(st.integers(0, k - 1), min_size=G.n,
+                                    max_size=G.n))
+    degs = [0] * G.n
+    between = 0
+    M = [[0] * k for _ in range(k)]
+    for u, v in G.edges:
+        degs[u] += 1
+        degs[v] += 1
+        between += (u in A and v in B) + (v in A and u in B)
+        M[assignment[u]][assignment[v]] += 1
+        M[assignment[v]][assignment[u]] += 1
+    assert graphs.degrees(G).tolist() == degs
+    assert graphs.edge_count_between(G, A, B) == between
+    assert graphs.class_edge_matrix(G, assignment, k).tolist() == M
 
 
 @pytest.mark.parametrize("seed, idx, digest, counts", [
@@ -315,6 +335,22 @@ def test_sample_planted_exact_profile():
                 assert M[i][j] == (0 if i == j else int(off * dn))
         # no monochromatic edge: the planted coloring is proper
         assert all(assignment[u] != assignment[v] for u, v in G.edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 4),
+       st.integers(0, 10 ** 6))
+def test_sample_planted_is_regular(k, blocks, c, seed):
+    # flat profile: d a multiple of k - 1 makes mu_ij * dn integral; the
+    # graph is built without a degree check, so check it here
+    n, d = k * blocks, (k - 1) * c
+    if n * d % 2:
+        d *= 2
+    assignment = [v % k for v in range(n)]
+    off = Fraction(1, k * (k - 1))
+    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
+    G = graphs.sample_planted(assignment, k, d, mu, rng.stream(seed, 0))
+    assert graphs.degrees(G).tolist() == [d] * n
 
 
 def test_sample_planted_deterministic():
