@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 guard/validation refusal, 1 internal error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -245,7 +246,9 @@ def cmd_experiment(args):
     _write(args, experiments.emit(report, args.format))
 
 
+@functools.cache
 def build_parser():
+    """Built on the first `main` call and shared by every later one."""
     p = argparse.ArgumentParser(prog="regcolor")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)

@@ -4,8 +4,8 @@ resulting cluster-size bound, a density falsifier, and the cluster-size rate.
 
 The (sigma, ell)-core is the largest induced subgraph in which every vertex
 has at least ell edges into each other color class inside the subgraph; it is
-computed by peeling, which is order-independent (tested, and exploited by the
-random-order option).
+computed by peeling smallest index first.  The result does not depend on the
+peel order; the tests check it against a random-order peel.
 """
 
 import heapq
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 from . import guards
-from .graphs import degrees, vertex_class_degrees, vertex_mask
+from .graphs import degrees, neighbors, vertex_class_degrees, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,15 @@ class CoreResult:
     deficiency: dict  # evicted vertex -> color class that fell below ell
 
 
-def sigma_ell_core(G, sigma, ell, order="canonical", rng=None):
+def sigma_ell_core(G, sigma, ell):
     """Peel vertices with fewer than ell edges into some other color class
-    inside the surviving set, until none remains."""
+    inside the surviving set, smallest index first, until none remains."""
     if ell < 1:
         raise ValidationError("ell >= 1 required")
     k = sigma.k
     assign = sigma.assignment
     cnt = vertex_class_degrees(G, assign, k)  # e(v, alive cap V_i)
-    adj = G.adjacency()
+    ptr, nbr, mult = neighbors(G)
     alive = [True] * G.n
 
     def deficient_color(v):
@@ -44,24 +44,12 @@ def sigma_ell_core(G, sigma, ell, order="canonical", rng=None):
                 return i
         return None
 
+    # ascending, so already a heap; lazy deletion
     pending = [v for v in range(G.n) if deficient_color(v) is not None]
-    if order == "random":
-        if rng is None:
-            raise ValidationError("random order needs an rng")
-    elif order == "canonical":
-        heapq.heapify(pending)  # smallest index first, lazy deletion
-    else:
-        raise ValidationError("order must be canonical or random")
-
     peel_order = []
     deficiency = {}
     while pending:
-        if order == "random":
-            idx = int(rng.integers(len(pending)))
-            pending[idx], pending[-1] = pending[-1], pending[idx]
-            v = pending.pop()
-        else:
-            v = heapq.heappop(pending)
+        v = heapq.heappop(pending)
         if not alive[v]:
             continue
         col = deficient_color(v)
@@ -71,14 +59,12 @@ def sigma_ell_core(G, sigma, ell, order="canonical", rng=None):
         peel_order.append(v)
         deficiency[v] = col
         cv = assign[v]
-        for u, m in adj[v].items():
-            if u != v and alive[u]:
-                cnt[u, cv] -= m
+        for t in range(ptr[v], ptr[v + 1]):
+            u = nbr[t]
+            if alive[u]:  # v is no longer alive, so its loops drop out
+                cnt[u, cv] -= mult[t]
                 if deficient_color(u) is not None:
-                    if order == "random":
-                        pending.append(u)
-                    else:
-                        heapq.heappush(pending, u)
+                    heapq.heappush(pending, u)
     core = frozenset(v for v in range(G.n) if alive[v])
     return CoreResult(core, tuple(peel_order), deficiency)
 
@@ -126,17 +112,17 @@ def build_WUY(G, sigma, ell):
     into_y = vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
     # ascending, so already a heap
     heap = np.flatnonzero(~in_y & (into_y > ell)).tolist()
-    adj = G.adjacency()
+    ptr, nbr, mult = neighbors(G)
     while heap:
         v = heapq.heappop(heap)
         if v in Y or into_y[v] <= ell:
             continue
         Y.add(v)
-        for u, m in adj[v].items():
-            if u != v:
-                into_y[u] += m
-                if u not in Y and into_y[u] > ell:
-                    heapq.heappush(heap, u)
+        for t in range(ptr[v], ptr[v + 1]):
+            u = nbr[t]
+            into_y[u] += mult[t]  # a loop at v: into_y[v] is not read again
+            if u not in Y and into_y[u] > ell:
+                heapq.heappush(heap, u)
     return WUYSets(W, frozenset(_members(in_w)), U, U_prime, frozenset(Y),
                    {"w_low": 3 * ell, "degree_high": hi, "ell": ell})
 
@@ -229,7 +215,7 @@ def density_predicate(G, bound_c=5, size_cap=None, k=None):
         size_cap = k ** (-4 / 3) * n if k else n
     violations = []
 
-    adj = G.adjacency()
+    ptr, nbr, mult = neighbors(G)
     degs = degrees(G).tolist()
     alive = set(range(n))
     m_cur = len(G.edges)
@@ -242,14 +228,11 @@ def density_predicate(G, bound_c=5, size_cap=None, k=None):
     while alive:
         v = min(alive, key=lambda u: (degs[u], u))
         alive.discard(v)
-        for u, m in adj[v].items():
-            if u == v:
-                m_cur -= m
-                continue
-            if u in alive:
+        for t in range(ptr[v], ptr[v + 1]):
+            u, m = nbr[t], mult[t]
+            if u == v or u in alive:
                 m_cur -= m
                 degs[u] -= m
-        degs[v] = 0
         check(len(alive))
 
     if n <= guards.MAX_DENSITY_EXHAUSTIVE:

@@ -3,7 +3,8 @@ multigraphs, uniform and planted samplers, exhaustive enumeration of
 configurations and of contracted multigraphs (each with its configuration
 count) for tiny instances, and structural queries (cycle census, simplicity,
 and degrees, class degrees and edge counts between vertex sets, all counted
-from one (m, 2) array of the edges).
+from one (m, 2) array of the edges).  The one per-vertex view is the CSR
+adjacency of `neighbors`, built from that array.
 
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
@@ -11,8 +12,7 @@ clones of each vertex yields a d-regular multigraph where a self-loop
 contributes 2 to the degree of its endpoint.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial
@@ -50,21 +50,27 @@ def count_configurations(n, d):
 
 @dataclass(frozen=True)
 class Configuration:
+    """Unchecked: `configuration` is the checked builder."""
     n: int
     d: int
     match: tuple  # involution on the dn clones, match[c] != c
 
-    def __post_init__(self):
-        m = self.n * self.d
-        if len(self.match) != m:
-            raise ValidationError("match must have length dn")
-        for c, c2 in enumerate(self.match):
-            if c2 == c or not (0 <= c2 < m) or self.match[c2] != c:
-                raise ValidationError(
-                    "match is not a fixed-point-free involution at clone %d" % c)
-
     def clone(self, v, p):
         return v * self.d + p
+
+
+def configuration(n, d, match):
+    """The checked builder: `match` must be a fixed-point-free involution of
+    the dn clones."""
+    match = tuple(match)
+    m = n * d
+    if len(match) != m:
+        raise ValidationError("match must have length dn")
+    for c, c2 in enumerate(match):
+        if c2 == c or not (0 <= c2 < m) or match[c2] != c:
+            raise ValidationError(
+                "match is not a fixed-point-free involution at clone %d" % c)
+    return Configuration(n, d, match)
 
 
 def sample_configuration(n, d, rng):
@@ -115,19 +121,6 @@ class MultiGraph:
     n: int
     d: int
     edges: tuple
-    _adj: list = field(default=None, repr=False, compare=False)
-
-    def adjacency(self):
-        """adj[v] = Counter of neighbors with edge multiplicities (a loop at v
-        appears as adj[v][v] = number of loop edges)."""
-        if self._adj is None:
-            adj = [Counter() for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u][v] += 1
-                if u != v:
-                    adj[v][u] += 1
-            object.__setattr__(self, "_adj", adj)
-        return self._adj
 
 
 def edge_array(G):
@@ -135,6 +128,21 @@ def edge_array(G):
     drops it frees it."""
     return np.fromiter(chain.from_iterable(G.edges), dtype=np.int64,
                        count=2 * len(G.edges)).reshape(-1, 2)
+
+
+def neighbors(G):
+    """CSR adjacency (ptr, nbr, mult) as Python lists: v's distinct
+    neighbours are nbr[ptr[v]:ptr[v + 1]], ascending, with the edge
+    multiplicities at the same positions of mult.  A loop at v appears once
+    in v's row, with the number of loops at v."""
+    u, v = edge_array(G).T
+    off = u != v
+    n = G.n
+    key, mult = np.unique(np.concatenate((u * n + v, v[off] * n + u[off])),
+                          return_counts=True)
+    src, nbr = np.divmod(key, n)
+    ptr = np.searchsorted(src, np.arange(n + 1))
+    return ptr.tolist(), nbr.tolist(), mult.tolist()
 
 
 def degrees(G):
@@ -317,8 +325,8 @@ def cycle_census(G, L):
     multiplicities along the cycle.
 
     j <= 3 are counted from the edge array (triangles by
-    `_weighted_triangles`); j >= 4 by a depth-first search over the
-    adjacency."""
+    `_weighted_triangles`); j >= 4 by a depth-first search over the rows of
+    `neighbors`."""
     if L < 1:
         raise ValidationError("L must be >= 1")
     if L > guards.MAX_CYCLE_LENGTH:
@@ -339,27 +347,23 @@ def cycle_census(G, L):
         del key, mult
     if L < 4:
         return CycleCensus(tuple(counts))
-    adj = G.adjacency()
+    ptr, nbr, mult = neighbors(G)
 
     def extend(start, path, weight, length):
         v = path[-1]
-        if length >= 4:
-            # close the cycle; path[1] < path[-1] picks one direction
-            m_close = adj[v].get(start, 0)
-            if m_close and path[1] < v:
-                counts[length - 1] += weight * m_close
-        if length == L:
-            return
-        for w, m in adj[v].items():
-            if w > start and w not in path:
+        for t in range(ptr[v], ptr[v + 1]):
+            w = nbr[t]
+            if w == start:
+                # close the cycle; path[1] < path[-1] picks one direction
+                if length >= 4 and path[1] < v:
+                    counts[length - 1] += weight * mult[t]
+            elif w > start and length < L and w not in path:
                 path.append(w)
-                extend(start, path, weight * m, length + 1)
+                extend(start, path, weight * mult[t], length + 1)
                 path.pop()
 
     for s in range(n):
-        for w, m in adj[s].items():
-            if w > s:
-                extend(s, [s, w], m, 2)
+        extend(s, [s], 1, 1)
     return CycleCensus(tuple(counts))
 
 
@@ -441,9 +445,9 @@ def parse_graph(text):
     if not lines:
         raise ValidationError("empty graph file")
     n, d = _int_pair(lines[0])
-    if n < 0 or d < 0:
-        raise ValidationError("graph header needs n, d >= 0, got %d %d"
-                              % (n, d))
+    if n < 1 or d < 0:
+        raise ValidationError("graph header needs n, d >= 0 and n >= 1, "
+                              "got %d %d" % (n, d))
     # checked before the degree count, which allocates n counters
     if d > 0 and n * d != 2 * (len(lines) - 1):
         raise ValidationError("header %d %d needs n*d/2 edges, the file "

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcolor import cli, colorings, experiments, graphs, moments, threshold
+from regcolor import (cli, clustergeo, colorings, experiments, graphs,
+                      moments, rng, threshold)
 from regcolor.errors import ValidationError
 
 
@@ -343,6 +344,45 @@ def test_graph_file_refusals(tmp_path, capsys):
         refused(["count", "--graph", str(gpath), "--k", "3"], capsys, needle)
 
 
+@pytest.mark.parametrize("flags", [
+    ["count", "--predicate", "balanced", "--k", "0"],
+    ["core", "--k", "0"],
+    ["count", "--k", "2", "--filter", "skewed"]])
+def test_empty_graph_refusals(flags, tmp_path, capsys):
+    # each of these failed inside the program on a graph with no vertex
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("0 0\n")
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("\n")
+    refused(flags + ["--graph", str(gpath), "--coloring", str(cpath)],
+            capsys, "n >= 1")
+
+
+def test_parser_shared_across_calls(tmp_path, capsys):
+    # main reuses one parser: options of one call must not reach the next
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    out = tmp_path / "o.json"
+    assert run(["--seed", "5", "--out", str(gpath), "sample", "--n", "12",
+                "--d", "4", "--k", "3", "--planted",
+                "--coloring-out", str(cpath)]) == 0
+    assert run(["sample", "--n", "6", "--d", "2"]) == 0
+    assert capsys.readouterr().out == graphs.format_graph(graphs.contract(
+        graphs.sample_configuration(6, 2, rng.stream(0, 0))))
+    core = ["core", "--graph", str(gpath), "--coloring", str(cpath),
+            "--k", "3"]
+    assert run(["--out", str(out), *core, "--ell", "1", "--mode",
+                "strict"]) == 0
+    assert run(["--out", str(out), *core]) == 0
+    G = graphs.read_graph(gpath)
+    sigma = colorings.parse_coloring(cpath.read_text(), 3)
+    assert json.loads(out.read_text())["core_size"] == len(
+        clustergeo.sigma_ell_core(G, sigma, 3).core)
+    args = vars(cli.build_parser().parse_args(core))
+    assert {key: args[key] for key in ("seed", "out", "ell", "mode")} == \
+        {"seed": None, "out": None, "ell": 3, "mode": "prose"}
+    assert "planted" not in args and "n" not in args
+
+
 class _ClosedPipe:
     def write(self, data):
         raise BrokenPipeError
@@ -412,11 +452,9 @@ def test_planted_spec_refuses_few_colors(kind, k, tmp_path, capsys):
             "flat planting needs k >= 2")
 
 
-def test_exit_code_sweep(tmp_path, capsys, monkeypatch):
+def test_exit_code_sweep(tmp_path, capsys):
     # every subcommand over small values around 0: a refusal exits 2, never
-    # 1 (an internal error).  One parser serves every call, for speed.
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    # 1 (an internal error)
     small = ("-1", "0", "1", "2", "3")
     internal = []
 

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcolor import clustergeo, colorings, graphs, rng
@@ -52,13 +53,8 @@ def test_core_order_independence():
     G, sigma = planted(60, 3, 5, 7)
     canonical = clustergeo.sigma_ell_core(G, sigma, 2).core
     for idx in range(5):
-        random = clustergeo.sigma_ell_core(G, sigma, 2, order="random",
-                                           rng=rng.stream(100, idx)).core
+        random = _random_order_core(G, sigma, 2, rng.stream(100, idx))
         assert random == canonical
-    with pytest.raises(ValidationError):
-        clustergeo.sigma_ell_core(G, sigma, 2, order="random")
-    with pytest.raises(ValidationError):
-        clustergeo.sigma_ell_core(G, sigma, 2, order="sideways")
 
 
 def test_core_monotone_in_ell():
@@ -187,7 +183,71 @@ def test_edges_into_classes_brute_force(n, d, k, seed):
             == graphs.vertex_class_degrees(G, assign, k)).all()
 
 
-# --- per-vertex references for the array code of build_WUY and _freedom ---
+# --- references over a Counter adjacency, for the CSR rows of neighbors, the
+# peel, and the array code of build_WUY and _freedom ---
+
+def counter_adjacency(G):
+    """adj[v] = Counter of neighbors with edge multiplicities (a loop at v
+    appears as adj[v][v] = number of loop edges)."""
+    adj = [Counter() for _ in range(G.n)]
+    for u, v in G.edges:
+        adj[u][v] += 1
+        if u != v:
+            adj[v][u] += 1
+    return adj
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Arbitrary multigraphs: loops, parallel edges, isolated vertices."""
+    n = draw(st.integers(1, 12))
+    ends = st.integers(0, n - 1)
+    return graphs.multigraph(n, 0, draw(st.lists(st.tuples(ends, ends),
+                                                 max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs())
+@example(graphs.multigraph(1, 0, []))
+@example(graphs.multigraph(1, 0, [(0, 0)] * 3))
+@example(graphs.multigraph(4, 0, [(1, 1), (1, 3), (3, 1), (1, 3)]))
+def test_neighbors_match_counter_adjacency(G):
+    ptr, nbr, mult = graphs.neighbors(G)
+    assert len(ptr) == G.n + 1 and ptr[0] == 0 and ptr[-1] == len(nbr)
+    assert len(mult) == len(nbr)
+    rows = [list(zip(nbr[ptr[v]:ptr[v + 1]], mult[ptr[v]:ptr[v + 1]]))
+            for v in range(G.n)]
+    # same neighbours, multiplicities and order as the Counters
+    assert rows == [list(row.items()) for row in counter_adjacency(G)]
+
+
+def _random_order_core(G, sigma, ell, gen):
+    """The (sigma, ell)-core peeled in a random order over a Counter
+    adjacency: the order-independence oracle for sigma_ell_core."""
+    k, assign = sigma.k, sigma.assignment
+    adj = counter_adjacency(G)
+    cnt = [_edges_into_classes(adj, assign, k, range(G.n), v)
+           for v in range(G.n)]
+    alive = [True] * G.n
+
+    def deficient(v):
+        return any(i != assign[v] and cnt[v][i] < ell for i in range(k))
+
+    pending = [v for v in range(G.n) if deficient(v)]
+    while pending:
+        idx = int(gen.integers(len(pending)))
+        pending[idx], pending[-1] = pending[-1], pending[idx]
+        v = pending.pop()
+        if not alive[v] or not deficient(v):
+            continue
+        alive[v] = False
+        for u, m in adj[v].items():
+            if u != v and alive[u]:
+                cnt[u][assign[v]] -= m
+                if deficient(u):
+                    pending.append(u)
+    return frozenset(v for v in range(G.n) if alive[v])
+
 
 def _edges_into_classes(adj, assign, k, S, v):
     """[e(v, S cap V_j) for j in range(k)]; a loop at v in S counts twice."""
@@ -201,7 +261,7 @@ def _edges_into_classes(adj, assign, k, S, v):
 def _reference_wu(G, sigma, ell):
     """W, U and U' by one Python loop per vertex."""
     k, assign = sigma.k, sigma.assignment
-    adj = G.adjacency()
+    adj = counter_adjacency(G)
     deg = [_edges_into_classes(adj, assign, k, range(G.n), v)
            for v in range(G.n)]
     hi = 2 * ell * math.log(k)
@@ -230,7 +290,7 @@ def _reference_wu(G, sigma, ell):
 def _reference_freedom(G, sigma, core, mode):
     """(F1, F2) by one Python loop per vertex."""
     k, assign = sigma.k, sigma.assignment
-    adj = G.adjacency()
+    adj = counter_adjacency(G)
     free_1, free_2 = set(), set()
     for v in range(G.n):
         into_core = _edges_into_classes(adj, assign, k, core, v)
@@ -275,6 +335,15 @@ def test_wu_and_freedom_match_per_vertex_reference(instance, mode):
     assert (rep.free_1, rep.free_2) == \
         _reference_freedom(G, sigma, core, mode)
     assert rep.complete == frozenset(range(G.n)) - rep.free_1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planted_instances(), uniform_instances()),
+       st.integers(0, 10 ** 6))
+def test_core_matches_random_order_peel(instance, seed):
+    G, sigma, ell = instance
+    assert clustergeo.sigma_ell_core(G, sigma, ell).core == \
+        _random_order_core(G, sigma, ell, rng.stream(seed, 0))
 
 
 def test_core_analysis_mode_validation():

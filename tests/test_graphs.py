@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcolor import graphs, rng
+from regcolor import experiments, graphs, rng
 from regcolor.errors import GuardError, ValidationError
 
 
@@ -43,11 +43,37 @@ def test_count_configurations():
 
 def test_configuration_validation():
     with pytest.raises(ValidationError):
-        graphs.Configuration(2, 1, (0, 1))  # fixed points
+        graphs.configuration(2, 1, (0, 1))  # fixed points
     with pytest.raises(ValidationError):
-        graphs.Configuration(2, 1, (1, 0, 2))  # wrong length
-    c = graphs.Configuration(2, 1, (1, 0))
+        graphs.configuration(2, 1, (1, 0, 2))  # wrong length
+    c = graphs.configuration(2, 1, (1, 0))
     assert c.clone(1, 0) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(2, 4),
+       st.integers(0, 10 ** 6))
+def test_sampled_configurations_are_involutions(n, d, k, seed):
+    # the samplers build Configuration records unchecked; the checked
+    # builder must accept every one of them unchanged
+    if n * d % 2:
+        n += 1
+    conf = graphs.sample_configuration(n, d, rng.stream(seed, 0))
+    assert graphs.configuration(n, d, conf.match) == conf
+    # sample_planted hands its configuration straight to contract
+    n, d = k * (n // k + 1), (k - 1) * d
+    if n * d % 2:
+        d *= 2
+    contract, seen = graphs.contract, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "contract",
+                   lambda conf: seen.append(conf) or contract(conf))
+        G = graphs.sample_planted([v // (n // k) for v in range(n)], k, d,
+                                  experiments.flat_planted_mu(k),
+                                  rng.stream(seed, 1))
+    (planted,) = seen
+    assert graphs.configuration(n, d, planted.match) == planted
+    assert contract(planted) == G
 
 
 def test_enumerate_configurations_counts():
@@ -128,11 +154,11 @@ def test_sample_configuration_uniform():
 
 def test_contract_and_degrees():
     # 2 vertices, d=2: clones 0,1 (vertex 0) and 2,3 (vertex 1)
-    conf = graphs.Configuration(2, 2, (2, 3, 0, 1))
+    conf = graphs.configuration(2, 2, (2, 3, 0, 1))
     G = graphs.contract(conf)
     assert G.edges == ((0, 1), (0, 1))
     assert graphs.degrees(G).tolist() == [2, 2]
-    conf2 = graphs.Configuration(2, 2, (1, 0, 3, 2))  # two loops
+    conf2 = graphs.configuration(2, 2, (1, 0, 3, 2))  # two loops
     G2 = graphs.contract(conf2)
     assert G2.edges == ((0, 0), (1, 1))
     assert graphs.degrees(G2).tolist() == [2, 2]
@@ -149,9 +175,7 @@ def test_multigraph_validation():
 
 def test_adjacency_loop_counts():
     G = graphs.multigraph(2, 2, [(0, 0), (1, 1)])
-    adj = G.adjacency()
-    assert adj[0][0] == 1
-    assert adj[1][1] == 1
+    assert graphs.neighbors(G) == ([0, 1, 2], [0, 1], [1, 1])
 
 
 def test_is_simple():
@@ -376,7 +400,7 @@ def test_sample_planted_uniform():
         for a, b in zip(clones0, perm):
             match[a] = b
             match[b] = a
-        conf = graphs.Configuration(4, d, tuple(match))
+        conf = graphs.configuration(4, d, match)
         ref[graphs.contract(conf).edges] += 1
     total_ref = sum(ref.values())
     draws = 5000
