@@ -171,6 +171,8 @@ def cmd_rates(args):
     k, d = args.k, args.d
     if k is None or d is None:
         raise ValidationError("rates needs --k and --d (or a sweep)")
+    if not math.isfinite(d):
+        raise ValidationError("--d must be a finite number, got %r" % d)
     rate = moments.first_moment_rate(k, d)
     doc = {
         "k": k, "d": d,

@@ -4,8 +4,10 @@ resulting cluster-size bound, a density falsifier, and the cluster-size rate.
 
 The (sigma, ell)-core is the largest induced subgraph in which every vertex
 has at least ell edges into each other color class inside the subgraph; it is
-computed by peeling smallest index first.  The result does not depend on the
-peel order; the tests check it against a random-order peel.
+computed by peeling smallest index first from a heap that holds each vertex
+at most once.  The result does not depend on the peel order; the tests check
+it against a random-order peel, and the peel order against a lazy-deletion
+heap.
 """
 
 import heapq
@@ -29,43 +31,42 @@ class CoreResult:
 
 def sigma_ell_core(G, sigma, ell):
     """Peel vertices with fewer than ell edges into some other color class
-    inside the surviving set, smallest index first, until none remains."""
+    inside the surviving set, smallest index first, until none remains.
+
+    Counts only fall, so a vertex that drops below ell stays below it: it is
+    queued once, when it first drops, and evicted when popped, with its
+    smallest deficient color at that time as its deficiency.  The core is
+    the set of vertices never queued."""
     if ell < 1:
         raise ValidationError("ell >= 1 required")
     k = sigma.k
     assign = sigma.assignment
-    cnt = vertex_class_degrees(G, assign, k)  # e(v, alive cap V_i)
+    cnt = vertex_class_degrees(G, assign, k).tolist()  # e(v, alive cap V_i)
     ptr, nbr, mult = neighbors(G)
-    alive = [True] * G.n
 
     def deficient_color(v):
         for i in range(k):
-            if i != assign[v] and cnt[v, i] < ell:
+            if i != assign[v] and cnt[v][i] < ell:
                 return i
         return None
 
-    # ascending, so already a heap; lazy deletion
-    pending = [v for v in range(G.n) if deficient_color(v) is not None]
+    queued = [deficient_color(v) is not None for v in range(G.n)]
+    queue = [v for v in range(G.n) if queued[v]]  # ascending: a heap
     peel_order = []
     deficiency = {}
-    while pending:
-        v = heapq.heappop(pending)
-        if not alive[v]:
-            continue
-        col = deficient_color(v)
-        if col is None:
-            continue
-        alive[v] = False
+    while queue:
+        v = heapq.heappop(queue)
         peel_order.append(v)
-        deficiency[v] = col
+        deficiency[v] = deficient_color(v)
         cv = assign[v]
         for t in range(ptr[v], ptr[v + 1]):
             u = nbr[t]
-            if alive[u]:  # v is no longer alive, so its loops drop out
-                cnt[u, cv] -= mult[t]
-                if deficient_color(u) is not None:
-                    heapq.heappush(pending, u)
-    core = frozenset(v for v in range(G.n) if alive[v])
+            row = cnt[u]  # an evicted u's counts are not read again
+            row[cv] -= mult[t]
+            if not queued[u] and row[cv] < ell and assign[u] != cv:
+                queued[u] = True
+                heapq.heappush(queue, u)
+    core = frozenset(v for v in range(G.n) if not queued[v])
     return CoreResult(core, tuple(peel_order), deficiency)
 
 
@@ -112,7 +113,8 @@ def build_WUY(G, sigma, ell):
     into_y = vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
     # ascending, so already a heap
     heap = np.flatnonzero(~in_y & (into_y > ell)).tolist()
-    ptr, nbr, mult = neighbors(G)
+    if heap:  # often empty: then Y cannot grow and needs no adjacency
+        ptr, nbr, mult = neighbors(G)
     while heap:
         v = heapq.heappop(heap)
         if v in Y or into_y[v] <= ell:

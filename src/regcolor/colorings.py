@@ -210,6 +210,9 @@ def kappa_paper(k):
 def is_separable(G, sigma, kappa=0.1):
     """Every overlap entry above 0.51 with any balanced proper coloring is
     actually >= 1 - kappa.  Exhaustive; guarded."""
+    if not math.isfinite(kappa):
+        raise ValidationError("kappa must be a finite number, got %r"
+                              % (kappa,))
     _cluster_guard(G, sigma.k)
     kap = kappa if isinstance(kappa, Fraction) else Fraction(kappa).limit_denominator(10 ** 9)
     k = sigma.k

@@ -372,11 +372,13 @@ def sample_planted(assignment, k, d, mu, rng):
     classes of `assignment`, contracted.  Requires mu_ii = 0 and all
     mu_ij * dn integral.
 
-    Each class's clone list is shuffled once and cut into one segment per
-    other class; matching the (i,j) segment of class i against the (j,i)
-    segment of class j position by position is uniform over the conditioned
-    configurations, because a uniformly shuffled list induces a uniform
-    ordered selection for every segment independently.
+    Each class's clone array is shuffled once and cut into one segment per
+    other class; pairing the (i,j) segment of class i with the (j,i) segment
+    of class j position by position is uniform over the conditioned
+    configurations, because a uniformly shuffled array induces a uniform
+    ordered selection for every segment independently.  The paired clones
+    (a, b) give the edge (min, max) of (a // d, b // d) directly, and one
+    sort puts the edges in the order `contract` would.
     """
     from . import moments
 
@@ -396,30 +398,22 @@ def sample_planted(assignment, k, d, mu, rng):
 
     dn = d * n
     m = [[int(pair.mu[i][j] * dn) for j in range(k)] for i in range(k)]
-    match = np.empty(dn, dtype=np.int64)
-    segments = {}
+    clones = np.arange(dn).reshape(n, d)
+    color = np.asarray(assignment, dtype=np.int64)
+    segments = []  # segments[i][j]: the clones of class i paired into class j
     for i in range(k):
-        clones = [v * d + p for v in range(n) if assignment[v] == i
-                  for p in range(d)]
-        perm = rng.permutation(len(clones))
-        pos = 0
-        for j in range(k):
-            if j == i:
-                continue
-            seg = [clones[perm[t]] for t in range(pos, pos + m[i][j])]
-            segments[(i, j)] = seg
-            pos += m[i][j]
-        if pos != len(clones):
+        own = clones[color == i].ravel()
+        perm = rng.permutation(own.size)
+        if sum(m[i]) != own.size:
             raise ValidationError(
                 "row %d of mu does not use up the class degree" % i)
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = segments[(i, j)], segments[(j, i)]
-            for ca, cb in zip(a, b):
-                match[ca] = cb
-                match[cb] = ca
-    conf = Configuration(n, d, tuple(match.tolist()))
-    return contract(conf)
+        segments.append(np.split(own[perm], np.cumsum(m[i])[:-1]))
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    ends = np.array([np.concatenate([segments[i][j] for i, j in upper]),
+                     np.concatenate([segments[j][i] for i, j in upper])]) // d
+    ends.sort(axis=0)
+    u, v = ends[:, np.lexsort(ends[::-1])].tolist()
+    return MultiGraph(n, d, tuple(zip(u, v)))
 
 
 # --- graph file format: header "n d", one "u v" line per edge ---

@@ -2,9 +2,9 @@
 threshold, the canonical degree d_col(k), the inverse map F(d), and the
 older comparison intervals.
 
-The interval endpoints share the large common term (2k-1) ln k, so they are
-kept as (base, offset) internally; offsets are O(1) and their difference is
-the interval length at full precision even when the base is ~1e7.
+Every interval comes from the vectorized `threshold_scan`.  The endpoints
+share the large common term (2k-1) ln k, so the interval length is taken
+from the O(1) offsets and keeps full precision even when that term is ~1e7.
 """
 
 import math
@@ -26,54 +26,44 @@ def default_eps(k):
 class ThresholdRecord:
     k: int
     eps: float
-    base: float        # (2k-1) ln k
-    lo_offset: float   # -2 ln 2 - eps
-    hi_offset: float   # -1 + eps
+    lo: float          # (2k-1) ln k - 2 ln 2 - eps
+    hi: float          # (2k-1) ln k - 1 + eps
+    length: float      # hi - lo from the offsets, 2 ln 2 - 1 + 2 eps
     d_col: float
     integer_in_interval: int | None
     method: str        # "integer" or "midpoint"
 
-    @property
-    def lo(self):
-        return self.base + self.lo_offset
 
-    @property
-    def hi(self):
-        return self.base + self.hi_offset
-
-    @property
-    def length(self):
-        return self.hi_offset - self.lo_offset
-
-
-def _several_integers(k, ints):
-    return GuardError("interval for k=%d contains %d integers: %s"
-                      % (k, len(ints), ints))
+def _refuse_several_integers(scan):
+    """GuardError for the first k of a scan whose interval holds two or
+    more integers, naming them."""
+    bad = np.flatnonzero(scan["n_integers"] > 1)
+    if bad.size:
+        idx = int(bad[0])
+        count = int(scan["n_integers"][idx])
+        first = math.floor(scan["lo"][idx]) + 1
+        raise GuardError("interval for k=%d contains %d integers: %s"
+                         % (int(scan["k"][idx]), count,
+                            list(range(first, first + count))))
 
 
 def threshold_record(k, eps=None):
     """I_k = ((2k-1)ln k - 2 ln 2 - eps, (2k-1)ln k - 1 + eps); d_col is the
     unique integer inside if there is one, else the midpoint.  Two or more
-    integers inside is an error, never a silent choice."""
+    integers inside is an error, never a silent choice.  The one-row view of
+    threshold_scan(k, k, "value", eps), eps defaulting to default_eps(k)."""
     if k < 3:
         raise ValidationError("k >= 3 required")
     if eps is None:
         eps = default_eps(k)
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
-    base = (2 * k - 1) * math.log(k)
-    lo_off = -2 * math.log(2) - eps
-    hi_off = -1 + eps
-    lo, hi = base + lo_off, base + hi_off
-    first = math.floor(lo) + 1  # smallest integer > lo (endpoints irrational)
-    ints = [m for m in range(first, math.floor(hi) + 1) if lo < m < hi]
-    if len(ints) > 1:
-        raise _several_integers(k, ints)
-    if len(ints) == 1:
-        return ThresholdRecord(k, eps, base, lo_off, hi_off, float(ints[0]),
-                               ints[0], "integer")
-    return ThresholdRecord(k, eps, base, lo_off, hi_off, (lo + hi) / 2,
-                           None, "midpoint")
+    scan = threshold_scan(k, k, "value", eps)
+    _refuse_several_integers(scan)
+    lo, hi, length, d_col, n_int = (scan[key][0].item() for key in (
+        "lo", "hi", "length", "d_col", "n_integers"))
+    if n_int == 1:
+        return ThresholdRecord(k, eps, lo, hi, length, d_col, int(d_col),
+                               "integer")
+    return ThresholdRecord(k, eps, lo, hi, length, d_col, None, "midpoint")
 
 
 def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
@@ -87,8 +77,9 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     elif eps_mode == "zero":
         eps = np.zeros_like(ks)
     elif eps_mode == "value":
-        if eps_value is None or eps_value < 0:
-            raise ValidationError("eps_mode=value needs eps_value >= 0")
+        if eps_value is None or not 0 <= eps_value < math.inf:
+            raise ValidationError("eps_mode=value needs a finite eps_value "
+                                  ">= 0, got %r" % (eps_value,))
         eps = np.full_like(ks, float(eps_value))
     else:
         raise ValidationError("unknown eps_mode %r" % (eps_mode,))
@@ -97,7 +88,7 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     hi_off = -1 + eps
     lo = base + lo_off
     hi = base + hi_off
-    # integers strictly inside (lo, hi), as in threshold_record
+    # integers strictly inside (lo, hi); an integer endpoint is outside
     n_int = (np.ceil(hi).astype(np.int64) - np.floor(lo).astype(np.int64)
              - 1)
     d_col = np.where(n_int == 1, np.floor(lo) + 1, (lo + hi) / 2)
@@ -139,16 +130,11 @@ def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     """CSV table `k,lo,hi,d_col,method` for k in [k_lo, k_hi], from one
     threshold_scan.  An interval with several integers is refused."""
     scan = threshold_scan(k_lo, k_hi, eps_mode, eps_value)
-    n_int = scan["n_integers"]
-    bad = np.flatnonzero(n_int > 1)
-    if bad.size:
-        idx = int(bad[0])
-        first = math.floor(scan["lo"][idx]) + 1
-        raise _several_integers(int(scan["k"][idx]),
-                                list(range(first, first + int(n_int[idx]))))
-    cols = (scan["k"], scan["lo"], scan["hi"], scan["d_col"], n_int)
+    _refuse_several_integers(scan)
+    cols = (scan["k"], scan["lo"], scan["hi"], scan["d_col"],
+            scan["n_integers"])
     blocks = ["k,lo,hi,d_col,method\n"]
-    for start in range(0, n_int.size, _CSV_BLOCK):
+    for start in range(0, cols[0].size, _CSV_BLOCK):
         rows = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))
         blocks.append("".join(
             "%d,%.12g,%.12g,%.12g,%s\n"

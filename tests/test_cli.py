@@ -210,6 +210,30 @@ def test_threshold_refusals(tmp_path, capsys):
              "--eps-value", "0.4"], capsys, "contains 2 integers")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_refusals(value, tmp_path, capsys):
+    # the --flag=value form, since argparse reads "-inf" as an option
+    refused(["threshold", "--k-range", "3..5", "--eps-mode", "value",
+             "--eps-value=" + value], capsys, "finite eps_value")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = 5\n"
+                    "eps_mode = value\neps_value = %s\n" % value)
+    refused(["experiment", "--spec", str(spec)], capsys, "finite eps_value")
+    refused(["rates", "--k", "3", "--d=" + value], capsys,
+            "--d must be a finite number")
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert run(["--out", str(gpath), "sample", "--planted", "--n", "6",
+                "--d", "2", "--k", "3", "--coloring-out", str(cpath)]) == 0
+    refused(["count", "--graph", str(gpath), "--k", "3", "--predicate",
+             "separable", "--coloring", str(cpath), "--kappa=" + value],
+            capsys, "kappa must be a finite number")
+
+
+def test_rates_accepts_negative_d(capsys):
+    assert run(["rates", "--k", "3", "--d", "-2.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == -2.5
+
+
 def test_rates_range_refusals(capsys):
     refused(["rates", "--k-range", "3..4", "--d-range", "5"], capsys,
             "--d-range")
@@ -456,6 +480,8 @@ def test_exit_code_sweep(tmp_path, capsys):
     # every subcommand over small values around 0: a refusal exits 2, never
     # 1 (an internal error)
     small = ("-1", "0", "1", "2", "3")
+    # passed as --flag=value: argparse reads "-inf" as an option
+    floats = ("nan", "inf", "-inf", "-0.5", "0.5")
     internal = []
 
     def go(*argv):
@@ -481,6 +507,9 @@ def test_exit_code_sweep(tmp_path, capsys):
                               "nice", "rainbow", "vacant"):
                 go("count", "--graph", gpath, "--k", k, "--predicate",
                    predicate, "--coloring", coloring)
+            for kappa in floats:
+                go("count", "--graph", gpath, "--k", k, "--predicate",
+                   "separable", "--coloring", coloring, "--kappa=" + kappa)
             for ell, mode in itertools.product(small[:4], ("prose", "strict")):
                 go("core", "--graph", gpath, "--coloring", coloring, "--k", k,
                    "--ell", ell, "--mode", mode)
@@ -489,14 +518,19 @@ def test_exit_code_sweep(tmp_path, capsys):
                 ["--filter", "profile", "--profile", "1/2,1/2"],
                 ["--filter", "skewed"], ["--filter", "nice12"])):
             go("count", "--graph", gpath, "--k", k, *flags)
-    for k, d in itertools.product(small, small):
-        go("rates", "--k", k, "--d", d)
-        go("optimize", "--k", k, "--d", d, "--restarts", "1")
+    for k, d in itertools.product(small, small + floats):
+        go("rates", "--k", k, "--d=" + d)
+        go("optimize", "--k", k, "--d=" + d, "--restarts", "1")
     go("rates", "--k-range=-1..3", "--d-range=-1..3")
+    for eps_mode, eps in itertools.product(("pow09", "zero", "value"),
+                                           floats):
+        go("threshold", "--k-range", "3..5", "--eps-mode", eps_mode,
+           "--eps-value=" + eps)
 
     spec = tmp_path / "spec.txt"
     sizes = {"n": ("-1", "0", "1", "4"), "d": small[:4], "k": small[:4],
-             "ell": small[:3], "L": small[:4], "k_lo": small, "k_hi": small}
+             "ell": small[:3], "L": small[:4], "k_lo": small, "k_hi": small,
+             "eps_mode": ("pow09", "value"), "eps_value": floats}
     for kind in experiments.KINDS:
         required, optional = experiments._PARAMS[kind]
         keys = [key for key in required + optional if key in sizes]
@@ -529,6 +563,26 @@ _CORE_PINS = {
         "64a0377d453754e87574d824dcd9657ed8d97b57cd82ccf0aeeaf0d03125309c",
         "effe628cc9a11dcd0692138701e4557233f509818e59f664681a49910addaaa4"),
 }
+
+
+# sha256 of the `sample --planted` graph file at seed 4
+_PLANTED_PINS = {
+    (300, 9, 3):
+        "4187d02e3329be9407d52d51ed7204a7f6c7b805c1a8662c317d9a421ed5fa15",
+    (400, 12, 4):
+        "bf2c65b7ee6263f29c70778f8686f867e5d3f3a497b4b5a08d1e16864e6575c3",
+    (996, 15, 6):
+        "143ee783bb5f3bc78dcc88d30ec10bf167c8f838c47d86fe715f6c5d6d75fc24",
+}
+
+
+@pytest.mark.parametrize("n, d, k", sorted(_PLANTED_PINS))
+def test_sample_planted_pinned(n, d, k, tmp_path):
+    gpath = tmp_path / "g"
+    assert run(["--seed", "4", "--out", str(gpath), "sample", "--planted",
+                "--n", str(n), "--d", str(d), "--k", str(k)]) == 0
+    assert (hashlib.sha256(gpath.read_bytes()).hexdigest()
+            == _PLANTED_PINS[(n, d, k)])
 
 
 @pytest.mark.parametrize("n, d, k, ell", sorted(_CORE_PINS))

@@ -1,3 +1,4 @@
+import heapq
 import math
 from collections import Counter
 from fractions import Fraction
@@ -344,6 +345,52 @@ def test_core_matches_random_order_peel(instance, seed):
     G, sigma, ell = instance
     assert clustergeo.sigma_ell_core(G, sigma, ell).core == \
         _random_order_core(G, sigma, ell, rng.stream(seed, 0))
+
+
+def lazy_deletion_peel(G, sigma, ell):
+    """The smallest-index-first peel with lazy deletion: a vertex is pushed
+    again each time one of its counts falls while it is deficient, and
+    stale entries are skipped when popped.  The reference for the peel
+    order and deficiency map of sigma_ell_core."""
+    k, assign = sigma.k, sigma.assignment
+    cnt = graphs.vertex_class_degrees(G, assign, k)
+    ptr, nbr, mult = graphs.neighbors(G)
+    alive = [True] * G.n
+
+    def deficient_color(v):
+        for i in range(k):
+            if i != assign[v] and cnt[v, i] < ell:
+                return i
+        return None
+
+    pending = [v for v in range(G.n) if deficient_color(v) is not None]
+    peel_order, deficiency = [], {}
+    while pending:
+        v = heapq.heappop(pending)
+        if not alive[v]:
+            continue
+        col = deficient_color(v)
+        if col is None:
+            continue
+        alive[v] = False
+        peel_order.append(v)
+        deficiency[v] = col
+        for t in range(ptr[v], ptr[v + 1]):
+            u = nbr[t]
+            if alive[u]:
+                cnt[u, assign[v]] -= mult[t]
+                if deficient_color(u) is not None:
+                    heapq.heappush(pending, u)
+    core = frozenset(v for v in range(G.n) if alive[v])
+    return clustergeo.CoreResult(core, tuple(peel_order), deficiency)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(planted_instances(), uniform_instances()))
+def test_peel_matches_lazy_deletion_reference(instance):
+    G, sigma, ell = instance
+    assert clustergeo.sigma_ell_core(G, sigma, ell) == \
+        lazy_deletion_peel(G, sigma, ell)
 
 
 def test_core_analysis_mode_validation():

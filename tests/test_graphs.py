@@ -51,29 +51,14 @@ def test_configuration_validation():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 30), st.integers(1, 6), st.integers(2, 4),
-       st.integers(0, 10 ** 6))
-def test_sampled_configurations_are_involutions(n, d, k, seed):
-    # the samplers build Configuration records unchecked; the checked
-    # builder must accept every one of them unchanged
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_sampled_configurations_are_involutions(n, d, seed):
+    # sample_configuration builds its Configuration record unchecked; the
+    # checked builder must accept every one of them unchanged
     if n * d % 2:
         n += 1
     conf = graphs.sample_configuration(n, d, rng.stream(seed, 0))
     assert graphs.configuration(n, d, conf.match) == conf
-    # sample_planted hands its configuration straight to contract
-    n, d = k * (n // k + 1), (k - 1) * d
-    if n * d % 2:
-        d *= 2
-    contract, seen = graphs.contract, []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "contract",
-                   lambda conf: seen.append(conf) or contract(conf))
-        G = graphs.sample_planted([v // (n // k) for v in range(n)], k, d,
-                                  experiments.flat_planted_mu(k),
-                                  rng.stream(seed, 1))
-    (planted,) = seen
-    assert graphs.configuration(n, d, planted.match) == planted
-    assert contract(planted) == G
 
 
 def test_enumerate_configurations_counts():
@@ -420,6 +405,90 @@ def test_sample_planted_rejects_diagonal_mass():
     mu = [[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]]
     with pytest.raises(ValidationError):
         graphs.sample_planted([0, 0, 1, 1], 2, 2, mu, rng.stream(0, 0))
+
+
+def reference_sample_planted(assignment, k, d, mu, rng):
+    """sample_planted clone by clone: the same permutation of each class's
+    clone list, the segments matched position by position into a checked
+    involution, then contracted."""
+    from regcolor import moments
+
+    assignment = [int(c) for c in assignment]
+    n = len(assignment)
+    sizes = [assignment.count(i) for i in range(k)]
+    pair = moments.validate_admissible([Fraction(s, n) for s in sizes], mu,
+                                       n, d)
+    dn = d * n
+    m = [[int(pair.mu[i][j] * dn) for j in range(k)] for i in range(k)]
+    match = np.empty(dn, dtype=np.int64)
+    segments = {}
+    for i in range(k):
+        clones = [v * d + p for v in range(n) if assignment[v] == i
+                  for p in range(d)]
+        perm = rng.permutation(len(clones))
+        pos = 0
+        for j in range(k):
+            if j == i:
+                continue
+            segments[(i, j)] = [clones[perm[t]]
+                                for t in range(pos, pos + m[i][j])]
+            pos += m[i][j]
+        assert pos == len(clones)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for ca, cb in zip(segments[(i, j)], segments[(j, i)]):
+                match[ca] = cb
+                match[cb] = ca
+    return graphs.contract(graphs.configuration(n, d, match.tolist()))
+
+
+@st.composite
+def planted_profiles(draw):
+    """(assignment, k, d, mu) accepted by sample_planted: classes in shuffled
+    vertex order, flat or non-flat mu, and some empty (i, j) segments."""
+    k = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        # flat: d a multiple of k - 1 makes mu_ij * dn integral
+        blocks, d = draw(st.integers(1, 5)), (k - 1) * draw(st.integers(1, 3))
+        sizes = [blocks] * k
+        M = [[0 if i == j else d * blocks // (k - 1) for j in range(k)]
+             for i in range(k)]
+    else:
+        # d times the class-edge counts of a few cross edges (classes that
+        # get no edge are empty), then moves around 4-cycles of classes,
+        # which keep every row sum and need not be multiples of d
+        d = draw(st.integers(1, 4))
+        cross = st.tuples(st.integers(0, k - 1),
+                          st.integers(0, k - 1)).filter(lambda e: e[0] != e[1])
+        M = [[0] * k for _ in range(k)]
+        for i, j in draw(st.lists(cross, min_size=1, max_size=12)):
+            M[i][j] += d
+            M[j][i] += d
+        sizes = [sum(row) // d for row in M]
+        if k >= 4:
+            for a, b, c, e in draw(st.lists(
+                    st.permutations(range(k)).map(lambda p: p[:4]),
+                    max_size=6)):
+                if M[b][c] and M[e][a]:
+                    for x, y, step in ((a, b, 1), (b, c, -1), (c, e, 1),
+                                       (e, a, -1)):
+                        M[x][y] += step
+                        M[y][x] += step
+    assignment = draw(st.permutations([i for i in range(k)
+                                       for _ in range(sizes[i])]))
+    dn = d * len(assignment)
+    mu = [[Fraction(M[i][j], dn) for j in range(k)] for i in range(k)]
+    return assignment, k, d, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_profiles(), st.integers(0, 10 ** 6))
+def test_sample_planted_matches_clone_reference(profile, seed):
+    # the same edges from the same draws, and the same randomness consumed
+    fast, slow = rng.stream(seed, 0), rng.stream(seed, 0)
+    assert (graphs.sample_planted(*profile, fast)
+            == reference_sample_planted(*profile, slow))
+    assert fast.integers(2 ** 62) == slow.integers(2 ** 62)
 
 
 def test_graph_file_roundtrip(tmp_path):

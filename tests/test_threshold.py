@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,9 @@ def test_scan_eps_modes():
     assert abs(v["length"] - (2 * math.log(2) - 1 + 0.1)).max() < 1e-12
     with pytest.raises(ValidationError):
         threshold.threshold_scan(3, 10, eps_mode="value")
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite eps_value >= 0"):
+            threshold.threshold_scan(3, 10, eps_mode="value", eps_value=bad)
     with pytest.raises(ValidationError):
         threshold.threshold_scan(3, 10, eps_mode="bogus")
     with pytest.raises(ValidationError):
@@ -143,11 +147,51 @@ def test_format_csv():
     assert first[4] in ("integer", "midpoint")
 
 
+def reference_record(k, eps=None):
+    """The scalar threshold record, one k at a time with math.log: the
+    reference for threshold_record and for the rows of format_csv."""
+    if eps is None:
+        eps = threshold.default_eps(k)
+    base = (2 * k - 1) * math.log(k)
+    lo_off = -2 * math.log(2) - eps
+    hi_off = -1 + eps
+    lo, hi = base + lo_off, base + hi_off
+    first = math.floor(lo) + 1  # smallest integer > lo
+    ints = [m for m in range(first, math.floor(hi) + 1) if lo < m < hi]
+    if len(ints) > 1:
+        raise GuardError("interval for k=%d contains %d integers: %s"
+                         % (k, len(ints), ints))
+    if len(ints) == 1:
+        return threshold.ThresholdRecord(k, eps, lo, hi, hi_off - lo_off,
+                                         float(ints[0]), ints[0], "integer")
+    return threshold.ThresholdRecord(k, eps, lo, hi, hi_off - lo_off,
+                                     (lo + hi) / 2, None, "midpoint")
+
+
+@pytest.mark.parametrize("eps", [None, 0.0, 0.05, 0.4])
+def test_record_matches_scalar_reference(eps):
+    # numpy's ** and log may differ from Python's in the last bit
+    for k in range(3, 2000):
+        try:
+            want = reference_record(k, eps)
+        except GuardError as exc:
+            with pytest.raises(GuardError, match=re.escape(str(exc))):
+                threshold.threshold_record(k, eps)
+            continue
+        got = threshold.threshold_record(k, eps)
+        assert (got.k, got.eps, got.method, got.integer_in_interval) == \
+            (want.k, want.eps, want.method, want.integer_in_interval)
+        assert abs(got.lo - want.lo) < 1e-9
+        assert abs(got.hi - want.hi) < 1e-9
+        assert abs(got.d_col - want.d_col) < 1e-9
+        assert abs(got.length - want.length) < 1e-12
+
+
 def record_csv(k_lo, k_hi, eps=None):
-    """The per-k reference table built from threshold_record."""
+    """The per-k reference table built from reference_record."""
     lines = ["k,lo,hi,d_col,method"]
     for k in range(k_lo, k_hi + 1):
-        rec = threshold.threshold_record(k, eps)
+        rec = reference_record(k, eps)
         lines.append("%d,%.12g,%.12g,%.12g,%s"
                      % (rec.k, rec.lo, rec.hi, rec.d_col, rec.method))
     return "\n".join(lines) + "\n"
@@ -168,6 +212,7 @@ def test_format_csv_matches_records(eps_mode, eps_value, eps, k_lo, k_hi):
 def test_format_csv_integer_endpoint():
     # hi = 5 exactly: the open interval (3.6, 5) holds the one integer 4
     eps = 6.0 - 5 * math.log(3)
+    assert reference_record(3, eps).hi == 5.0
     assert threshold.threshold_record(3, eps).hi == 5.0
     assert (threshold.format_csv(3, 3, "value", eps)
             == record_csv(3, 3, eps))
