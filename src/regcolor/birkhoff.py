@@ -212,6 +212,9 @@ def maximize_f(k, d, region=None, restarts=20, rng=None, kappa=0.1):
         raise ValidationError("d must be positive and finite, got %r" % (d,))
     if restarts < 0:
         raise ValidationError("restarts >= 0 required, got %r" % (restarts,))
+    if not math.isfinite(kappa):
+        raise ValidationError("kappa must be a finite number, got %r"
+                              % (kappa,))
     if rng is None:
         rng = np.random.default_rng(0)
     f_flat = f_entries(np.full((k, k), 1 / k), k, d)

@@ -100,8 +100,7 @@ def cmd_sample(args):
             with _open(args.coloring_out, "w") as fh:
                 fh.write(colorings.format_coloring(sigma))
     else:
-        G = graphs.contract(graphs.sample_configuration(args.n, args.d,
-                                                        generator))
+        G = graphs.sample_uniform(args.n, args.d, generator)
     _write(args, graphs.format_graph(G))
 
 

@@ -238,12 +238,13 @@ def density_predicate(G, bound_c=5, size_cap=None, k=None):
         check(len(alive))
 
     if n <= guards.MAX_DENSITY_EXHAUSTIVE:
+        edges = G.edges.tolist()
         for r in range(1, n + 1):
             if r > size_cap:
                 break
             for S in itertools.combinations(range(n), r):
                 Sset = set(S)
-                spanned = sum(1 for u, v in G.edges if u in Sset and v in Sset)
+                spanned = sum(1 for u, v in edges if u in Sset and v in Sset)
                 if spanned > bound_c * r:
                     violations.append(frozenset(Sset))
     # dedupe, keep deterministic order

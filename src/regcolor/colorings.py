@@ -70,7 +70,7 @@ def parse_coloring(text, k):
 def is_proper(G, sigma):
     """No monochromatic edge; a self-loop is always monochromatic."""
     a = sigma.assignment
-    return all(a[u] != a[v] for u, v in G.edges)
+    return all(a[u] != a[v] for u, v in G.edges.tolist())
 
 
 def is_balanced(sigma):
@@ -106,7 +106,7 @@ def _neighbor_sets(G):
     """Distinct-neighbor lists; None if some vertex has a self-loop (then no
     proper coloring exists)."""
     nbrs = [set() for _ in range(G.n)]
-    for u, v in G.edges:
+    for u, v in G.edges.tolist():
         if u == v:
             return None
         nbrs[u].add(v)

@@ -168,7 +168,7 @@ def flat_planted_mu(k):
 def _run_cycle_census(params, stream_rng, out):
     n, d = int(params["n"]), int(params["d"])
     L = int(params.get("L", 3))
-    G = graphs.contract(graphs.sample_configuration(n, d, stream_rng))
+    G = graphs.sample_uniform(n, d, stream_rng)
     census = graphs.cycle_census(G, L)
     for j in range(1, L + 1):
         out.setdefault("xi_%d" % j, []).append(census[j])
@@ -176,7 +176,7 @@ def _run_cycle_census(params, stream_rng, out):
 
 def _run_colorability(params, stream_rng, out):
     n, d, k = int(params["n"]), int(params["d"]), int(params["k"])
-    G = graphs.contract(graphs.sample_configuration(n, d, stream_rng))
+    G = graphs.sample_uniform(n, d, stream_rng)
     colorable = colorings.is_colorable(G, k)
     out.setdefault("colorable", []).append(1.0 if colorable else 0.0)
 

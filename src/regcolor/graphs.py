@@ -2,9 +2,12 @@
 multigraphs, uniform and planted samplers, exhaustive enumeration of
 configurations and of contracted multigraphs (each with its configuration
 count) for tiny instances, and structural queries (cycle census, simplicity,
-and degrees, class degrees and edge counts between vertex sets, all counted
-from one (m, 2) array of the edges).  The one per-vertex view is the CSR
-adjacency of `neighbors`, built from that array.
+and degrees, class degrees and edge counts between vertex sets).
+
+A graph is one read-only (m, 2) int64 array of its edges, sorted, and every
+query counts from that array.  The samplers write it straight from their
+clone pairs (`_from_pairs`).  The one per-vertex view is the CSR adjacency
+of `neighbors`, built from the array on each call.
 
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
@@ -14,8 +17,7 @@ contributes 2 to the degree of its endpoint.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -112,22 +114,39 @@ def enumerate_configurations(n, d):
     yield from rec(list(range(m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiGraph:
-    """Contracted multigraph.  `edges` is the edge multiset as a sorted tuple
-    of (u, v) pairs with u <= v; loops appear as (u, u).  Nothing is checked
-    here: `multigraph` is the checked builder, and `contract` and
-    `enumerate_multigraphs` are d-regular by construction."""
+    """Contracted multigraph.  `edges` is the edge multiset as a read-only
+    (m, 2) int64 array of rows (u, v) with u <= v, sorted lexicographically;
+    loops appear as (u, u).  Nothing is checked or copied here:
+    `multigraph` is the checked builder, and the samplers, `contract` and
+    `enumerate_multigraphs` are d-regular by construction and hand over
+    read-only arrays.  Graphs compare by value and, like their arrays, are
+    not hashable."""
     n: int
     d: int
-    edges: tuple
+    edges: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiGraph):
+            return NotImplemented
+        return (self.n == other.n and self.d == other.d
+                and np.array_equal(self.edges, other.edges))
 
 
-def edge_array(G):
-    """G.edges as a fresh (m, 2) int64 array; not cached, so a caller that
-    drops it frees it."""
-    return np.fromiter(chain.from_iterable(G.edges), dtype=np.int64,
-                       count=2 * len(G.edges)).reshape(-1, 2)
+# the largest n whose edge keys u*n + v (u, v < n) fit in an int64
+MAX_VERTICES = isqrt(2 ** 63 - 1)
+
+
+def _from_pairs(n, d, a, b):
+    """The MultiGraph whose edges are the vertex pairs {a[i], b[i]}: one
+    integer sort of the keys min*n + max gives the sorted (u, v) rows."""
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    key.sort()
+    edges = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    edges.flags.writeable = False
+    return MultiGraph(n, d, edges)
 
 
 def neighbors(G):
@@ -135,7 +154,7 @@ def neighbors(G):
     neighbours are nbr[ptr[v]:ptr[v + 1]], ascending, with the edge
     multiplicities at the same positions of mult.  A loop at v appears once
     in v's row, with the number of loops at v."""
-    u, v = edge_array(G).T
+    u, v = G.edges.T
     off = u != v
     n = G.n
     key, mult = np.unique(np.concatenate((u * n + v, v[off] * n + u[off])),
@@ -147,17 +166,23 @@ def neighbors(G):
 
 def degrees(G):
     """Integer array of vertex degrees; a loop adds 2 to its endpoint."""
-    return np.bincount(edge_array(G).ravel(), minlength=G.n)
+    return np.bincount(G.edges.ravel(), minlength=G.n)
 
 
 def multigraph(n, d, edge_list):
     """The checked builder: endpoints must lie in range(n) and, when d > 0,
     every vertex must have degree d.  d = 0 accepts any multigraph."""
-    edges = tuple(sorted((u, v) if u <= v else (v, u) for u, v in edge_list))
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError("edge endpoint out of range: (%d,%d)" % (u, v))
-    G = MultiGraph(n, d, edges)
+    if n > MAX_VERTICES:
+        raise ValidationError("n=%d exceeds %d, the most vertices a graph "
+                              "can have" % (n, MAX_VERTICES))
+    edge_list = list(edge_list)
+    bad = [(min(e), max(e)) for e in edge_list
+           if not (0 <= e[0] < n and 0 <= e[1] < n)]
+    if bad:
+        raise ValidationError("edge endpoint out of range: (%d,%d)"
+                              % min(bad))
+    ends = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+    G = _from_pairs(n, d, ends[:, 0], ends[:, 1])
     if d > 0:
         degs = degrees(G)
         bad = np.flatnonzero(degs != d)
@@ -169,11 +194,21 @@ def multigraph(n, d, edge_list):
 
 def contract(conf):
     """Contract the d clones of each vertex into one vertex."""
-    d = conf.d
-    # c < c2 gives c // d <= c2 // d, so every pair is already (u, v), u <= v
-    pairs = [(c // d, c2 // d) for c, c2 in enumerate(conf.match) if c < c2]
-    pairs.sort()
-    return MultiGraph(conf.n, d, tuple(pairs))
+    match = np.asarray(conf.match, dtype=np.int64)
+    c = np.flatnonzero(np.arange(match.size) < match)
+    return _from_pairs(conf.n, conf.d, c // conf.d, match[c] // conf.d)
+
+
+def sample_uniform(n, d, rng):
+    """contract(sample_configuration(n, d, rng)) without the configuration:
+    the same permutation of the dn clones, consecutive entries paired, the
+    pairs contracted as arrays."""
+    _check_even(n, d)
+    perm = rng.permutation(n * d) // d
+    return _from_pairs(n, d, perm[0::2], perm[1::2])
+
+
+_LEAF_BLOCK = 4096  # enumerated graphs per edge block
 
 
 def enumerate_multigraphs(n, d):
@@ -189,11 +224,16 @@ def enumerate_multigraphs(n, d):
     count_configurations(n, d).  Guarded like enumerate_configurations.
 
     Edge groups are chosen in the order of G.edges, so each edge list is
-    built already sorted; the recursion is one level per group."""
+    built already sorted; the recursion is one level per group.  A leaf only
+    appends its flat edge list and weight to buffers; every _LEAF_BLOCK
+    leaves the buffers become one (B, m, 2) array whose rows are the yielded
+    graphs' edges."""
     _check_enumerable(n, d)
     free = [d] * n       # clones of each vertex not yet on an edge
-    edges = []
+    edges = []           # the current edge list, flat: u0, v0, u1, v1, ...
     top = factorial(d) ** n
+    m = n * d // 2
+    flat, weights = [], []
 
     def rec(u, v, denom):
         # vertices before u are full; u's next partner is v or later
@@ -201,32 +241,43 @@ def enumerate_multigraphs(n, d):
             u += 1
             v = u
         if u == n:
-            yield MultiGraph(n, d, tuple(edges)), top // denom
+            flat.extend(edges)
+            weights.append(top // denom)
+            if len(weights) == _LEAF_BLOCK:
+                yield
             return
         for w in range(v, n):
             loop = w == u
             most = free[u] // 2 if loop else min(free[u], free[w])
-            for m in range(1, most + 1):
-                free[u] -= m    # a loop takes 2m clones of u
-                free[w] -= m
-                edges.extend([(u, w)] * m)
+            for r in range(1, most + 1):
+                free[u] -= r    # a loop takes 2r clones of u
+                free[w] -= r
+                edges.extend([u, w] * r)
                 yield from rec(u, w + 1,
-                               denom * factorial(m) * (2 ** m if loop else 1))
-                del edges[-m:]
-                free[u] += m
-                free[w] += m
+                               denom * factorial(r) * (2 ** r if loop else 1))
+                del edges[-2 * r:]
+                free[u] += r
+                free[w] += r
 
-    yield from rec(0, 0, 1)
+    def drain():
+        block = np.array(flat, dtype=np.int64).reshape(len(weights), m, 2)
+        block.flags.writeable = False
+        ws = weights[:]
+        flat.clear()
+        weights.clear()
+        for row, w in zip(block, ws):
+            yield MultiGraph(n, d, row), w
+
+    for _ in rec(0, 0, 1):
+        yield from drain()
+    yield from drain()
 
 
 def is_simple(G):
-    """No self-loop, no parallel edge."""
-    seen = set()
-    for u, v in G.edges:
-        if u == v or (u, v) in seen:
-            return False
-        seen.add((u, v))
-    return True
+    """No self-loop, no parallel edge (parallel edges are adjacent rows)."""
+    e = G.edges
+    return not ((e[:, 0] == e[:, 1]).any()
+                or (e[1:] == e[:-1]).all(axis=1).any())
 
 
 def vertex_mask(n, S):
@@ -240,7 +291,7 @@ def edge_count_between(G, A, B):
     """e(A, B) counted clone-wise: each edge {u,v} contributes
     [u in A][v in B] + [v in A][u in B]; a loop inside A counts 2 toward
     e(A, A)."""
-    u, v = edge_array(G).T
+    u, v = G.edges.T
     in_a, in_b = vertex_mask(G.n, A), vertex_mask(G.n, B)
     return int((in_a[u] & in_b[v]).sum() + (in_a[v] & in_b[u]).sum())
 
@@ -249,7 +300,7 @@ def class_edge_matrix(G, assignment, k):
     """k x k integer matrix with entry (i,j) = e(V_i, V_j) for the color
     classes of `assignment`.  Diagonal counts a loop twice, a non-loop
     monochromatic edge twice."""
-    i, j = np.asarray(assignment, dtype=np.int64)[edge_array(G).T]
+    i, j = np.asarray(assignment, dtype=np.int64)[G.edges.T]
     M = np.bincount(i * k + j, minlength=k * k).reshape(k, k)
     return M + M.T
 
@@ -259,7 +310,7 @@ def vertex_class_degrees(G, assignment, k, within=None):
     set of vertices marked in the boolean mask `within` (every vertex when
     None).  A loop at v in S adds 2 to column assignment[v]."""
     color = np.asarray(assignment, dtype=np.int64)
-    ends = edge_array(G)
+    ends = G.edges
     out = np.zeros(G.n * k, dtype=np.int64)
     # each edge counts once from either end: u's count of v, then v's of u
     for a, b in ((0, 1), (1, 0)):
@@ -298,7 +349,8 @@ def _weighted_triangles(n, key, mult):
     flip = rank[u] > rank[v]
     tail, head = np.where(flip, v, u), np.where(flip, u, v)
     del deg, rank, flip, u, v
-    order = np.lexsort((head, tail))
+    # keys are unique and tail is nearly sorted: the stable sort uses the runs
+    order = np.argsort(tail * n + head, kind="stable")
     tail, head, w = tail[order], head[order], mult[order]
     del order
     # out-edges of one vertex are contiguous; edge p pairs with p+1 .. end-1
@@ -334,13 +386,12 @@ def cycle_census(G, L):
                          % guards.MAX_CYCLE_LENGTH)
     counts = [0] * L
     n = G.n
-    ends = edge_array(G)
-    u, v = ends[:, 0], ends[:, 1]
+    u, v = G.edges.T
     loop = u == v
     counts[0] = int(loop.sum())
     if L >= 2:
         key, mult = np.unique(u[~loop] * n + v[~loop], return_counts=True)
-        del ends, u, v, loop
+        del u, v, loop
         counts[1] = int((mult * (mult - 1) // 2).sum())
         if L >= 3 and key.size:
             counts[2] = _weighted_triangles(n, key, mult)
@@ -377,8 +428,8 @@ def sample_planted(assignment, k, d, mu, rng):
     of class j position by position is uniform over the conditioned
     configurations, because a uniformly shuffled array induces a uniform
     ordered selection for every segment independently.  The paired clones
-    (a, b) give the edge (min, max) of (a // d, b // d) directly, and one
-    sort puts the edges in the order `contract` would.
+    (a, b) give the edge {a // d, b // d} directly, and `_from_pairs` puts
+    the edges in the order `contract` would.
     """
     from . import moments
 
@@ -409,19 +460,17 @@ def sample_planted(assignment, k, d, mu, rng):
                 "row %d of mu does not use up the class degree" % i)
         segments.append(np.split(own[perm], np.cumsum(m[i])[:-1]))
     upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    ends = np.array([np.concatenate([segments[i][j] for i, j in upper]),
-                     np.concatenate([segments[j][i] for i, j in upper])]) // d
-    ends.sort(axis=0)
-    u, v = ends[:, np.lexsort(ends[::-1])].tolist()
-    return MultiGraph(n, d, tuple(zip(u, v)))
+    a = np.concatenate([segments[i][j] for i, j in upper]) // d
+    b = np.concatenate([segments[j][i] for i, j in upper]) // d
+    return _from_pairs(n, d, a, b)
 
 
 # --- graph file format: header "n d", one "u v" line per edge ---
 
 def format_graph(G):
-    lines = ["%d %d" % (G.n, G.d)]
-    lines.extend("%d %d" % e for e in G.edges)
-    return "\n".join(lines) + "\n"
+    # one % over every endpoint: no tuple per edge
+    return (("%d %d\n" % (G.n, G.d)) + ("%d %d\n" * len(G.edges))
+            % tuple(G.edges.ravel().tolist()))
 
 
 def _int_pair(line):

@@ -16,6 +16,13 @@ from .errors import GuardError, ValidationError
 
 AT_THRESHOLD_TOL = 1e-9
 
+# above 2^52 the interval ends are spaced a unit or more apart as doubles,
+# so the integers inside them can no longer be counted
+MAX_EPS = 2.0 ** 52
+
+# a several-integers refusal lists at most this many integers
+_MAX_LISTED = 10
+
 
 def default_eps(k):
     """eps_k = k^{-0.9}, the only concrete scaling hinted at."""
@@ -36,15 +43,20 @@ class ThresholdRecord:
 
 def _refuse_several_integers(scan):
     """GuardError for the first k of a scan whose interval holds two or
-    more integers, naming them."""
+    more integers, naming them (the first two and the last when there are
+    more than _MAX_LISTED)."""
     bad = np.flatnonzero(scan["n_integers"] > 1)
     if bad.size:
         idx = int(bad[0])
         count = int(scan["n_integers"][idx])
         first = math.floor(scan["lo"][idx]) + 1
+        if count <= _MAX_LISTED:
+            listed = list(range(first, first + count))
+        else:
+            listed = "[%d, %d, ..., %d]" % (first, first + 1,
+                                            first + count - 1)
         raise GuardError("interval for k=%d contains %d integers: %s"
-                         % (int(scan["k"][idx]), count,
-                            list(range(first, first + count))))
+                         % (int(scan["k"][idx]), count, listed))
 
 
 def threshold_record(k, eps=None):
@@ -80,6 +92,10 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
         if eps_value is None or not 0 <= eps_value < math.inf:
             raise ValidationError("eps_mode=value needs a finite eps_value "
                                   ">= 0, got %r" % (eps_value,))
+        if eps_value > MAX_EPS:
+            raise ValidationError("eps_value must be at most 2^52, where the "
+                                  "interval's integers can still be counted, "
+                                  "got %r" % (eps_value,))
         eps = np.full_like(ks, float(eps_value))
     else:
         raise ValidationError("unknown eps_mode %r" % (eps_mode,))

@@ -227,6 +227,20 @@ def test_non_finite_refusals(value, tmp_path, capsys):
     refused(["count", "--graph", str(gpath), "--k", "3", "--predicate",
              "separable", "--coloring", str(cpath), "--kappa=" + value],
             capsys, "kappa must be a finite number")
+    for region in ([], ["--region", "1-stable"]):
+        refused(["optimize", "--k", "3", "--d", "5", "--restarts", "2",
+                 "--kappa=" + value, *region], capsys,
+                "kappa must be a finite number")
+
+
+@pytest.mark.parametrize("value", ["1e17", "1e300"])
+def test_huge_eps_refusals(value, tmp_path, capsys):
+    refused(["threshold", "--k-range", "3..4", "--eps-mode", "value",
+             "--eps-value", value], capsys, "at most 2^52")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = 4\n"
+                    "eps_mode = value\neps_value = %s\n" % value)
+    refused(["experiment", "--spec", str(spec)], capsys, "at most 2^52")
 
 
 def test_rates_accepts_negative_d(capsys):
@@ -602,3 +616,30 @@ def test_core_outputs_pinned(n, d, k, ell, tmp_path):
                     "samples = 2\nseed = 4\n" % (n, d, k, ell))
     assert run(["--out", str(out), "experiment", "--spec", str(spec)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == profile_digest
+
+
+# sha256 of the uniform `sample` graph file (n = 3000, d = 3) and of the
+# cycle-census JSON (n = 2000, d = 4, L = 5, 3 samples) at each seed
+_UNIFORM_PINS = {
+    4: ("9d5cfa93fa125a3b1d95ac80b240fefbb4a1ac967dd4d3cbe98933b4777a5989",
+        "8a528932172a7407a715ae578d23ec736ed72c309eb00201aa77cbbd7c3082d1"),
+    11: ("49661127806eb2a65e515d833899af58b1467617ae268bcaa8a36f8d99dc4a79",
+         "3232a6203d8dd241e3a8c4af89c623842e3bf491425d8344249fca1948e6f20e"),
+    20240817: (
+        "ba91682f6450785953e36ecab5057656895faeb01d4906c923c1ae3759a84c13",
+        "1aacc976fda8418459c8323a18ba7d56aa8d2f37e4971260b39ffe04c2a16687"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_UNIFORM_PINS))
+def test_uniform_outputs_pinned(seed, tmp_path):
+    sample_digest, census_digest = _UNIFORM_PINS[seed]
+    gpath, out = tmp_path / "g", tmp_path / "o"
+    assert run(["--seed", str(seed), "--out", str(gpath), "sample", "--n",
+                "3000", "--d", "3"]) == 0
+    assert hashlib.sha256(gpath.read_bytes()).hexdigest() == sample_digest
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = cycle-census\nn = 2000\nd = 4\nL = 5\n"
+                    "samples = 3\nseed = %d\n" % seed)
+    assert run(["--out", str(out), "experiment", "--spec", str(spec)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == census_digest

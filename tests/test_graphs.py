@@ -15,6 +15,11 @@ from regcolor import experiments, graphs, rng
 from regcolor.errors import GuardError, ValidationError
 
 
+def edge_tuple(G):
+    """G.edges as a tuple of (u, v) tuples, for hashing and counting."""
+    return tuple(map(tuple, G.edges.tolist()))
+
+
 def test_double_factorial_odd():
     assert graphs.double_factorial_odd(-1) == 1
     assert graphs.double_factorial_odd(1) == 1
@@ -83,11 +88,50 @@ _ENUMERABLE = [(n, d) for n in range(1, 17) for d in range(1, 17)
 def test_enumerate_multigraphs_matches_contraction(n, d):
     got = {}
     for G, w in graphs.enumerate_multigraphs(n, d):
-        assert G.edges not in got
-        got[G.edges] = w
-    want = Counter(graphs.contract(conf).edges
+        assert edge_tuple(G) not in got
+        got[edge_tuple(G)] = w
+    want = Counter(edge_tuple(graphs.contract(conf))
                    for conf in graphs.enumerate_configurations(n, d))
     assert got == want
+
+
+def reference_enumerate_multigraphs(n, d):
+    """enumerate_multigraphs with a tuple of (u, v) tuples per graph, built
+    and yielded at each leaf: the reference for the blocked enumerator."""
+    free = [d] * n
+    edges = []
+    top = math.factorial(d) ** n
+
+    def rec(u, v, denom):
+        while u < n and free[u] == 0:
+            u += 1
+            v = u
+        if u == n:
+            yield tuple(edges), top // denom
+            return
+        for w in range(v, n):
+            loop = w == u
+            most = free[u] // 2 if loop else min(free[u], free[w])
+            for m in range(1, most + 1):
+                free[u] -= m
+                free[w] -= m
+                edges.extend([(u, w)] * m)
+                yield from rec(u, w + 1, denom * math.factorial(m)
+                               * (2 ** m if loop else 1))
+                del edges[-m:]
+                free[u] += m
+                free[w] += m
+
+    yield from rec(0, 0, 1)
+
+
+# (8, 2) has 18,155 graphs, so its blocks of 4096 leaves end mid-enumeration
+@pytest.mark.parametrize("n, d", [nd for nd in _ENUMERABLE
+                                  if nd[0] * nd[1] <= 12] + [(8, 2)])
+def test_enumerate_multigraphs_matches_reference(n, d):
+    got = [(edge_tuple(G), w) for G, w in graphs.enumerate_multigraphs(n, d)]
+    assert got == list(reference_enumerate_multigraphs(n, d))
+    assert len(got) > graphs._LEAF_BLOCK or (n, d) != (8, 2)
 
 
 # (16, 1) is left out for time: its 15!! = 2,027,025 perfect matchings take
@@ -141,11 +185,11 @@ def test_contract_and_degrees():
     # 2 vertices, d=2: clones 0,1 (vertex 0) and 2,3 (vertex 1)
     conf = graphs.configuration(2, 2, (2, 3, 0, 1))
     G = graphs.contract(conf)
-    assert G.edges == ((0, 1), (0, 1))
+    assert np.array_equal(G.edges, [(0, 1), (0, 1)])
     assert graphs.degrees(G).tolist() == [2, 2]
     conf2 = graphs.configuration(2, 2, (1, 0, 3, 2))  # two loops
     G2 = graphs.contract(conf2)
-    assert G2.edges == ((0, 0), (1, 1))
+    assert np.array_equal(G2.edges, [(0, 0), (1, 1)])
     assert graphs.degrees(G2).tolist() == [2, 2]
 
 
@@ -155,7 +199,13 @@ def test_multigraph_validation():
     with pytest.raises(ValidationError):
         graphs.multigraph(2, 1, [(0, 2)])  # endpoint out of range
     G = graphs.multigraph(3, 0, [(0, 1)])
-    assert G.edges == ((0, 1),)
+    assert np.array_equal(G.edges, [(0, 1)])
+    # the edge keys u*n + v must fit in an int64
+    big = graphs.MAX_VERTICES
+    G = graphs.multigraph(big, 0, [(big - 1, big - 1), (0, big - 1)])
+    assert np.array_equal(G.edges, [(0, big - 1), (big - 1, big - 1)])
+    with pytest.raises(ValidationError, match="exceeds"):
+        graphs.multigraph(big + 1, 0, [(0, 1)])
 
 
 def test_adjacency_loop_counts():
@@ -167,6 +217,61 @@ def test_is_simple():
     assert graphs.is_simple(graphs.multigraph(3, 2, [(0, 1), (1, 2), (0, 2)]))
     assert not graphs.is_simple(graphs.multigraph(2, 2, [(0, 1), (0, 1)]))
     assert not graphs.is_simple(graphs.multigraph(1, 2, [(0, 0)]))
+
+
+def test_edges_read_only():
+    planted = experiments.flat_planted_coloring(6, 3).assignment
+    mu = experiments.flat_planted_mu(3)
+    for G in (graphs.multigraph(2, 2, [(0, 1), (1, 0)]),
+              graphs.contract(graphs.configuration(2, 1, (1, 0))),
+              graphs.sample_uniform(10, 3, rng.stream(1, 0)),
+              graphs.sample_planted(planted, 3, 2, mu, rng.stream(1, 0)),
+              next(graphs.enumerate_multigraphs(4, 2))[0]):
+        assert G.edges.dtype == np.int64
+        assert G.edges.shape == (G.n * G.d // 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            G.edges[0, 0] = 1
+
+
+def test_graphs_compare_by_value():
+    G = graphs.multigraph(3, 2, [(0, 1), (1, 2), (2, 0)])
+    assert G == graphs.multigraph(3, 2, [(2, 1), (0, 2), (1, 0)])
+    assert G == graphs.MultiGraph(3, 2, np.array([[0, 1], [0, 2], [1, 2]]))
+    assert G != graphs.multigraph(3, 0, [(0, 1), (1, 2), (0, 2)])  # d
+    assert G != graphs.multigraph(4, 0, [(0, 1), (1, 2), (0, 2)])  # n
+    assert G != graphs.multigraph(3, 2, [(0, 0), (1, 2), (1, 2)])  # edges
+    assert G != graphs.multigraph(3, 0, [(0, 1), (1, 2)])          # count
+    assert G != "G" and G != (3, 2, G.edges.tolist())
+    with pytest.raises(TypeError):
+        hash(G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_sample_uniform_matches_configuration(n, d, seed):
+    # the same edges from the same draw, and the same randomness consumed
+    if n * d % 2:
+        n += 1
+    fast, slow = rng.stream(seed, 0), rng.stream(seed, 0)
+    G = graphs.sample_uniform(n, d, fast)
+    H = graphs.contract(graphs.sample_configuration(n, d, slow))
+    assert np.array_equal(G.edges, H.edges) and (G.n, G.d) == (H.n, H.d)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1)), max_size=200))),
+       st.booleans())
+def test_triangle_order_matches_lexsort(graph, presorted):
+    # _weighted_triangles orders its oriented edges by one key per edge
+    n, pairs = graph
+    pairs = sorted(pairs) if presorted else list(pairs)
+    tail = np.array([t for t, _ in pairs], dtype=np.int64)
+    head = np.array([h for _, h in pairs], dtype=np.int64)
+    assert np.array_equal(np.argsort(tail * n + head, kind="stable"),
+                          np.lexsort((head, tail)))
 
 
 def test_probability_simple_plausible():
@@ -233,7 +338,7 @@ def _census_oracle(G, L):
     edges; for j >= 3 every j-subset of vertices in every cyclic order (first
     vertex the smallest, one of the two directions), weighted by the product
     of the multiplicities of its edges."""
-    mult = Counter(G.edges)
+    mult = Counter(edge_tuple(G))
     counts = [sum(m for (u, v), m in mult.items() if u == v)]
     counts.append(sum(m * (m - 1) // 2 for (u, v), m in mult.items()
                       if u != v))
@@ -321,12 +426,14 @@ def test_edge_counts_match_brute_force(G, k, data):
      (1, 4, 1, 2, 6)),
 ], ids=["20240817-0", "20240817-1", "7-3"])
 def test_seeded_sample_pinned(seed, idx, digest, counts):
-    # the same seed draws the same permutation, graph and counts
+    # the same seed draws the same permutation, graph and counts, through
+    # the configuration and straight from the permutation
     G = graphs.contract(graphs.sample_configuration(10 ** 4, 3,
                                                     rng.stream(seed, idx)))
     text = graphs.format_graph(G).encode()
     assert hashlib.sha256(text).hexdigest() == digest
     assert graphs.cycle_census(G, len(counts)).counts == counts
+    assert graphs.sample_uniform(10 ** 4, 3, rng.stream(seed, idx)) == G
 
 
 def test_sample_planted_exact_profile():
@@ -367,7 +474,7 @@ def test_sample_planted_deterministic():
     mu = [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]]
     a = graphs.sample_planted(assignment, 2, 2, mu, rng.stream(9, 0))
     b = graphs.sample_planted(assignment, 2, 2, mu, rng.stream(9, 0))
-    assert a.edges == b.edges
+    assert np.array_equal(a.edges, b.edges)
 
 
 def test_sample_planted_uniform():
@@ -386,13 +493,13 @@ def test_sample_planted_uniform():
             match[a] = b
             match[b] = a
         conf = graphs.configuration(4, d, match)
-        ref[graphs.contract(conf).edges] += 1
+        ref[edge_tuple(graphs.contract(conf))] += 1
     total_ref = sum(ref.values())
     draws = 5000
     r = rng.stream(31, 0)
     counts = Counter()
     for _ in range(draws):
-        counts[graphs.sample_planted(assignment, 2, d, mu, r).edges] += 1
+        counts[edge_tuple(graphs.sample_planted(assignment, 2, d, mu, r))] += 1
     assert set(counts) <= set(ref)
     keys = sorted(ref)
     obs = np.array([counts.get(key, 0) for key in keys], dtype=float)

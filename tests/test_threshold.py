@@ -230,6 +230,29 @@ def test_format_csv_guard_message(k_lo, k_hi, eps):
     assert "contains 2 integers" in str(scan_err.value)
 
 
+def test_huge_eps_refusals():
+    # up to 2^52 the integers are counted and the refusal names only three
+    with pytest.raises(GuardError, match=re.escape(
+            "interval for k=3 contains 2000000000 integers: "
+            "[-999999995, -999999994, ..., 1000000004]")):
+        threshold.format_csv(3, 4, "value", 1e9)
+    scan = threshold.threshold_scan(3, 4, "value", threshold.MAX_EPS)
+    assert (scan["n_integers"] > 2 * threshold.MAX_EPS - 2).all()
+    with pytest.raises(GuardError, match=r"\[-\d+, -\d+, \.\.\., \d+\]$"):
+        threshold.threshold_record(3, threshold.MAX_EPS)
+    for eps in (np.nextafter(threshold.MAX_EPS, np.inf), 1e17, 1e300):
+        with pytest.raises(ValidationError, match="at most 2\\^52"):
+            threshold.threshold_scan(3, 4, "value", eps)
+    # at k = 3, eps 5 puts 0..9 inside (ten integers, listed in full) and
+    # eps 5.2 puts -1..9 inside (eleven, abbreviated)
+    with pytest.raises(GuardError, match=re.escape(
+            "contains 10 integers: %s" % list(range(10)))):
+        threshold.threshold_record(3, 5.0)
+    with pytest.raises(GuardError, match=re.escape(
+            "contains 11 integers: [-1, 0, ..., 9]")):
+        threshold.threshold_record(3, 5.2)
+
+
 def test_format_csv_refusals():
     with pytest.raises(ValidationError):
         threshold.format_csv(5, 4)
