@@ -3,71 +3,57 @@ W/U/U'/Y screening construction, free/complete vertex classification with the
 resulting cluster-size bound, a density falsifier, and the cluster-size rate.
 
 The (sigma, ell)-core is the largest induced subgraph in which every vertex
-has at least ell edges into each other color class inside the subgraph; it is
-computed by peeling smallest index first from a heap that holds each vertex
-at most once.  The result does not depend on the peel order; the tests check
-it against a random-order peel, and the peel order against a lazy-deletion
-heap.
+has at least ell edges into each other color class inside the subgraph.  It
+and the closure Y are order-free, so each is computed in rounds that move
+every qualifying vertex at once and update its neighbours' counts through
+the CSR rows of `graphs.neighbors`.
 """
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from . import guards
-from .graphs import degrees, neighbors, vertex_class_degrees, vertex_mask
+from .graphs import (degrees, neighbor_rows, neighbors, vertex_class_degrees,
+                     vertex_mask)
 
 
 @dataclass(frozen=True)
 class CoreResult:
     core: frozenset
-    peel_order: tuple
-    deficiency: dict  # evicted vertex -> color class that fell below ell
+    peel_order: tuple  # evicted vertices round by round, ascending in each
 
 
 def sigma_ell_core(G, sigma, ell):
     """Peel vertices with fewer than ell edges into some other color class
-    inside the surviving set, smallest index first, until none remains.
-
-    Counts only fall, so a vertex that drops below ell stays below it: it is
-    queued once, when it first drops, and evicted when popped, with its
-    smallest deficient color at that time as its deficiency.  The core is
-    the set of vertices never queued."""
+    inside the surviving set until none remains.  Each round evicts every
+    deficient vertex at once and subtracts its edges from its surviving
+    neighbours' class counts; only the vertices whose counts fell are checked
+    for the next round.  Counts only fall, so the order does not matter."""
     if ell < 1:
         raise ValidationError("ell >= 1 required")
-    k = sigma.k
-    assign = sigma.assignment
-    cnt = vertex_class_degrees(G, assign, k).tolist()  # e(v, alive cap V_i)
-    ptr, nbr, mult = neighbors(G)
-
-    def deficient_color(v):
-        for i in range(k):
-            if i != assign[v] and cnt[v][i] < ell:
-                return i
-        return None
-
-    queued = [deficient_color(v) is not None for v in range(G.n)]
-    queue = [v for v in range(G.n) if queued[v]]  # ascending: a heap
-    peel_order = []
-    deficiency = {}
-    while queue:
-        v = heapq.heappop(queue)
-        peel_order.append(v)
-        deficiency[v] = deficient_color(v)
-        cv = assign[v]
-        for t in range(ptr[v], ptr[v + 1]):
-            u = nbr[t]
-            row = cnt[u]  # an evicted u's counts are not read again
-            row[cv] -= mult[t]
-            if not queued[u] and row[cv] < ell and assign[u] != cv:
-                queued[u] = True
-                heapq.heappush(queue, u)
-    core = frozenset(v for v in range(G.n) if not queued[v])
-    return CoreResult(core, tuple(peel_order), deficiency)
+    color = np.asarray(sigma.assignment, dtype=np.int64)
+    cnt = vertex_class_degrees(G, color, sigma.k)  # e(v, alive cap V_i)
+    short = cnt < ell
+    short[np.arange(G.n), color] = False  # no edges needed into its own class
+    alive = np.ones(G.n, dtype=bool)
+    evict = np.flatnonzero(short.any(axis=1))
+    rounds = [evict]
+    if evict.size:  # often empty: then nothing peels and needs no adjacency
+        csr = neighbors(G)
+    while evict.size:
+        alive[evict] = False
+        src, nbr, mult = neighbor_rows(csr, evict)
+        keep = alive[nbr] & (color[nbr] != color[src])
+        nbr, col = nbr[keep], color[src[keep]]
+        np.subtract.at(cnt, (nbr, col), mult[keep])
+        evict = np.unique(nbr[cnt[nbr, col] < ell])
+        rounds.append(evict)
+    return CoreResult(frozenset(np.flatnonzero(alive).tolist()),
+                      tuple(np.concatenate(rounds).tolist()))
 
 
 @dataclass(frozen=True)
@@ -84,8 +70,8 @@ def build_WUY(G, sigma, ell):
     """W_ij: vertices of color i with < 3 ell edges into V_j and < 2 ell ln k
     into every class.  U_ij: vertices of color i outside W with > ell edges
     into W_j.  U'_ij: outside W with > 2 ell ln k edges into V_j.  Y grows
-    from U cup U' by repeatedly adding the smallest-index vertex with more
-    than ell edges into the current Y."""
+    from U cup U' in rounds: each round adds every vertex with more than ell
+    edges into the current Y."""
     k = sigma.k
     color = np.asarray(sigma.assignment, dtype=np.int64)
     deg = vertex_class_degrees(G, color, k)
@@ -109,23 +95,17 @@ def build_WUY(G, sigma, ell):
         U[(i, j)], U_prime[(i, j)] = _members(u_ij), _members(u_prime_ij)
         in_y |= u_ij | u_prime_ij
 
-    Y = _members(in_y)
     into_y = vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
-    # ascending, so already a heap
-    heap = np.flatnonzero(~in_y & (into_y > ell)).tolist()
-    if heap:  # often empty: then Y cannot grow and needs no adjacency
-        ptr, nbr, mult = neighbors(G)
-    while heap:
-        v = heapq.heappop(heap)
-        if v in Y or into_y[v] <= ell:
-            continue
-        Y.add(v)
-        for t in range(ptr[v], ptr[v + 1]):
-            u = nbr[t]
-            into_y[u] += mult[t]  # a loop at v: into_y[v] is not read again
-            if u not in Y and into_y[u] > ell:
-                heapq.heappush(heap, u)
-    return WUYSets(W, frozenset(_members(in_w)), U, U_prime, frozenset(Y),
+    join = np.flatnonzero(~in_y & (into_y > ell))
+    if join.size:  # often empty: then Y cannot grow and needs no adjacency
+        csr = neighbors(G)
+    while join.size:
+        in_y[join] = True
+        _, nbr, mult = neighbor_rows(csr, join)
+        np.add.at(into_y, nbr, mult)  # a loop at v: into_y[v] is not read
+        join = np.unique(nbr[~in_y[nbr] & (into_y[nbr] > ell)])
+    return WUYSets(W, frozenset(_members(in_w)), U, U_prime,
+                   frozenset(_members(in_y)),
                    {"w_low": 3 * ell, "degree_high": hi, "ell": ell})
 
 
@@ -217,7 +197,7 @@ def density_predicate(G, bound_c=5, size_cap=None, k=None):
         size_cap = k ** (-4 / 3) * n if k else n
     violations = []
 
-    ptr, nbr, mult = neighbors(G)
+    ptr, nbr, mult = (a.tolist() for a in neighbors(G))
     degs = degrees(G).tolist()
     alive = set(range(n))
     m_cur = len(G.edges)

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
-from . import graphs, colorings, clustergeo, moments, birkhoff, threshold, rng
+from .errors import GuardError, ValidationError
+from . import (graphs, colorings, clustergeo, moments, birkhoff, threshold,
+               guards, rng)
 
 KINDS = ("cycle-census", "colorability-frequency", "vacant-fractions",
          "core-profile", "moment-vs-oracle", "optimize-sweep",
@@ -155,6 +156,10 @@ def flat_planted_coloring(n, k):
     _check_planted_k(k)
     if n % k != 0:
         raise ValidationError("flat planting needs k | n")
+    if n > guards.MAX_SAMPLE_CLONES:  # checked before the n labels exist
+        raise GuardError("n=%d exceeds the %d-clone bound "
+                         "(guards.MAX_SAMPLE_CLONES)"
+                         % (n, guards.MAX_SAMPLE_CLONES))
     return colorings.coloring([v // (n // k) for v in range(n)], k)
 
 

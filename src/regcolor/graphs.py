@@ -7,7 +7,8 @@ and degrees, class degrees and edge counts between vertex sets).
 A graph is one read-only (m, 2) int64 array of its edges, sorted, and every
 query counts from that array.  The samplers write it straight from their
 clone pairs (`_from_pairs`).  The one per-vertex view is the CSR adjacency
-of `neighbors`, built from the array on each call.
+of `neighbors`, int64 arrays built from the edge array on each call, whose
+rows `neighbor_rows` gathers for a whole vertex array at once.
 
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
@@ -30,6 +31,10 @@ def _check_even(n, d):
         raise ValidationError("n and d must be positive")
     if (n * d) % 2 != 0:
         raise ValidationError("dn must be even, got n=%d d=%d" % (n, d))
+    if n * d > guards.MAX_SAMPLE_CLONES:
+        raise GuardError("dn=%d exceeds the %d-clone bound "
+                         "(guards.MAX_SAMPLE_CLONES)"
+                         % (n * d, guards.MAX_SAMPLE_CLONES))
 
 
 def double_factorial_odd(m):
@@ -150,7 +155,7 @@ def _from_pairs(n, d, a, b):
 
 
 def neighbors(G):
-    """CSR adjacency (ptr, nbr, mult) as Python lists: v's distinct
+    """CSR adjacency (ptr, nbr, mult) as int64 arrays: v's distinct
     neighbours are nbr[ptr[v]:ptr[v + 1]], ascending, with the edge
     multiplicities at the same positions of mult.  A loop at v appears once
     in v's row, with the number of loops at v."""
@@ -160,8 +165,17 @@ def neighbors(G):
     key, mult = np.unique(np.concatenate((u * n + v, v[off] * n + u[off])),
                           return_counts=True)
     src, nbr = np.divmod(key, n)
-    ptr = np.searchsorted(src, np.arange(n + 1))
-    return ptr.tolist(), nbr.tolist(), mult.tolist()
+    return np.searchsorted(src, np.arange(n + 1)), nbr, mult
+
+
+def neighbor_rows(csr, vs):
+    """The CSR rows of the vertices `vs`, concatenated in that order, as
+    arrays (source, neighbour, multiplicity)."""
+    ptr, nbr, mult = csr
+    start, size = ptr[vs], ptr[vs + 1] - ptr[vs]
+    pos = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size,
+                                            size)
+    return np.repeat(vs, size), nbr[pos], mult[pos]
 
 
 def degrees(G):
@@ -398,7 +412,7 @@ def cycle_census(G, L):
         del key, mult
     if L < 4:
         return CycleCensus(tuple(counts))
-    ptr, nbr, mult = neighbors(G)
+    ptr, nbr, mult = (a.tolist() for a in neighbors(G))
 
     def extend(start, path, weight, length):
         v = path[-1]

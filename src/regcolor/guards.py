@@ -3,6 +3,10 @@
 # enumerate_configurations: (17)!! > 3e8 items, refuse beyond this
 MAX_ENUM_CLONES = 16
 
+# samplers refuse more clones dn: at the bound `sample` peaks near 600 MiB
+# and a core-profile sample (d = 12, k = 4) near 800 MiB
+MAX_SAMPLE_CLONES = 10 ** 7
+
 # exact rational partition probability (big factorials stay cheap here)
 MAX_EXACT_CLONES = 40
 

@@ -552,6 +552,15 @@ def test_exit_code_sweep(tmp_path, capsys):
             spec.write_text("kind = %s\nrestarts = 1\n" % kind + "".join(
                 "%s = %s\n" % kv for kv in zip(keys, values)))
             go("experiment", "--spec", spec)
+    # a graph too large to sample is refused before anything is allocated
+    huge = "1000000000000"
+    assert go("sample", "--n", huge, "--d", "3") == 2
+    assert go("sample", "--planted", "--n", huge, "--d", "3", "--k", "2") == 2
+    for kind in experiments.KINDS:
+        if "n" in experiments._PARAMS[kind][0]:
+            spec.write_text("kind = %s\nn = %s\nd = 3\nk = 2\n"
+                            % (kind, huge))
+            assert go("experiment", "--spec", spec) == 2
     assert internal == []
 
 

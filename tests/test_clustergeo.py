@@ -30,10 +30,7 @@ def test_core_hand_instance():
     assert res.peel_order == ()
     res2 = clustergeo.sigma_ell_core(G, sigma, 2)
     assert res2.core == frozenset()
-    assert set(res2.peel_order) == set(range(4))
-    # every evicted vertex records which color class fell short
-    assert all(res2.deficiency[v] != sigma.assignment[v]
-               for v in res2.peel_order)
+    assert sorted(res2.peel_order) == list(range(4))
     with pytest.raises(ValidationError):
         clustergeo.sigma_ell_core(G, sigma, 0)
 
@@ -97,6 +94,18 @@ def test_y_growth():
     assert 0 in w.U_prime[(0, 1)] and 1 in w.U_prime[(1, 0)]
     assert 4 in w.W_union
     assert w.Y == frozenset({0, 1, 4})
+
+
+def test_y_growth_rounds():
+    # 0 and 1 seed Y through a doubled cross edge; then 2, 3 and 4 each
+    # reach two edges into Y only after the one before them joined
+    G = graphs.multigraph(5, 0, [(0, 1), (0, 1), (2, 1), (2, 0), (3, 2),
+                                 (3, 0), (4, 3), (4, 1)])
+    sigma = colorings.coloring([0, 1, 0, 0, 1], 2)
+    w = clustergeo.build_WUY(G, sigma, 1)
+    assert w.U_prime[(0, 1)] | w.U_prime[(1, 0)] == {0, 1}
+    assert w.Y == frozenset(range(5)) == \
+        _reference_y(G, sigma, 1, w.U, w.U_prime)
 
 
 def test_check_core_inclusion_planted():
@@ -213,13 +222,36 @@ def small_multigraphs(draw):
 @example(graphs.multigraph(1, 0, [(0, 0)] * 3))
 @example(graphs.multigraph(4, 0, [(1, 1), (1, 3), (3, 1), (1, 3)]))
 def test_neighbors_match_counter_adjacency(G):
-    ptr, nbr, mult = graphs.neighbors(G)
+    csr = graphs.neighbors(G)
+    assert all(a.dtype == np.int64 for a in csr)
+    ptr, nbr, mult = (a.tolist() for a in csr)
     assert len(ptr) == G.n + 1 and ptr[0] == 0 and ptr[-1] == len(nbr)
     assert len(mult) == len(nbr)
     rows = [list(zip(nbr[ptr[v]:ptr[v + 1]], mult[ptr[v]:ptr[v + 1]]))
             for v in range(G.n)]
     # same neighbours, multiplicities and order as the Counters
     assert rows == [list(row.items()) for row in counter_adjacency(G)]
+
+
+@st.composite
+def multigraphs_and_vertices(draw):
+    G = draw(small_multigraphs())
+    return G, draw(st.lists(st.integers(0, G.n - 1), max_size=2 * G.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs_and_vertices())
+def test_neighbor_rows_match_csr_slices(instance):
+    G, vs = instance
+    csr = graphs.neighbors(G)
+    ptr, nbr, mult = (a.tolist() for a in csr)
+    src, got_nbr, got_mult = graphs.neighbor_rows(
+        csr, np.array(vs, dtype=np.int64))
+    # the rows of vs in its order, repeats included
+    assert src.tolist() == [v for v in vs for _ in range(ptr[v], ptr[v + 1])]
+    assert got_nbr.tolist() == [w for v in vs for w in nbr[ptr[v]:ptr[v + 1]]]
+    assert got_mult.tolist() == [m for v in vs
+                                 for m in mult[ptr[v]:ptr[v + 1]]]
 
 
 def _random_order_core(G, sigma, ell, gen):
@@ -288,6 +320,30 @@ def _reference_wu(G, sigma, ell):
     return W, frozenset(w_members), U, U_prime
 
 
+def _reference_y(G, sigma, ell, U, U_prime):
+    """Y grown from U cup U' by a heap, smallest index first: each pop adds
+    one vertex with more than ell edges into the current Y."""
+    k, color = sigma.k, np.asarray(sigma.assignment, dtype=np.int64)
+    Y = set().union(*U.values(), *U_prime.values())
+    in_y = graphs.vertex_mask(G.n, Y)
+    into_y = graphs.vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
+    # ascending, so already a heap
+    heap = np.flatnonzero(~in_y & (into_y > ell)).tolist()
+    if heap:  # often empty: then Y cannot grow and needs no adjacency
+        ptr, nbr, mult = (a.tolist() for a in graphs.neighbors(G))
+    while heap:
+        v = heapq.heappop(heap)
+        if v in Y or into_y[v] <= ell:
+            continue
+        Y.add(v)
+        for t in range(ptr[v], ptr[v + 1]):
+            u = nbr[t]
+            into_y[u] += mult[t]  # a loop at v: into_y[v] is not read again
+            if u not in Y and into_y[u] > ell:
+                heapq.heappush(heap, u)
+    return frozenset(Y)
+
+
 def _reference_freedom(G, sigma, core, mode):
     """(F1, F2) by one Python loop per vertex."""
     k, assign = sigma.k, sigma.assignment
@@ -323,14 +379,28 @@ def uniform_instances(draw):
     return G, sigma, draw(st.sampled_from((1, 2, 3)))
 
 
+@st.composite
+def multigraph_instances(draw):
+    """Small multigraphs with many loops and parallel edges, not regular,
+    under random colorings."""
+    G = draw(small_multigraphs())
+    k = draw(st.integers(2, 4))
+    sigma = colorings.coloring(draw(st.lists(st.integers(0, k - 1),
+                                             min_size=G.n, max_size=G.n)), k)
+    return G, sigma, draw(st.sampled_from((1, 2, 3)))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(planted_instances(), uniform_instances()),
+@given(st.one_of(planted_instances(), uniform_instances(),
+                 multigraph_instances()),
        st.sampled_from(("prose", "strict")))
 def test_wu_and_freedom_match_per_vertex_reference(instance, mode):
     G, sigma, ell = instance
     wuy = clustergeo.build_WUY(G, sigma, ell)
+    W, W_union, U, U_prime = _reference_wu(G, sigma, ell)
     assert (wuy.W, wuy.W_union, wuy.U, wuy.U_prime) == \
-        _reference_wu(G, sigma, ell)
+        (W, W_union, U, U_prime)
+    assert wuy.Y == _reference_y(G, sigma, ell, U, U_prime)
     rep = clustergeo.freedom_report(G, sigma, ell, mode=mode)
     core = clustergeo.sigma_ell_core(G, sigma, ell).core
     assert (rep.free_1, rep.free_2) == \
@@ -338,9 +408,20 @@ def test_wu_and_freedom_match_per_vertex_reference(instance, mode):
     assert rep.complete == frozenset(range(G.n)) - rep.free_1
 
 
+def cascade_path(n, extra=()):
+    """The path 0-1-...-(n-1) colored v mod 3, plus the edges `extra`.  At
+    ell = 1 only the two ends are deficient at first, and each round peels
+    the next vertex in from either end: about n/2 rounds."""
+    G = graphs.multigraph(n, 0, [(v, v + 1) for v in range(n - 1)]
+                          + list(extra))
+    return G, colorings.coloring([v % 3 for v in range(n)], 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(planted_instances(), uniform_instances()),
        st.integers(0, 10 ** 6))
+@example((*cascade_path(2000), 1), 0)
+@example((*cascade_path(2000, [(700, 701), (1200, 1200)]), 1), 0)
 def test_core_matches_random_order_peel(instance, seed):
     G, sigma, ell = instance
     assert clustergeo.sigma_ell_core(G, sigma, ell).core == \
@@ -348,13 +429,12 @@ def test_core_matches_random_order_peel(instance, seed):
 
 
 def lazy_deletion_peel(G, sigma, ell):
-    """The smallest-index-first peel with lazy deletion: a vertex is pushed
-    again each time one of its counts falls while it is deficient, and
-    stale entries are skipped when popped.  The reference for the peel
-    order and deficiency map of sigma_ell_core."""
+    """The core by the smallest-index-first peel with lazy deletion: a
+    vertex is pushed again each time one of its counts falls while it is
+    deficient, and stale entries are skipped when popped."""
     k, assign = sigma.k, sigma.assignment
     cnt = graphs.vertex_class_degrees(G, assign, k)
-    ptr, nbr, mult = graphs.neighbors(G)
+    ptr, nbr, mult = (a.tolist() for a in graphs.neighbors(G))
     alive = [True] * G.n
 
     def deficient_color(v):
@@ -364,33 +444,39 @@ def lazy_deletion_peel(G, sigma, ell):
         return None
 
     pending = [v for v in range(G.n) if deficient_color(v) is not None]
-    peel_order, deficiency = [], {}
     while pending:
         v = heapq.heappop(pending)
-        if not alive[v]:
-            continue
-        col = deficient_color(v)
-        if col is None:
+        if not alive[v] or deficient_color(v) is None:
             continue
         alive[v] = False
-        peel_order.append(v)
-        deficiency[v] = col
         for t in range(ptr[v], ptr[v + 1]):
             u = nbr[t]
             if alive[u]:
                 cnt[u, assign[v]] -= mult[t]
                 if deficient_color(u) is not None:
                     heapq.heappush(pending, u)
-    core = frozenset(v for v in range(G.n) if alive[v])
-    return clustergeo.CoreResult(core, tuple(peel_order), deficiency)
+    return frozenset(v for v in range(G.n) if alive[v])
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(planted_instances(), uniform_instances()))
+@given(st.one_of(planted_instances(), uniform_instances(),
+                 multigraph_instances()))
 def test_peel_matches_lazy_deletion_reference(instance):
     G, sigma, ell = instance
-    assert clustergeo.sigma_ell_core(G, sigma, ell) == \
-        lazy_deletion_peel(G, sigma, ell)
+    res = clustergeo.sigma_ell_core(G, sigma, ell)
+    assert res.core == lazy_deletion_peel(G, sigma, ell)
+    # every vertex outside the core is evicted exactly once
+    assert sorted(res.peel_order) == sorted(set(range(G.n)) - res.core)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("instance", ["planted", "cascade"])
+def test_peel_order_counts_evicted_vertices(instance, ell):
+    # the benchmark's `peeled` counter reads len(peel_order)
+    G, sigma = planted(600, 4, 12, 1) if instance == "planted" \
+        else cascade_path(300, [(100, 101), (50, 50)])
+    res = clustergeo.sigma_ell_core(G, sigma, ell)
+    assert len(res.peel_order) == G.n - len(res.core)
 
 
 def test_core_analysis_mode_validation():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcolor import experiments, graphs, rng
+from regcolor import experiments, graphs, guards, rng
 from regcolor.errors import GuardError, ValidationError
 
 
@@ -145,6 +146,33 @@ def test_enumerate_multigraphs_weights_sum(n, d):
     assert total == graphs.count_configurations(n, d)
 
 
+@pytest.mark.parametrize("d", [3, 4, 12])
+def test_sampling_refuses_past_the_clone_bound(d):
+    # an even dn just above the bound, refused before any array exists
+    n = guards.MAX_SAMPLE_CLONES // d + 1
+    n += n * d % 2
+    assert n * d - d <= guards.MAX_SAMPLE_CLONES < n * d
+    gen = rng.stream(1, 0)
+    state = gen.bit_generator.state
+    needle = (r"^dn=%d exceeds the %d-clone bound "
+              r"\(guards.MAX_SAMPLE_CLONES\)$"
+              % (n * d, guards.MAX_SAMPLE_CLONES))
+    tracemalloc.start()
+    try:
+        for call in (lambda: graphs.sample_uniform(n, d, gen),
+                     lambda: graphs.sample_configuration(n, d, gen),
+                     lambda: graphs.count_configurations(n, d)):
+            with pytest.raises(GuardError, match=needle):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert gen.bit_generator.state == state  # no randomness drawn
+    with pytest.raises(GuardError, match="MAX_SAMPLE_CLONES"):
+        experiments.flat_planted_coloring(guards.MAX_SAMPLE_CLONES + 2, 2)
+
+
 @pytest.mark.parametrize("enumerate_", [graphs.enumerate_configurations,
                                         graphs.enumerate_multigraphs])
 def test_enumeration_refusal_texts(enumerate_):
@@ -210,7 +238,8 @@ def test_multigraph_validation():
 
 def test_adjacency_loop_counts():
     G = graphs.multigraph(2, 2, [(0, 0), (1, 1)])
-    assert graphs.neighbors(G) == ([0, 1, 2], [0, 1], [1, 1])
+    assert [a.tolist() for a in graphs.neighbors(G)] == \
+        [[0, 1, 2], [0, 1], [1, 1]]
 
 
 def test_is_simple():
