@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import GuardError, ValidationError
 from . import (graphs, colorings, clustergeo, moments, birkhoff, threshold,
-               experiments, rng)
+               experiments, guards, rng)
 
 
 def _open(path, mode="r"):
@@ -89,13 +89,13 @@ def _parse_profile(text):
 
 def cmd_sample(args):
     generator = rng.stream(args.seed or 0, 0)
+    if args.coloring_out is not None and not args.planted:
+        raise ValidationError("--coloring-out needs --planted")
     if args.planted:
         if args.k is None:
             raise ValidationError("--planted needs --k")
-        sigma = experiments.flat_planted_coloring(args.n, args.k)
-        G = graphs.sample_planted(sigma.assignment, args.k, args.d,
-                                  experiments.flat_planted_mu(args.k),
-                                  generator)
+        G, sigma = experiments.sample_flat_planted(args.n, args.d, args.k,
+                                                   generator)
         if args.coloring_out:
             with _open(args.coloring_out, "w") as fh:
                 fh.write(colorings.format_coloring(sigma))
@@ -158,6 +158,11 @@ def cmd_rates(args):
             raise ValidationError("sweep needs both --k-range and --d-range")
         k_lo, k_hi = _parse_range(args.k_range, "--k-range")
         d_lo, d_hi = _parse_range(args.d_range, "--d-range")
+        rows = (k_hi - k_lo + 1) * (d_hi - d_lo + 1)
+        if rows > guards.MAX_TABLE_ROWS:
+            raise GuardError("sweep has %d rows, past the %d-row bound "
+                             "(guards.MAX_TABLE_ROWS)"
+                             % (rows, guards.MAX_TABLE_ROWS))
         lines = ["k,d,first_moment_rate,second_moment_flat,dplus"]
         for k in range(k_lo, k_hi + 1):
             for d in range(d_lo, d_hi + 1):

@@ -1,6 +1,8 @@
 """Experiment harness: flat key=value experiment specs, seeded Monte Carlo
 sweeps with per-sample RNG streams, summary statistics with normal 95%
-confidence intervals, and JSON/CSV emission.
+confidence intervals, and JSON/CSV emission.  `SPEC_TABLE` declares each kind
+once: its runner and its parameters, each typed and with a default or
+REQUIRED.  Defaults are filled in at run time and never enter the spec.
 
 Determinism contract: (spec, seed) fully determines every sample; each sample
 index gets its own derived RNG stream, so results do not depend on execution
@@ -11,18 +13,15 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GuardError, ValidationError
 from . import (graphs, colorings, clustergeo, moments, birkhoff, threshold,
                guards, rng)
-
-KINDS = ("cycle-census", "colorability-frequency", "vacant-fractions",
-         "core-profile", "moment-vs-oracle", "optimize-sweep",
-         "threshold-table")
 
 
 @dataclass(frozen=True)
@@ -33,57 +32,26 @@ class ExperimentSpec:
     seed: int
 
     def canonical_text(self):
-        items = {"kind": self.kind, "samples": self.samples, "seed": self.seed}
-        items.update(self.params)
+        items = {"kind": self.kind, "samples": self.samples, "seed": self.seed,
+                 **self.params}
         return "".join("%s=%s\n" % (key, items[key]) for key in sorted(items))
 
     def content_hash(self):
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
-def _int_field(fields, key, default):
-    val = fields.pop(key, default)
-    try:
-        return int(val)
-    except ValueError:
-        raise ValidationError("spec %s must be an integer, got %r"
-                              % (key, val)) from None
-
-
-# kind -> (required parameters, optional parameters) that its runner reads;
-# all are integers except threshold-table's eps_mode (a name checked by the
-# threshold module) and eps_value (a number)
-_PARAMS = {
-    "cycle-census": (("n", "d"), ("L",)),
-    "colorability-frequency": (("n", "d", "k"), ()),
-    "vacant-fractions": (("n", "d", "k"), ()),
-    "core-profile": (("n", "d", "k"), ("ell",)),
-    "moment-vs-oracle": (("n", "d", "k"), ()),
-    "optimize-sweep": (("k", "d"), ("restarts",)),
-    "threshold-table": (("k_lo", "k_hi"), ("eps_mode", "eps_value")),
-}
-
-
-def _check_params(kind, params):
-    required, optional = _PARAMS[kind]
-    for key in required + optional:
-        val = params.get(key)
-        if val is None:
-            if key in required:
-                raise ValidationError("%s spec needs %s" % (kind, key))
-        elif key == "eps_value":
-            if isinstance(val, str):
-                raise ValidationError("%s spec: %s must be a number, got %r"
-                                      % (kind, key, val))
-        elif key != "eps_mode" and not isinstance(val, int):
-            raise ValidationError("%s spec: %s must be an integer, got %r"
-                                  % (kind, key, val))
+def _scalar(text):
+    """A spec value as an int, else a float, else the text itself."""
+    for cast in (int, float, str):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
 
 
 def parse_spec(text):
     """One `key = value` pair per line; '#' starts a comment.  Keys: kind,
-    samples, seed; everything else is a parameter.  The parameters the kind
-    reads are checked for presence and type (`_PARAMS`)."""
+    samples, seed and the kind's parameters (checked against `SPEC_TABLE`)."""
     fields = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -92,27 +60,36 @@ def parse_spec(text):
         if "=" not in line:
             raise ValidationError("bad spec line: %r" % raw)
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in fields:
+            raise ValidationError("spec gives %s twice" % key)
         fields[key] = val
-    if "kind" not in fields:
+    kind = fields.pop("kind", None)
+    if kind is None:
         raise ValidationError("spec needs a kind")
-    kind = fields.pop("kind")
     if kind not in KINDS:
         raise ValidationError("unknown kind %r (one of %s)"
                               % (kind, ", ".join(KINDS)))
-    samples = _int_field(fields, "samples", "1")
-    seed = _int_field(fields, "seed", "0")
+    samples, seed = fields.pop("samples", "1"), fields.pop("seed", "0")
+    for key, val in (("samples", samples), ("seed", seed)):
+        if not isinstance(_scalar(val), int):
+            raise ValidationError("spec %s must be an integer, got %r"
+                                  % (key, val))
+    samples, seed = int(samples), int(seed)
     if samples < 1:
         raise ValidationError("samples >= 1 required")
-    params = {}
-    for key, val in fields.items():
-        try:
-            params[key] = int(val)
-        except ValueError:
-            try:
-                params[key] = float(val)
-            except ValueError:
-                params[key] = val
-    _check_params(kind, params)
+    params = {key: _scalar(val) for key, val in fields.items()}
+    declared = SPEC_TABLE[kind].params
+    for key, (type_, default) in declared.items():
+        if key not in params:
+            if default is REQUIRED:
+                raise ValidationError("%s spec needs %s" % (kind, key))
+        elif not isinstance(params[key], _ADMITS[type_]):
+            raise ValidationError("%s spec: %s must be %s, got %r"
+                                  % (kind, key, type_, params[key]))
+    unread = [key for key in params if key not in declared]
+    if unread:
+        raise ValidationError("%s spec does not read %s (its parameters: %s)"
+                              % (kind, unread[0], ", ".join(declared)))
     return ExperimentSpec(kind, params, samples, seed)
 
 
@@ -136,14 +113,10 @@ class RunReport:
 
 def _summarize(values):
     arr = np.asarray(values, dtype=float)
-    n = arr.size
     mean = float(arr.mean())
-    if n >= 2:
-        var = float(arr.var(ddof=1))
-        half = 1.96 * math.sqrt(var / n)
-    else:
-        var, half = 0.0, 0.0
-    return MetricStats(mean, var, mean - half, mean + half, n)
+    var = float(arr.var(ddof=1)) if arr.size >= 2 else 0.0
+    half = 1.96 * math.sqrt(var / arr.size)
+    return MetricStats(mean, var, mean - half, mean + half, arr.size)
 
 
 def _check_planted_k(k):
@@ -170,103 +143,113 @@ def flat_planted_mu(k):
             for i in range(k)]
 
 
-def _run_cycle_census(params, stream_rng, out):
-    n, d = int(params["n"]), int(params["d"])
-    L = int(params.get("L", 3))
-    G = graphs.sample_uniform(n, d, stream_rng)
-    census = graphs.cycle_census(G, L)
-    for j in range(1, L + 1):
-        out.setdefault("xi_%d" % j, []).append(census[j])
-
-
-def _run_colorability(params, stream_rng, out):
-    n, d, k = int(params["n"]), int(params["d"]), int(params["k"])
-    G = graphs.sample_uniform(n, d, stream_rng)
-    colorable = colorings.is_colorable(G, k)
-    out.setdefault("colorable", []).append(1.0 if colorable else 0.0)
-
-
-def _run_vacant(params, stream_rng, out):
-    n, d, k = int(params["n"]), int(params["d"]), int(params["k"])
+def sample_flat_planted(n, d, k, generator):
+    """(G, sigma): a graph planted on the flat coloring with the flat mu."""
     sigma = flat_planted_coloring(n, k)
-    G = graphs.sample_planted(sigma.assignment, k, d, flat_planted_mu(k),
-                              stream_rng)
+    return (graphs.sample_planted(sigma.assignment, k, d, flat_planted_mu(k),
+                                  generator), sigma)
+
+
+def _run_cycle_census(p, generator):
+    census = graphs.cycle_census(
+        graphs.sample_uniform(p["n"], p["d"], generator), p["L"])
+    return {"xi_%d" % j: census[j] for j in range(1, p["L"] + 1)}
+
+
+def _run_colorability(p, generator):
+    G = graphs.sample_uniform(p["n"], p["d"], generator)
+    return {"colorable": 1.0 if colorings.is_colorable(G, p["k"]) else 0.0}
+
+
+def _run_vacant(p, generator):
+    n, d, k = p["n"], p["d"], p["k"]
+    G, sigma = sample_flat_planted(n, d, k, generator)
     table = colorings.vacant_table(G, sigma)
     fracs = [len(table[(i, j)]) / (n / k)
              for i in range(k) for j in range(k) if i != j]
-    out.setdefault("vacant_fraction", []).append(float(np.mean(fracs)))
-    predicted = (1 - (1 / (k * (k - 1))) / (1 / k)) ** d
-    out.setdefault("predicted", []).append(predicted)
+    return {"vacant_fraction": float(np.mean(fracs)),
+            "predicted": (1 - (1 / (k * (k - 1))) / (1 / k)) ** d}
 
 
-def _run_core_profile(params, stream_rng, out):
-    n, d, k = int(params["n"]), int(params["d"]), int(params["k"])
-    ell = int(params.get("ell", 3))
-    sigma = flat_planted_coloring(n, k)
-    G = graphs.sample_planted(sigma.assignment, k, d, flat_planted_mu(k),
-                              stream_rng)
-    res = clustergeo.core_analysis(G, sigma, ell)
-    rep = res.freedom
-    out.setdefault("core_size", []).append(len(res.core.core))
-    out.setdefault("w_size", []).append(len(res.wuy.W_union))
-    out.setdefault("y_size", []).append(len(res.wuy.Y))
-    out.setdefault("f1_size", []).append(len(rep.free_1))
-    out.setdefault("f2_size", []).append(len(rep.free_2))
-    out.setdefault("complete_size", []).append(len(rep.complete))
-    out.setdefault("cluster_log2_upper", []).append(rep.cluster_log2_upper)
-    out.setdefault("inclusion_ok", []).append(1.0 if res.inclusion_ok else 0.0)
+def _run_core_profile(p, generator):
+    G, sigma = sample_flat_planted(p["n"], p["d"], p["k"], generator)
+    res = clustergeo.core_analysis(G, sigma, p["ell"])
+    core, wuy, rep = res.core.core, res.wuy, res.freedom
+    return {"core_size": len(core), "w_size": len(wuy.W_union),
+            "y_size": len(wuy.Y), "f1_size": len(rep.free_1),
+            "f2_size": len(rep.free_2), "complete_size": len(rep.complete),
+            "cluster_log2_upper": rep.cluster_log2_upper,
+            "inclusion_ok": 1.0 if res.inclusion_ok else 0.0}
 
 
-def _run_moment_vs_oracle(params, stream_rng, out):
-    n, d, k = int(params["n"]), int(params["d"]), int(params["k"])
+def _run_moment_vs_oracle(p, generator):
+    n, d, k = p["n"], p["d"], p["k"]
     # E[#colorings] over configurations: each distinct multigraph once,
     # weighted by the number of configurations that contract to it
     total = weight = 0
     for G, w in graphs.enumerate_multigraphs(n, d):
         total += w * colorings.count_colorings(G, k)
         weight += w
-    exact = Fraction(total, weight)
-    rate = moments.first_moment_rate(k, d)
-    out.setdefault("log_exact_over_n", []).append(
-        math.log(float(exact)) / n if exact > 0 else float("-inf"))
-    out.setdefault("rate", []).append(rate)
+    log_exact = math.log(Fraction(total, weight)) if total else float("-inf")
+    return {"log_exact_over_n": log_exact / n,
+            "rate": moments.first_moment_rate(k, d)}
 
 
-def _run_optimize(params, stream_rng, out):
-    k, d = int(params["k"]), int(params["d"])
-    restarts = int(params.get("restarts", 20))
-    res = birkhoff.maximize_f(k, d, restarts=restarts, rng=stream_rng)
-    out.setdefault("best_value", []).append(res.value)
-    out.setdefault("f_flat", []).append(res.f_flat)
-    out.setdefault("exceeded_flat", []).append(1.0 if res.exceeded_flat else 0.0)
+def _run_optimize(p, generator):
+    res = birkhoff.maximize_f(**p, rng=generator)
+    return {"best_value": res.value, "f_flat": res.f_flat,
+            "exceeded_flat": 1.0 if res.exceeded_flat else 0.0}
 
 
-_RUNNERS = {
-    "cycle-census": _run_cycle_census,
-    "colorability-frequency": _run_colorability,
-    "vacant-fractions": _run_vacant,
-    "core-profile": _run_core_profile,
-    "moment-vs-oracle": _run_moment_vs_oracle,
-    "optimize-sweep": _run_optimize,
+REQUIRED = object()  # the default of a parameter every spec gives
+
+# parameter types, named as refusals name them, and the parsed values each
+# admits; a name is kept as parsed and checked by the module that reads it
+_INTEGER, _NUMBER, _NAME = "an integer", "a number", "a name"
+_ADMITS = {_INTEGER: int, _NUMBER: (int, float), _NAME: object}
+
+
+class Kind(NamedTuple):
+    run: object         # (parameters, generator) -> one sample's metrics
+    params: dict        # name -> (type, default), in the order checked
+    table: bool = False  # draws nothing: runs once, returns {"table": csv}
+
+
+_INT = (_INTEGER, REQUIRED)
+_N_D_K = {"n": _INT, "d": _INT, "k": _INT}
+
+SPEC_TABLE = {
+    "cycle-census": Kind(_run_cycle_census,
+                         {"n": _INT, "d": _INT, "L": (_INTEGER, 3)}),
+    "colorability-frequency": Kind(_run_colorability, _N_D_K),
+    "vacant-fractions": Kind(_run_vacant, _N_D_K),
+    "core-profile": Kind(_run_core_profile, {**_N_D_K, "ell": (_INTEGER, 3)}),
+    "moment-vs-oracle": Kind(_run_moment_vs_oracle, _N_D_K),
+    "optimize-sweep": Kind(_run_optimize, {"k": _INT, "d": _INT,
+                                           "restarts": (_INTEGER, 20)}),
+    "threshold-table": Kind(
+        lambda p, _: {"table": threshold.format_csv(**p)},
+        {"k_lo": _INT, "k_hi": _INT, "eps_mode": (_NAME, "pow09"),
+         "eps_value": (_NUMBER, None)}, table=True),
 }
+KINDS = tuple(SPEC_TABLE)
 
 
 def run_experiment(spec):
     start = time.monotonic()
-    if spec.kind == "threshold-table":
-        p = spec.params
-        table = threshold.format_csv(int(p["k_lo"]), int(p["k_hi"]),
-                                     p.get("eps_mode", "pow09"),
-                                     p.get("eps_value"))
-        return RunReport(spec, {}, table, time.monotonic() - start,
-                         spec.content_hash())
-    runner = _RUNNERS[spec.kind]
+    kind = SPEC_TABLE[spec.kind]
+    params = {key: spec.params.get(key, default)
+              for key, (_, default) in kind.params.items()}
+    streams = ([None] if kind.table else
+               (rng.stream(spec.seed, idx) for idx in range(spec.samples)))
     out = {}
-    for idx in range(spec.samples):
-        runner(spec.params, rng.stream(spec.seed, idx), out)
+    for generator in streams:
+        for name, value in kind.run(params, generator).items():
+            out.setdefault(name, []).append(value)
+    table = out.pop("table", [None])[0]
     metrics = {name: _summarize(vals) for name, vals in sorted(out.items())}
-    return RunReport(spec, metrics, None, time.monotonic() - start,
-                     spec_hash=spec.content_hash())
+    return RunReport(spec, metrics, table, time.monotonic() - start,
+                     spec.content_hash())
 
 
 def emit(report, format="json"):
@@ -287,10 +270,7 @@ def emit(report, format="json"):
     if format == "csv":
         if report.table is not None:
             return report.table.encode()
-        lines = ["metric,mean,var,ci_lo,ci_hi,n_samples"]
-        for name, ms in report.metrics.items():
-            lines.append("%s,%.12g,%.12g,%.12g,%.12g,%d"
-                         % (name, ms.mean, ms.var, ms.ci_lo, ms.ci_hi,
-                            ms.n_samples))
-        return ("\n".join(lines) + "\n").encode()
+        return "".join(["metric,mean,var,ci_lo,ci_hi,n_samples\n"] + [
+            "%s,%.12g,%.12g,%.12g,%.12g,%d\n" % (name, *astuple(ms))
+            for name, ms in report.metrics.items()]).encode()
     raise ValidationError("unknown format %r" % (format,))

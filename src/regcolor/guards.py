@@ -7,6 +7,10 @@ MAX_ENUM_CLONES = 16
 # and a core-profile sample (d = 12, k = 4) near 800 MiB
 MAX_SAMPLE_CLONES = 10 ** 7
 
+# threshold scans and tables and the rates sweep refuse more rows: a
+# threshold table peaks at about 165 B per row (186 MiB at 10^6 rows)
+MAX_TABLE_ROWS = 4 * 10 ** 6
+
 # exact rational partition probability (big factorials stay cheap here)
 MAX_EXACT_CLONES = 40
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, ValidationError
+from . import guards
 
 AT_THRESHOLD_TOL = 1e-9
 
@@ -83,6 +84,11 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     (k, lo, hi, length, n_integers, d_col).  eps_mode: pow09 | zero | value."""
     if k_lo < 3 or k_hi < k_lo:
         raise ValidationError("need 3 <= k_lo <= k_hi")
+    rows = k_hi - k_lo + 1
+    if rows > guards.MAX_TABLE_ROWS:  # checked before any array exists
+        raise GuardError("k range %d..%d has %d rows, past the %d-row bound "
+                         "(guards.MAX_TABLE_ROWS)"
+                         % (k_lo, k_hi, rows, guards.MAX_TABLE_ROWS))
     ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
     if eps_mode == "pow09":
         eps = ks ** -0.9

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcolor import (cli, clustergeo, colorings, experiments, graphs,
-                      moments, rng, threshold)
-from regcolor.errors import ValidationError
+                      guards, moments, rng, threshold)
+from regcolor.errors import GuardError, ValidationError
 
 
 def run(argv):
@@ -255,6 +256,50 @@ def test_rates_range_refusals(capsys):
             "--k-range")
 
 
+def test_tables_refuse_past_the_row_bound(tmp_path, capsys):
+    # one row past the bound, refused before any table exists
+    rows = guards.MAX_TABLE_ROWS + 1
+    bound = "%d-row bound (guards.MAX_TABLE_ROWS)" % guards.MAX_TABLE_ROWS
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = %d\n"
+                    % (rows + 2))
+    tracemalloc.start()
+    try:
+        for argv, needle in (
+                (["threshold", "--k-range", "3..%d" % (rows + 2)],
+                 "k range 3..%d has %d rows, past the " % (rows + 2, rows)),
+                (["experiment", "--spec", str(spec)],
+                 "k range 3..%d has %d rows, past the " % (rows + 2, rows)),
+                (["rates", "--k-range", "3..%d" % (rows + 2), "--d-range",
+                  "1..1"], "sweep has %d rows, past the " % rows),
+                (["rates", "--k-range", "3..4", "--d-range",
+                  "1..%d" % ((rows + 1) // 2)],
+                 "sweep has %d rows, past the " % (rows + 1))):
+            refused(argv, capsys, needle + bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_table_row_bound_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(guards, "MAX_TABLE_ROWS", 6)
+    assert len(threshold.threshold_scan(3, 8)["k"]) == 6
+    with pytest.raises(GuardError, match="^k range 3..9 has 7 rows"):
+        threshold.threshold_scan(3, 9)
+    assert run(["rates", "--k-range", "3..5", "--d-range", "4..5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    refused(["rates", "--k-range", "3..5", "--d-range", "4..6"], capsys,
+            "sweep has 9 rows")
+
+
+def test_coloring_out_needs_planted(tmp_path, capsys):
+    cpath = tmp_path / "c.txt"
+    refused(["sample", "--n", "6", "--d", "3", "--coloring-out", str(cpath)],
+            capsys, "--coloring-out needs --planted")
+    assert not cpath.exists()
+
+
 def test_coloring_refusals(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     assert run(["--seed", "4", "--out", str(gpath), "sample", "--n", "12",
@@ -330,10 +375,20 @@ def test_spec_refusals(tmp_path, capsys):
      "threshold-table spec needs k_hi"),
     ("kind = threshold-table\nk_lo = 3\nk_hi = 9\neps_mode = value\n"
      "eps_value = small\n", "eps_value must be a number"),
+    ("kind = cycle-census\nn = 100\nd = 3\nl = 5\n",
+     "cycle-census spec does not read l (its parameters: n, d, L)"),
+    ("kind = colorability-frequency\nn = 10\nd = 3\nk = 3\nrestarts = 1\n",
+     "colorability-frequency spec does not read restarts (its parameters: "
+     "n, d, k)"),
+    ("kind = cycle-census\nn = 100\nd = 3\nkind = core-profile\n",
+     "spec gives kind twice"),
+    ("kind = cycle-census\nn = 100\nd = 3\nseed = 1\nseed = 2\n",
+     "spec gives seed twice"),
 ], ids=["census-no-n", "census-n-abc", "census-L-float", "colorable-no-k",
         "colorable-k-0", "vacant-d-x", "core-ell-one", "moment-no-n",
         "sweep-d-float", "sweep-restarts-some", "table-no-k_hi",
-        "table-eps_value-small"])
+        "table-eps_value-small", "census-unread-l",
+        "colorable-unread-restarts", "kind-twice", "seed-twice"])
 def test_spec_parameter_refusals(text, needle, tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     spec.write_text(text)
@@ -546,10 +601,12 @@ def test_exit_code_sweep(tmp_path, capsys):
              "ell": small[:3], "L": small[:4], "k_lo": small, "k_hi": small,
              "eps_mode": ("pow09", "value"), "eps_value": floats}
     for kind in experiments.KINDS:
-        required, optional = experiments._PARAMS[kind]
-        keys = [key for key in required + optional if key in sizes]
+        params = experiments.SPEC_TABLE[kind].params
+        keys = [key for key in params if key in sizes]
+        # restarts = 1 keeps optimize-sweep quick
+        head = "kind = %s\n" % kind + "restarts = 1\n" * ("restarts" in params)
         for values in itertools.product(*(sizes[key] for key in keys)):
-            spec.write_text("kind = %s\nrestarts = 1\n" % kind + "".join(
+            spec.write_text(head + "".join(
                 "%s = %s\n" % kv for kv in zip(keys, values)))
             go("experiment", "--spec", spec)
     # a graph too large to sample is refused before anything is allocated
@@ -557,10 +614,27 @@ def test_exit_code_sweep(tmp_path, capsys):
     assert go("sample", "--n", huge, "--d", "3") == 2
     assert go("sample", "--planted", "--n", huge, "--d", "3", "--k", "2") == 2
     for kind in experiments.KINDS:
-        if "n" in experiments._PARAMS[kind][0]:
-            spec.write_text("kind = %s\nn = %s\nd = 3\nk = 2\n"
-                            % (kind, huge))
+        params = experiments.SPEC_TABLE[kind].params
+        if "n" in params:
+            values = {"n": huge, "d": "3", "k": "2"}
+            spec.write_text("kind = %s\n" % kind + "".join(
+                "%s = %s\n" % (key, values[key]) for key in values
+                if key in params))
             assert go("experiment", "--spec", spec) == 2
+    # so is a table with more rows than guards.MAX_TABLE_ROWS
+    assert go("threshold", "--k-range", "3.." + huge) == 2
+    assert go("rates", "--k-range", "3.." + huge, "--d-range", "1..2") == 2
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = %s\n" % huge)
+    assert go("experiment", "--spec", spec) == 2
+    # keys a kind does not read, repeated keys, and a coloring file with no
+    # planted coloring to write
+    spec.write_text("kind = cycle-census\nn = 100\nd = 3\nl = 5\n")
+    assert go("experiment", "--spec", spec) == 2
+    spec.write_text("kind = cycle-census\nn = 100\nd = 3\nkind = "
+                    "core-profile\n")
+    assert go("experiment", "--spec", spec) == 2
+    assert go("sample", "--n", "6", "--d", "3", "--coloring-out",
+              tmp_path / "c.txt") == 2
     assert internal == []
 
 

@@ -1,13 +1,17 @@
 import hashlib
+import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regcolor import experiments, moments, rng, threshold
 from regcolor.errors import GuardError, ValidationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_spec():
@@ -114,6 +118,108 @@ def test_moment_vs_oracle_pinned(n, d, k, value, digest):
     out = experiments.emit(rep)
     assert json.loads(out)["metrics"]["log_exact_over_n"]["mean"] == value
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# one small spec per kind: sha256 of its JSON and CSV reports and its spec
+# hash.  The defaults (L, ell, restarts, eps_mode) stay out of the spec and
+# its outputs, and eps_value = 0 stays the integer 0.
+_KIND_PINS = {
+    "cycle-census": (
+        "kind = cycle-census\nn = 200\nd = 3\nsamples = 3\nseed = 5\n",
+        "78f80b089a27e0a49ae1211c5efc17676201ff8e7913661d97e7d6bb00cd70e8",
+        "fd5d734b11df6506b5541eb60a31698dd674fa9ab16d7109de0e27df3be6f75c",
+        "882ef04e081d9d48c8c09fd4bf46f65baacd269ee9ae4b545ca88e413bae363f"),
+    "colorability-frequency": (
+        "kind = colorability-frequency\nn = 10\nd = 3\nk = 3\nsamples = 6\n"
+        "seed = 2\n",
+        "832f0098b9d7cad6900d91f5859e85d76dbcd7574b643dc79fd00e5c53fe3259",
+        "3c3c544836dc5a4f3ff5db993bd1a9ec28ee01639e024c3a28677a4f6d9698ad",
+        "d2a48dbf325c741cad5c1340edc2f484de166c26b9b3124a4a64a40c3cdcf9b6"),
+    "vacant-fractions": (
+        "kind = vacant-fractions\nn = 60\nd = 5\nk = 3\nsamples = 3\n"
+        "seed = 4\n",
+        "5c7cf01ab693618ad21cb3b75163f9d31bee1030429a8a03a74f637028b1c559",
+        "3e535a68e367983f49ad8248e24139b074e27c42d37537fa3359302921ee4298",
+        "de259dfce4ac1fd09e35c2ebbd1b3b89de42eafab5670060f9d46bfede4d379e"),
+    "core-profile": (
+        "kind = core-profile\nn = 60\nd = 6\nk = 3\nsamples = 2\nseed = 5\n",
+        "b0de18104afd871630f10d7715a916a00528cc6bb4b02256a0dfb8c5b6bfaa20",
+        "be5f174a75ef5a8f3c376b93fdcb38ae47525c280f439fde08c8cdc79af8f09b",
+        "727bcce74427e192a5c5cb3b3413defc39d34646c4febb6b2164bea17575a875"),
+    "moment-vs-oracle": (
+        "kind = moment-vs-oracle\nn = 4\nd = 3\nk = 3\nsamples = 2\n",
+        "792911b5e81459eb467189a750c21d8b9d0865d41fed9604276296f1c91673c9",
+        "717da501a7966f12f9e448db191aed817ae617e64db6cdbf59a738180f7b6bcd",
+        "b5cb0f7810a41fd35f17492d16471de0beace3340cb007c96f6c8bc0ce5d2ddb"),
+    "optimize-sweep": (
+        "kind = optimize-sweep\nk = 3\nd = 4\nrestarts = 2\nsamples = 2\n"
+        "seed = 6\n",
+        "70218381b31bd510ede60013a2c174f8a2d66a9b08cb1bd7e766a09bb22034c5",
+        "cbb05b5c9cb7f1c433ce11c0c804cd906692ac8e5df5396e4009e749546b6fe9",
+        "ff2c73470dea5216d9126cb22738da90ab1104262206e813761a8162a5aaf4a6"),
+    "threshold-table": (
+        "kind = threshold-table\nk_lo = 3\nk_hi = 30\n",
+        "972d292dd339e63a2963c8324463b8ab3f5560b6ebc166f47663fe21e36a3a79",
+        "8e18585a92074df99c286d6a91014335624745e3eb04699c1e86545a3665c355",
+        "7160633e7910f951671ceddddf3b07f5705181d2d860dbf11b5eda46a2b55e1a"),
+    "threshold-table-eps-value": (
+        "kind = threshold-table\nk_lo = 3\nk_hi = 30\neps_mode = value\n"
+        "eps_value = 0\n",
+        "08ee7c93aa47ee6dd9f518234236e52ddadacff89b7a37389be969acd2638833",
+        "3b9073409d9bf460163b2e42e313b6e231b62996e593daac15d8e2f73de9fdb3",
+        "1f6c268eec6bdd99c961244e057f03307117110a6975eb9f5b17dc85870fca65"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KIND_PINS))
+def test_every_kind_pinned(name):
+    text, json_digest, csv_digest, spec_hash = _KIND_PINS[name]
+    rep = run(text)
+    assert rep.spec_hash == spec_hash
+    for format, digest in (("json", json_digest), ("csv", csv_digest)):
+        out = experiments.emit(rep, format)
+        assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_pins_cover_every_kind():
+    assert {text.split("\n")[0] for text, *_ in _KIND_PINS.values()} == {
+        "kind = %s" % kind for kind in experiments.KINDS}
+
+
+def _readme_kind_table():
+    """kind -> (required parameters, {optional parameter: default text or
+    None}) from the README's parameter table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| kind | parameters |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[start:])
+    table = {}
+    for row in rows:
+        kinds, params = (cell.strip() for cell in row.strip("|").split("|"))
+        required, optional = [], {}
+        for item in params.split(", "):
+            match = re.fullmatch(r"`(\w+)`|\[`(\w+)`(?: = (\S+))?\]", item)
+            assert match, item
+            if match[1]:
+                required.append(match[1])
+            else:
+                optional[match[2]] = match[3]
+        for kind in kinds.split(", "):
+            table[kind.strip("`")] = (required, optional)
+    return table
+
+
+def test_readme_kind_table_matches_spec_table():
+    want = {}
+    for kind, entry in experiments.SPEC_TABLE.items():
+        defaults = {key: default for key, (_, default) in entry.params.items()}
+        want[kind] = (
+            [key for key, default in defaults.items()
+             if default is experiments.REQUIRED],
+            {key: None if default is None else str(default)
+             for key, default in defaults.items()
+             if default is not experiments.REQUIRED})
+    assert _readme_kind_table() == want
 
 
 @pytest.mark.parametrize("n, d, k, error, text", [
