@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .moments import DS_TOL, f_entries
+from .moments import DS_TOL, ds_residuals, f_entries
 
 ARMIJO = 1e-4
 
@@ -33,7 +33,7 @@ def project_doubly_stochastic(M, tol=1e-12, max_iters=10000):
         raise ValidationError("need a square matrix")
     if (A <= 0).any():
         raise ValidationError("Sinkhorn needs entrywise positive input")
-    res = _ds_residual(A)
+    res = max(ds_residuals(A))
     if res < tol:
         return A, 0
     for it in range(1, max_iters + 1):
@@ -41,16 +41,12 @@ def project_doubly_stochastic(M, tol=1e-12, max_iters=10000):
         A /= A.sum(axis=0, keepdims=True)
         # the residual check costs as much as the sweep; amortize it
         if it % 8 == 0 or it == max_iters:
-            res = _ds_residual(A)
+            res = max(ds_residuals(A))
             if res < tol:
                 return A, it
     raise ValidationError(
         "Sinkhorn did not converge in %d iterations (residual %.3g)"
         % (max_iters, res))
-
-
-def _ds_residual(A):
-    return max(np.abs(A.sum(axis=1) - 1).max(), np.abs(A.sum(axis=0) - 1).max())
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ def classify_stability(rho, kappa=0.1):
     """s = number of entries >= 1-kappa; separable iff every entry above 0.51
     is >= 1-kappa; label 's-stable' or 'non-separable'."""
     r = np.asarray(rho, dtype=float)
-    if _ds_residual(r) > DS_TOL:
+    if max(ds_residuals(r)) > DS_TOL:
         raise ValidationError("not doubly stochastic")
     s = int((r >= 1 - kappa).sum())
     separable = bool(((r <= 0.51) | (r >= 1 - kappa)).all())

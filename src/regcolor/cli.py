@@ -158,18 +158,15 @@ def cmd_rates(args):
             raise ValidationError("sweep needs both --k-range and --d-range")
         k_lo, k_hi = _parse_range(args.k_range, "--k-range")
         d_lo, d_hi = _parse_range(args.d_range, "--d-range")
-        rows = (k_hi - k_lo + 1) * (d_hi - d_lo + 1)
-        if rows > guards.MAX_TABLE_ROWS:
-            raise GuardError("sweep has %d rows, past the %d-row bound "
-                             "(guards.MAX_TABLE_ROWS)"
-                             % (rows, guards.MAX_TABLE_ROWS))
+        guards.check((k_hi - k_lo + 1) * (d_hi - d_lo + 1), "MAX_TABLE_ROWS",
+                     "rows", "row")
         lines = ["k,d,first_moment_rate,second_moment_flat,dplus"]
         for k in range(k_lo, k_hi + 1):
+            dplus = moments.dplus(k) if k >= 3 else float("nan")
             for d in range(d_lo, d_hi + 1):
-                lines.append("%d,%d,%.12g,%.12g,%.12g" % (
-                    k, d, moments.first_moment_rate(k, d),
-                    2 * moments.first_moment_rate(k, d),
-                    moments.dplus(k) if k >= 3 else float("nan")))
+                rate = moments.first_moment_rate(k, d)
+                lines.append("%d,%d,%.12g,%.12g,%.12g"
+                             % (k, d, rate, 2 * rate, dplus))
         _write(args, "\n".join(lines) + "\n")
         return
     k, d = args.k, args.d

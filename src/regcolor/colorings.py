@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from . import guards
 from .graphs import class_edge_matrix, vertex_class_degrees
 
@@ -43,9 +43,6 @@ class Coloring:
         for c in self.assignment:
             sizes[c] += 1
         return sizes
-
-    def color_class(self, i):
-        return [v for v, c in enumerate(self.assignment) if c == i]
 
 
 def coloring(values, k):
@@ -96,10 +93,8 @@ def in_cluster(sigma, tau):
 
 
 def _cluster_guard(G, k):
-    if G.n > guards.MAX_CLUSTER_VERTICES or k > guards.MAX_CLUSTER_COLORS:
-        raise GuardError(
-            "exhaustive cluster oracle limited to n <= %d, k <= %d"
-            % (guards.MAX_CLUSTER_VERTICES, guards.MAX_CLUSTER_COLORS))
+    guards.check(G.n, "MAX_CLUSTER_VERTICES", "n", "vertex")
+    guards.check(k, "MAX_CLUSTER_COLORS", "k", "color")
 
 
 def _neighbor_sets(G):
@@ -330,10 +325,8 @@ def vacant_table(G, sigma):
 def _count_guard(G, k):
     if k < 1:
         raise ValidationError("exact counting needs k >= 1, got k=%d" % k)
-    if G.n > guards.MAX_COUNT_VERTICES or k > guards.MAX_COUNT_COLORS:
-        raise GuardError(
-            "exact counting limited to n <= %d, k <= %d"
-            % (guards.MAX_COUNT_VERTICES, guards.MAX_COUNT_COLORS))
+    guards.check(G.n, "MAX_COUNT_VERTICES", "n", "vertex")
+    guards.check(k, "MAX_COUNT_COLORS", "k", "color")
 
 
 def is_colorable(G, k):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from . import (graphs, colorings, clustergeo, moments, birkhoff, threshold,
                guards, rng)
 
@@ -129,10 +129,8 @@ def flat_planted_coloring(n, k):
     _check_planted_k(k)
     if n % k != 0:
         raise ValidationError("flat planting needs k | n")
-    if n > guards.MAX_SAMPLE_CLONES:  # checked before the n labels exist
-        raise GuardError("n=%d exceeds the %d-clone bound "
-                         "(guards.MAX_SAMPLE_CLONES)"
-                         % (n, guards.MAX_SAMPLE_CLONES))
+    # checked before the n labels exist
+    guards.check(n, "MAX_SAMPLE_CLONES", "n", "clone")
     return colorings.coloring([v // (n // k) for v in range(n)], k)
 
 
@@ -237,6 +235,7 @@ KINDS = tuple(SPEC_TABLE)
 
 def run_experiment(spec):
     start = time.monotonic()
+    rng.check_seed(spec.seed)  # a table kind draws no stream to check it
     kind = SPEC_TABLE[spec.kind]
     params = {key: spec.params.get(key, default)
               for key, (_, default) in kind.params.items()}

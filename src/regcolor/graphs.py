@@ -22,7 +22,7 @@ from math import factorial, isqrt
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from . import guards
 
 
@@ -31,10 +31,7 @@ def _check_even(n, d):
         raise ValidationError("n and d must be positive")
     if (n * d) % 2 != 0:
         raise ValidationError("dn must be even, got n=%d d=%d" % (n, d))
-    if n * d > guards.MAX_SAMPLE_CLONES:
-        raise GuardError("dn=%d exceeds the %d-clone bound "
-                         "(guards.MAX_SAMPLE_CLONES)"
-                         % (n * d, guards.MAX_SAMPLE_CLONES))
+    guards.check(n * d, "MAX_SAMPLE_CLONES", "dn", "clone")
 
 
 def double_factorial_odd(m):
@@ -61,9 +58,6 @@ class Configuration:
     n: int
     d: int
     match: tuple  # involution on the dn clones, match[c] != c
-
-    def clone(self, v, p):
-        return v * self.d + p
 
 
 def configuration(n, d, match):
@@ -92,10 +86,7 @@ def sample_configuration(n, d, rng):
 
 def _check_enumerable(n, d):
     _check_even(n, d)
-    if n * d > guards.MAX_ENUM_CLONES:
-        raise GuardError(
-            "enumeration refused: dn=%d exceeds the %d-clone bound"
-            % (n * d, guards.MAX_ENUM_CLONES))
+    guards.check(n * d, "MAX_ENUM_CLONES", "dn", "clone")
 
 
 def enumerate_configurations(n, d):
@@ -395,9 +386,7 @@ def cycle_census(G, L):
     `neighbors`."""
     if L < 1:
         raise ValidationError("L must be >= 1")
-    if L > guards.MAX_CYCLE_LENGTH:
-        raise GuardError("cycle census intended for short cycles (L <= %d)"
-                         % guards.MAX_CYCLE_LENGTH)
+    guards.check(L, "MAX_CYCLE_LENGTH", "L", "edge")
     counts = [0] * L
     n = G.n
     u, v = G.edges.T
@@ -469,9 +458,6 @@ def sample_planted(assignment, k, d, mu, rng):
     for i in range(k):
         own = clones[color == i].ravel()
         perm = rng.permutation(own.size)
-        if sum(m[i]) != own.size:
-            raise ValidationError(
-                "row %d of mu does not use up the class degree" % i)
         segments.append(np.split(own[perm], np.cumsum(m[i])[:-1]))
     upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
     a = np.concatenate([segments[i][j] for i, j in upper]) // d

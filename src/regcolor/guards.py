@@ -1,4 +1,7 @@
-"""Feasibility limits for the exact oracles, in one place."""
+"""Feasibility limits for the exact oracles, in one place, and `check`, the
+one refusal past any of them."""
+
+from .errors import GuardError
 
 # enumerate_configurations: (17)!! > 3e8 items, refuse beyond this
 MAX_ENUM_CLONES = 16
@@ -25,5 +28,14 @@ MAX_CLUSTER_COLORS = 4
 # cycle census DFS is meant for short cycles only
 MAX_CYCLE_LENGTH = 12
 
-# exhaustive subset search in the density falsifier
+# exhaustive subset search in the density falsifier (a branch, not a refusal)
 MAX_DENSITY_EXHAUSTIVE = 12
+
+
+def check(value, name, quantity, unit):
+    """Refuse `value` past the bound `name`, read at call time so that a
+    patched bound applies; the bound itself passes."""
+    bound = globals()[name]
+    if value > bound:
+        raise GuardError("%s=%d exceeds the %d-%s bound (guards.%s)"
+                         % (quantity, value, bound, unit, name))

@@ -16,7 +16,7 @@ from math import factorial, log
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import ValidationError
 from . import guards
 from .graphs import count_configurations, double_factorial_odd
 
@@ -153,9 +153,7 @@ def exact_partition_probability(pair):
     class sizes rho_i * n: N * M / (dn-1)!! as a Fraction."""
     n, d, K = pair.n, pair.d, pair.K
     dn = d * n
-    if dn > guards.MAX_EXACT_CLONES:
-        raise GuardError("exact probability refused beyond dn = %d"
-                         % guards.MAX_EXACT_CLONES)
+    guards.check(dn, "MAX_EXACT_CLONES", "dn", "clone")
     m = [[int(pair.mu[i][j] * dn) for j in range(K)] for i in range(K)]
     N = 1
     for i in range(K):
@@ -234,12 +232,17 @@ def balanced_first_moment(n, k, d):
     return n * first_moment_rate(k, d), -(k - 1) / 2
 
 
+def ds_residuals(A):
+    """(row, column): the largest distance of a row sum and of a column sum
+    of the square matrix A from 1."""
+    return np.abs(A.sum(axis=1) - 1).max(), np.abs(A.sum(axis=0) - 1).max()
+
+
 def _check_doubly_stochastic(rho):
     r = np.asarray(rho, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValidationError("need a square matrix")
-    row = np.abs(r.sum(axis=1) - 1).max()
-    col = np.abs(r.sum(axis=0) - 1).max()
+    row, col = ds_residuals(r)
     if row > DS_TOL or col > DS_TOL or (r < -DS_TOL).any():
         raise ValidationError(
             "not doubly stochastic (row residual %.3g, col residual %.3g)"

@@ -84,11 +84,8 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     (k, lo, hi, length, n_integers, d_col).  eps_mode: pow09 | zero | value."""
     if k_lo < 3 or k_hi < k_lo:
         raise ValidationError("need 3 <= k_lo <= k_hi")
-    rows = k_hi - k_lo + 1
-    if rows > guards.MAX_TABLE_ROWS:  # checked before any array exists
-        raise GuardError("k range %d..%d has %d rows, past the %d-row bound "
-                         "(guards.MAX_TABLE_ROWS)"
-                         % (k_lo, k_hi, rows, guards.MAX_TABLE_ROWS))
+    # checked before any array exists
+    guards.check(k_hi - k_lo + 1, "MAX_TABLE_ROWS", "rows", "row")
     ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
     if eps_mode == "pow09":
         eps = ks ** -0.9

@@ -267,14 +267,14 @@ def test_tables_refuse_past_the_row_bound(tmp_path, capsys):
     try:
         for argv, needle in (
                 (["threshold", "--k-range", "3..%d" % (rows + 2)],
-                 "k range 3..%d has %d rows, past the " % (rows + 2, rows)),
+                 "rows=%d exceeds the " % rows),
                 (["experiment", "--spec", str(spec)],
-                 "k range 3..%d has %d rows, past the " % (rows + 2, rows)),
+                 "rows=%d exceeds the " % rows),
                 (["rates", "--k-range", "3..%d" % (rows + 2), "--d-range",
-                  "1..1"], "sweep has %d rows, past the " % rows),
+                  "1..1"], "rows=%d exceeds the " % rows),
                 (["rates", "--k-range", "3..4", "--d-range",
                   "1..%d" % ((rows + 1) // 2)],
-                 "sweep has %d rows, past the " % (rows + 1))):
+                 "rows=%d exceeds the " % (rows + 1))):
             refused(argv, capsys, needle + bound)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -285,12 +285,12 @@ def test_tables_refuse_past_the_row_bound(tmp_path, capsys):
 def test_table_row_bound_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(guards, "MAX_TABLE_ROWS", 6)
     assert len(threshold.threshold_scan(3, 8)["k"]) == 6
-    with pytest.raises(GuardError, match="^k range 3..9 has 7 rows"):
+    with pytest.raises(GuardError, match="^rows=7 exceeds"):
         threshold.threshold_scan(3, 9)
     assert run(["rates", "--k-range", "3..5", "--d-range", "4..5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 6
     refused(["rates", "--k-range", "3..5", "--d-range", "4..6"], capsys,
-            "sweep has 9 rows")
+            "rows=9 exceeds")
 
 
 def test_coloring_out_needs_planted(tmp_path, capsys):
@@ -351,6 +351,27 @@ def test_spec_refusals(tmp_path, capsys):
     refused(["experiment", "--spec", str(spec)], capsys, "seed")
     refused(["--seed", "-1", "sample", "--n", "10", "--d", "3"], capsys,
             "seed")
+
+
+def test_table_kind_refuses_a_negative_seed(tmp_path, capsys):
+    # a table kind draws no stream, so the seed is checked on its own
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = 4\nseed = -1\n")
+    refused(["experiment", "--spec", str(spec)], capsys,
+            "seed must be >= 0, got -1")
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = 4\n")
+    refused(["--seed", "-1", "experiment", "--spec", str(spec)], capsys,
+            "seed must be >= 0, got -1")
+    assert run(["--seed", "0", "experiment", "--spec", str(spec)]) == 0
+
+
+def test_rates_sweep_pinned(capsys):
+    # k = 2 has no dplus (nan); negative d is accepted; k < 2 is refused
+    assert run(["rates", "--k-range", "2..30", "--d-range=-3..50"]) == 0
+    assert (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            == "45f0f8924f6be064141ce9b05b1b356d3057a785138a43380881676277cee20f")
+    refused(["rates", "--k-range", "1..3", "--d-range", "1..3"], capsys,
+            "k >= 2 required")
 
 
 @pytest.mark.parametrize("text, needle", [
@@ -626,6 +647,45 @@ def test_exit_code_sweep(tmp_path, capsys):
     assert go("rates", "--k-range", "3.." + huge, "--d-range", "1..2") == 2
     spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = %s\n" % huge)
     assert go("experiment", "--spec", spec) == 2
+    # one past every bound the CLI reaches, refused by that bound
+    # (guards.MAX_EXACT_CLONES has no CLI entry point); dn is even, so the
+    # first clone count past an even bound is two past it
+    def past(name, *argv):
+        code = run([str(a) for a in argv])
+        assert code == 2, (argv, code)
+        assert "(guards.%s)" % name in capsys.readouterr().err
+
+    def one_past(name):
+        return getattr(guards, name) + 1
+
+    past("MAX_SAMPLE_CLONES", "sample", "--n",
+         one_past("MAX_SAMPLE_CLONES") // 2 + 1, "--d", "2")
+    past("MAX_TABLE_ROWS", "threshold", "--k-range",
+         "3..%d" % (one_past("MAX_TABLE_ROWS") + 2))
+    past("MAX_TABLE_ROWS", "rates", "--k-range", "3..3", "--d-range",
+         "1..%d" % one_past("MAX_TABLE_ROWS"))
+    n = one_past("MAX_COUNT_VERTICES")
+    gpath = tmp_path / "g_count"
+    assert go("--out", gpath, "sample", "--n", n, "--d", "4") == 0
+    past("MAX_COUNT_VERTICES", "count", "--graph", gpath, "--k", "2")
+    n = one_past("MAX_CLUSTER_VERTICES")
+    gpath, zeros = tmp_path / "g_cluster", tmp_path / "zeros_cluster.txt"
+    assert go("--out", gpath, "sample", "--n", n, "--d", "4") == 0
+    zeros.write_text("0 " * n)
+    past("MAX_CLUSTER_VERTICES", "count", "--graph", gpath, "--k", "2",
+         "--predicate", "separable", "--coloring", zeros)
+    gpath = files[0][0]
+    past("MAX_COUNT_COLORS", "count", "--graph", gpath, "--k",
+         one_past("MAX_COUNT_COLORS"))
+    past("MAX_CLUSTER_COLORS", "count", "--graph", gpath, "--k",
+         one_past("MAX_CLUSTER_COLORS"), "--predicate", "separable",
+         "--coloring", one_color)
+    spec.write_text("kind = moment-vs-oracle\nn = %d\nd = 2\nk = 2\n"
+                    % (one_past("MAX_ENUM_CLONES") // 2 + 1))
+    past("MAX_ENUM_CLONES", "experiment", "--spec", spec)
+    spec.write_text("kind = cycle-census\nn = 4\nd = 3\nL = %d\n"
+                    % one_past("MAX_CYCLE_LENGTH"))
+    past("MAX_CYCLE_LENGTH", "experiment", "--spec", spec)
     # keys a kind does not read, repeated keys, and a coloring file with no
     # planted coloring to write
     spec.write_text("kind = cycle-census\nn = 100\nd = 3\nl = 5\n")

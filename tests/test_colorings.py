@@ -22,7 +22,6 @@ def test_coloring_basics():
     sigma = colorings.coloring([0, 1, 2, 0], 3)
     assert sigma.n == 4
     assert sigma.class_sizes() == [2, 1, 1]
-    assert sigma.color_class(0) == [0, 3]
     with pytest.raises(ValidationError):
         colorings.coloring([0, 3], 3)
     text = colorings.format_coloring(sigma)
@@ -267,8 +266,8 @@ def test_count_refuses_bad_k():
                                match="^exact counting needs k >= 1, got "
                                "k=%d$" % k):
                 call(G, k)
-    with pytest.raises(GuardError, match="^exact counting limited to "
-                       "n <= 30, k <= 4$"):
+    with pytest.raises(GuardError, match=r"^k=5 exceeds the 4-color bound "
+                       r"\(guards.MAX_COUNT_COLORS\)$"):
         colorings.is_colorable(G, 5)
 
 

@@ -223,10 +223,11 @@ def test_readme_kind_table_matches_spec_table():
 
 
 @pytest.mark.parametrize("n, d, k, error, text", [
-    (6, 3, 3, GuardError, "enumeration refused: dn=18 exceeds the "
-     "16-clone bound"),
+    (6, 3, 3, GuardError, "dn=18 exceeds the 16-clone bound "
+     "(guards.MAX_ENUM_CLONES)"),
     (3, 3, 3, ValidationError, "dn must be even, got n=3 d=3"),
-    (4, 3, 5, GuardError, "exact counting limited to n <= 30, k <= 4"),
+    (4, 3, 5, GuardError, "k=5 exceeds the 4-color bound "
+     "(guards.MAX_COUNT_COLORS)"),
     (4, 3, 0, ValidationError, "exact counting needs k >= 1, got k=0"),
 ])
 def test_moment_vs_oracle_refusal_texts(n, d, k, error, text):
@@ -237,7 +238,7 @@ def test_moment_vs_oracle_refusal_texts(n, d, k, error, text):
 def test_colorability_refuses_bad_k():
     with pytest.raises(ValidationError, match="k >= 1"):
         run("kind = colorability-frequency\nn = 10\nd = 3\nk = 0\n")
-    with pytest.raises(GuardError, match="k <= 4"):
+    with pytest.raises(GuardError, match="MAX_COUNT_COLORS"):
         run("kind = colorability-frequency\nn = 10\nd = 3\nk = 5\n")
 
 

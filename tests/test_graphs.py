@@ -52,8 +52,7 @@ def test_configuration_validation():
         graphs.configuration(2, 1, (0, 1))  # fixed points
     with pytest.raises(ValidationError):
         graphs.configuration(2, 1, (1, 0, 2))  # wrong length
-    c = graphs.configuration(2, 1, (1, 0))
-    assert c.clone(1, 0) == 1
+    assert graphs.configuration(2, 1, (1, 0)).match == (1, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,8 +175,8 @@ def test_sampling_refuses_past_the_clone_bound(d):
 @pytest.mark.parametrize("enumerate_", [graphs.enumerate_configurations,
                                         graphs.enumerate_multigraphs])
 def test_enumeration_refusal_texts(enumerate_):
-    with pytest.raises(GuardError, match=r"^enumeration refused: dn=18 "
-                       r"exceeds the 16-clone bound$"):
+    with pytest.raises(GuardError, match=r"^dn=18 exceeds the 16-clone "
+                       r"bound \(guards.MAX_ENUM_CLONES\)$"):
         next(enumerate_(6, 3))
     with pytest.raises(ValidationError,
                        match=r"^dn must be even, got n=3 d=3$"):
@@ -541,6 +540,17 @@ def test_sample_planted_rejects_diagonal_mass():
     mu = [[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]]
     with pytest.raises(ValidationError):
         graphs.sample_planted([0, 0, 1, 1], 2, 2, mu, rng.stream(0, 0))
+
+
+def test_sample_planted_refuses_a_mu_row_off_its_class():
+    # rows of mu summing to 1/4, not rho_i = 1/2: refused as inadmissible
+    # before any randomness is drawn
+    mu = [[Fraction(0), Fraction(1, 4)], [Fraction(1, 4), Fraction(0)]]
+    gen = rng.stream(0, 0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValidationError, match="marginal row 1; marginal row 2"):
+        graphs.sample_planted([0, 0, 1, 1], 2, 2, mu, gen)
+    assert gen.bit_generator.state == state
 
 
 def reference_sample_planted(assignment, k, d, mu, rng):

@@ -1,0 +1,89 @@
+"""Every refusal bound in `regcolor.guards` refuses one past itself, naming
+the constant, and admits the bound itself; only `guards.check` raises it."""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from regcolor import (cli, colorings, experiments, graphs, guards, moments,
+                      rng, threshold)
+from regcolor.errors import GuardError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "regcolor"
+
+# a branch between two algorithms, not a refusal
+NOT_REFUSALS = {"MAX_DENSITY_EXHAUSTIVE"}
+
+
+def _cycle4():
+    return graphs.multigraph(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def _exact_pair():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    return moments.validate_admissible(
+        [half, half], [[quarter, quarter], [quarter, quarter]], 4, 2)
+
+
+def _rates_sweep():
+    cli.cmd_rates(cli.build_parser().parse_args(
+        ["rates", "--k-range", "3..5", "--d-range", "4..5"]))
+
+
+def _separable():
+    return colorings.is_separable(_cycle4(),
+                                  colorings.coloring([0, 1, 0, 1], 2))
+
+
+# (constant, the value each call checks against it, entry point)
+CASES = [
+    ("MAX_SAMPLE_CLONES", 12, lambda: graphs.sample_uniform(
+        4, 3, rng.stream(1))),
+    ("MAX_SAMPLE_CLONES", 8, lambda: graphs.sample_planted(
+        [0, 0, 1, 1], 2, 2, experiments.flat_planted_mu(2), rng.stream(1))),
+    ("MAX_SAMPLE_CLONES", 6, lambda: experiments.flat_planted_coloring(6, 2)),
+    ("MAX_ENUM_CLONES", 6, lambda: list(graphs.enumerate_configurations(2, 3))),
+    ("MAX_ENUM_CLONES", 6, lambda: list(graphs.enumerate_multigraphs(2, 3))),
+    ("MAX_CYCLE_LENGTH", 4, lambda: graphs.cycle_census(_cycle4(), 4)),
+    ("MAX_TABLE_ROWS", 6, lambda: threshold.threshold_scan(3, 8)),
+    ("MAX_TABLE_ROWS", 6, _rates_sweep),
+    ("MAX_EXACT_CLONES", 8,
+     lambda: moments.exact_partition_probability(_exact_pair())),
+    ("MAX_COUNT_VERTICES", 4, lambda: colorings.count_colorings(_cycle4(), 2)),
+    ("MAX_COUNT_VERTICES", 4, lambda: colorings.is_colorable(_cycle4(), 2)),
+    ("MAX_COUNT_COLORS", 3, lambda: colorings.count_colorings(_cycle4(), 3)),
+    ("MAX_CLUSTER_VERTICES", 4, _separable),
+    ("MAX_CLUSTER_COLORS", 2, _separable),
+]
+
+
+@pytest.mark.parametrize("name, value, call", CASES,
+                         ids=["%s-%d" % (c[0], i) for i, c in enumerate(CASES)])
+def test_bound_admits_itself_and_refuses_one_past(monkeypatch, name, value,
+                                                  call):
+    monkeypatch.setattr(guards, name, value)
+    call()
+    monkeypatch.setattr(guards, name, value - 1)
+    with pytest.raises(GuardError, match=r"^\w+=%d exceeds the %d-\w+ bound "
+                       r"\(guards\.%s\)$" % (value, value - 1, name)):
+        call()
+
+
+def test_every_refusal_bound_has_a_case():
+    bounds = {name for name in vars(guards) if name.startswith("MAX_")}
+    assert {case[0] for case in CASES} == bounds - NOT_REFUSALS
+
+
+def test_guard_error_is_raised_only_by_guards_and_threshold():
+    # guards.check raises every bound refusal; threshold keeps its two
+    # refusals that are not bounds (several integers, d at a threshold)
+    raised = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "GuardError"):
+                raised[path.name] = raised.get(path.name, 0) + 1
+    assert raised == {"guards.py": 1, "threshold.py": 2}
+
