@@ -160,14 +160,17 @@ def cmd_rates(args):
         d_lo, d_hi = _parse_range(args.d_range, "--d-range")
         guards.check((k_hi - k_lo + 1) * (d_hi - d_lo + 1), "MAX_TABLE_ROWS",
                      "rows", "row")
-        lines = ["k,d,first_moment_rate,second_moment_flat,dplus"]
+        # one string per block of k's rows, not one per cell
+        blocks = ["k,d,first_moment_rate,second_moment_flat,dplus\n"]
         for k in range(k_lo, k_hi + 1):
             dplus = moments.dplus(k) if k >= 3 else float("nan")
+            rows = []
             for d in range(d_lo, d_hi + 1):
                 rate = moments.first_moment_rate(k, d)
-                lines.append("%d,%d,%.12g,%.12g,%.12g"
-                             % (k, d, rate, 2 * rate, dplus))
-        _write(args, "\n".join(lines) + "\n")
+                rows.append("%d,%d,%.12g,%.12g,%.12g\n"
+                            % (k, d, rate, 2 * rate, dplus))
+            blocks.append("".join(rows))
+        _write(args, "".join(blocks))
         return
     k, d = args.k, args.d
     if k is None or d is None:

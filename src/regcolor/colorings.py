@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import class_edge_matrix, vertex_class_degrees
+from .graphs import _int_tokens, class_edge_matrix, vertex_class_degrees
 
 CLUSTER_DIAG = Fraction(51, 100)   # strict > for cluster membership
 NICE_DIAG = Fraction(9, 10)        # >= for the rigidity condition
@@ -53,7 +53,8 @@ def format_coloring(sigma):
     return " ".join(str(c) for c in sigma.assignment) + "\n"
 
 
-def parse_coloring(text, k):
+def _parse_tokens(text, k):
+    """parse_coloring token by token; it words every refusal."""
     values = []
     for token in text.split():
         try:
@@ -64,10 +65,19 @@ def parse_coloring(text, k):
     return coloring(values, k)
 
 
+def parse_coloring(text, k):
+    """Whitespace-separated colors.  A text that `_int_tokens` reads is
+    parsed as one array; any other goes to `_parse_tokens`."""
+    tokens = _int_tokens(text)
+    if tokens is None:
+        return _parse_tokens(text, k)
+    return Coloring(tuple(tokens[0].tolist()), k)
+
+
 def is_proper(G, sigma):
     """No monochromatic edge; a self-loop is always monochromatic."""
-    a = sigma.assignment
-    return all(a[u] != a[v] for u, v in G.edges.tolist())
+    ends = np.asarray(sigma.assignment, dtype=np.int64)[G.edges]
+    return not (ends[:, 0] == ends[:, 1]).any()
 
 
 def is_balanced(sigma):

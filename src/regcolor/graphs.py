@@ -467,10 +467,46 @@ def sample_planted(assignment, k, d, mu, rng):
 
 # --- graph file format: header "n d", one "u v" line per edge ---
 
+_FORMAT_BLOCK = 1 << 16  # edge rows per % in format_graph
+
+
 def format_graph(G):
-    # one % over every endpoint: no tuple per edge
-    return (("%d %d\n" % (G.n, G.d)) + ("%d %d\n" * len(G.edges))
-            % tuple(G.edges.ravel().tolist()))
+    # one % per block of rows: Python ints for one block at a time
+    blocks = ["%d %d\n" % (G.n, G.d)]
+    for start in range(0, len(G.edges), _FORMAT_BLOCK):
+        rows = G.edges[start:start + _FORMAT_BLOCK]
+        blocks.append("%d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+    return "".join(blocks)
+
+
+def _int_tokens(text):
+    """The tokens of `text` as an int64 array, with the number of tokens on
+    each line that has any; None if `text` holds a character other than an
+    ASCII digit, space, tab, CR or LF, or a token of more than 18 digits.
+    CR and LF each end a line, so the tokens and non-blank lines are those
+    of str.split and str.splitlines, and every value fits an int64."""
+    try:
+        b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    digit = b - 48 < 10  # uint8 wraps below "0"
+    brk = (b == 10) | (b == 13)
+    if not (digit | brk | (b == 32) | (b == 9)).all():
+        return None
+    step = np.diff(digit.view(np.int8), prepend=0, append=0)
+    start, end = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    width = int((end - start).max(initial=0))
+    if width > 18:
+        return None
+    # Horner over digit columns, right-aligned: a column left of a token's
+    # first digit adds a leading zero
+    value = np.zeros(start.size, dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        pos = end - 1 - j
+        value = value * 10 + np.where(pos >= start, b[pos] - 48, 0)
+    line = np.searchsorted(np.flatnonzero(brk), start)
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    return value, np.diff(first, append=line.size)
 
 
 def _int_pair(line):
@@ -482,8 +518,8 @@ def _int_pair(line):
     return a, b
 
 
-def parse_graph(text):
-    """Header `n d`, then one `u v` line per edge."""
+def _parse_lines(text):
+    """parse_graph line by line; it words every refusal."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError("empty graph file")
@@ -496,6 +532,26 @@ def parse_graph(text):
         raise ValidationError("header %d %d needs n*d/2 edges, the file "
                               "lists %d" % (n, d, len(lines) - 1))
     return multigraph(n, d, [_int_pair(ln) for ln in lines[1:]])
+
+
+def parse_graph(text):
+    """Header `n d`, then one `u v` line per edge.  A file that
+    `_int_tokens` reads and that passes every check of `_parse_lines` is
+    parsed as arrays; any other goes to `_parse_lines`, which words the
+    refusal."""
+    tokens = _int_tokens(text)
+    if tokens is not None:
+        value, per_line = tokens
+        if per_line.size and (per_line == 2).all():
+            n, d = int(value[0]), int(value[1])  # no sign: d >= 0
+            ends = value[2:].reshape(-1, 2)
+            # n*d = 2m bounds n by the file size before degrees counts n
+            if (1 <= n <= MAX_VERTICES and (d == 0 or n * d == ends.size)
+                    and (ends < n).all()):
+                G = _from_pairs(n, d, ends[:, 0], ends[:, 1])
+                if d == 0 or (degrees(G) == d).all():
+                    return G
+    return _parse_lines(text)
 
 
 def write_graph(G, path):

@@ -515,7 +515,7 @@ _spec_lines = st.lists(st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(("graph", "spec", "coloring")),
-       st.text() | st.text("0123456789 -\n") | _spec_lines.map("\n".join))
+       st.text() | st.text("0123456789 -\n\r\t+") | _spec_lines.map("\n".join))
 def test_parsers_refuse_only_with_validation_error(parser, text):
     try:
         if parser == "graph":

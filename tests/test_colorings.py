@@ -250,6 +250,16 @@ def test_engine_yield_order(G, k, balanced):
     assert got == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(_small_multigraphs(), st.integers(1, 3), st.data())
+def test_is_proper_matches_edge_loop(G, k, data):
+    # the generator form over the edge list; a loop is monochromatic
+    a = data.draw(st.lists(st.integers(0, k - 1), min_size=G.n,
+                           max_size=G.n))
+    want = all(a[u] != a[v] for u, v in G.edges.tolist())
+    assert colorings.is_proper(G, colorings.coloring(a, k)) is want
+
+
 def test_is_colorable():
     assert colorings.is_colorable(cycle_graph(6), 2)
     assert not colorings.is_colorable(cycle_graph(5), 2)
