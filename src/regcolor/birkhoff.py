@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from . import guards
 from .moments import DS_TOL, ds_residuals, f_entries
 
 ARMIJO = 1e-4
@@ -208,6 +209,9 @@ def maximize_f(k, d, region=None, restarts=20, rng=None, kappa=0.1):
         raise ValidationError("d must be positive and finite, got %r" % (d,))
     if restarts < 0:
         raise ValidationError("restarts >= 0 required, got %r" % (restarts,))
+    # the flat start, the random ones and six corner mixtures
+    guards.check((restarts + 7) * k * k, "MAX_START_ENTRIES", "entries",
+                 "entry")
     if not math.isfinite(kappa):
         raise ValidationError("kappa must be a finite number, got %r"
                               % (kappa,))

@@ -1,17 +1,22 @@
 """Command line interface.
 
-    regcolor <subcommand> [--seed S] [--out FILE] [--format json|csv] ...
+    regcolor [--seed S] [--out FILE] [--format json|csv] <subcommand> ...
 
 Subcommands: sample, count, rates, optimize, core, threshold, experiment.
+`--format` applies to `experiment` only (default json); others refuse it.
 Exit codes: 0 success, 2 guard/validation refusal, 1 internal error.
 """
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import GuardError, ValidationError
 from . import (graphs, colorings, clustergeo, moments, birkhoff, threshold,
@@ -40,12 +45,19 @@ def _read(path):
 
 
 def _write(args, payload):
-    data = payload if isinstance(payload, bytes) else payload.encode()
-    if args.out:
-        with _open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode())
+    """Write bytes, a str, or str blocks as each is made, to --out or stdout.
+    Refuse before calling it: a refusal during it leaves a partial output."""
+    if isinstance(payload, bytes):
+        if args.out:
+            with _open(args.out, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload.decode())
+        return
+    with (_open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for block in (payload,) if isinstance(payload, str) else payload:
+            fh.write(block)
 
 
 def _emit_json(args, doc):
@@ -89,8 +101,10 @@ def _parse_profile(text):
 
 def cmd_sample(args):
     generator = rng.stream(args.seed or 0, 0)
-    if args.coloring_out is not None and not args.planted:
-        raise ValidationError("--coloring-out needs --planted")
+    for flag, value in (("--coloring-out", args.coloring_out),
+                        ("--k", args.k)):
+        if value is not None and not args.planted:
+            raise ValidationError("%s needs --planted" % flag)
     if args.planted:
         if args.k is None:
             raise ValidationError("--planted needs --k")
@@ -109,6 +123,8 @@ def _load_graph(path):
 
 
 def cmd_count(args):
+    if args.profile is not None and args.filter != "profile":
+        raise ValidationError("--profile needs --filter profile")
     G = _load_graph(args.graph)
     if args.predicate:
         sigma = _load_coloring(args.coloring, G, args.k)
@@ -125,20 +141,18 @@ def cmd_count(args):
         elif name == "nice":
             rep = colorings.is_nice(G, sigma, check_cluster=args.check_cluster)
             value = bool(rep) if rep.condition3 is not None else None
-            witnesses = {"condition1": rep.condition1,
-                         "condition2": rep.condition2,
-                         "condition3": rep.condition3,
-                         "rho_deviation": rep.rho_deviation,
-                         "mu_deviation": rep.mu_deviation}
+            witnesses = dict(vars(rep))  # its five fields
         elif name == "rainbow":
-            verts = sorted(colorings.rainbow_vertices(G, sigma))
-            value = len(verts)
-            witnesses = verts
+            witnesses = np.flatnonzero(
+                colorings.rainbow_vertices(G, sigma)).tolist()
+            value = len(witnesses)
         elif name == "vacant":
-            table = colorings.vacant_table(G, sigma)
-            value = sum(len(s) for s in table.sets.values())
-            witnesses = {"%d,%d" % key: sorted(s)
-                         for key, s in table.sets.items() if s}
+            vacant = colorings.vacant_table(G, sigma)
+            value = graphs.count_marked(vacant)
+            witnesses = {}
+            for v, j in zip(*(a.tolist() for a in np.nonzero(vacant))):
+                witnesses.setdefault("%d,%d" % (sigma.assignment[v], j),
+                                     []).append(v)  # v ascending
         else:
             raise ValidationError("unknown predicate %r" % name)
         doc = {"predicate": name, "value": value}
@@ -152,6 +166,19 @@ def cmd_count(args):
                       "count": str(count)})
 
 
+def _rates_blocks(k_lo, k_hi, d_lo, d_hi):
+    """The sweep's CSV: the header, then one string per block of k's rows."""
+    yield "k,d,first_moment_rate,second_moment_flat,dplus\n"
+    for k in range(k_lo, k_hi + 1):
+        dplus = moments.dplus(k) if k >= 3 else float("nan")
+        rows = []
+        for d in range(d_lo, d_hi + 1):
+            rate = moments.first_moment_rate(k, d)
+            rows.append("%d,%d,%.12g,%.12g,%.12g\n"
+                        % (k, d, rate, 2 * rate, dplus))
+        yield "".join(rows)
+
+
 def cmd_rates(args):
     if args.k_range or args.d_range:
         if not (args.k_range and args.d_range):
@@ -160,17 +187,10 @@ def cmd_rates(args):
         d_lo, d_hi = _parse_range(args.d_range, "--d-range")
         guards.check((k_hi - k_lo + 1) * (d_hi - d_lo + 1), "MAX_TABLE_ROWS",
                      "rows", "row")
-        # one string per block of k's rows, not one per cell
-        blocks = ["k,d,first_moment_rate,second_moment_flat,dplus\n"]
-        for k in range(k_lo, k_hi + 1):
-            dplus = moments.dplus(k) if k >= 3 else float("nan")
-            rows = []
-            for d in range(d_lo, d_hi + 1):
-                rate = moments.first_moment_rate(k, d)
-                rows.append("%d,%d,%.12g,%.12g,%.12g\n"
-                            % (k, d, rate, 2 * rate, dplus))
-            blocks.append("".join(rows))
-        _write(args, "".join(blocks))
+        blocks = _rates_blocks(k_lo, k_hi, d_lo, d_hi)
+        # the header and k_lo's rows, made before the output opens: they take
+        # every d, so they meet every refusal of the sweep's cells
+        _write(args, itertools.chain([next(blocks), next(blocks)], blocks))
         return
     k, d = args.k, args.d
     if k is None or d is None:
@@ -222,16 +242,12 @@ def cmd_core(args):
     G = _load_graph(args.graph)
     sigma = _load_coloring(args.coloring, G, args.k)
     res = clustergeo.core_analysis(G, sigma, args.ell, mode=args.mode)
-    wuy, rep = res.wuy, res.freedom
+    wuy, rep, size = res.wuy, res.freedom, graphs.count_marked
     _emit_json(args, {
-        "core_size": len(res.core.core),
-        "W": len(wuy.W_union),
-        "U": len(set().union(*wuy.U.values()) if wuy.U else set()),
-        "U_prime": len(set().union(*wuy.U_prime.values()) if wuy.U_prime
-                       else set()),
-        "Y": len(wuy.Y),
-        "F1": len(rep.free_1), "F2": len(rep.free_2),
-        "complete": len(rep.complete),
+        "core_size": size(res.core.core), "W": size(wuy.W_union),
+        "U": size(wuy.U.any(axis=1)), "U_prime": size(wuy.U_prime.any(axis=1)),
+        "Y": size(wuy.Y), "F1": size(rep.free_1), "F2": size(rep.free_2),
+        "complete": size(rep.complete),
         "cluster_log2_upper": rep.cluster_log2_upper,
         "inclusion_ok": res.inclusion_ok,
     })
@@ -249,7 +265,7 @@ def cmd_experiment(args):
         spec = experiments.ExperimentSpec(spec.kind, spec.params,
                                           spec.samples, args.seed)
     report = experiments.run_experiment(spec)
-    _write(args, experiments.emit(report, args.format))
+    _write(args, experiments.emit(report, args.format or "json"))
 
 
 @functools.cache
@@ -258,7 +274,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="regcolor")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"))  # experiment only
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sample", help="sample a regular multigraph")
@@ -320,6 +336,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format is not None and args.command != "experiment":
+            raise ValidationError("--format applies to experiment only")
         args.func(args)
     except (GuardError, ValidationError) as exc:
         print("refused: %s" % exc, file=sys.stderr)

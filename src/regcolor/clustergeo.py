@@ -7,6 +7,11 @@ has at least ell edges into each other color class inside the subgraph.  It
 and the closure Y are order-free, so each is computed in rounds that move
 every qualifying vertex at once and update its neighbours' counts through
 the CSR rows of `graphs.neighbors`.
+
+Every vertex set in a result is a read-only boolean mask: an (n,) mask, or
+an (n, k) mask whose entry [v, j] belongs to the pair (sigma(v), j).  Count
+one with `np.count_nonzero` (or `graphs.count_marked`); `len()` of a mask
+is n, not the size of the set.
 """
 
 import itertools
@@ -17,14 +22,14 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import (degrees, neighbor_rows, neighbors, vertex_class_degrees,
-                     vertex_mask)
+from .graphs import (count_marked, degrees, neighbor_rows, neighbors,
+                     read_only, vertex_class_degrees)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoreResult:
-    core: frozenset
-    peel_order: tuple  # evicted vertices round by round, ascending in each
+    core: np.ndarray        # (n,) mask of the core
+    peel_order: np.ndarray  # evicted, round by round, ascending in each
 
 
 def sigma_ell_core(G, sigma, ell):
@@ -37,10 +42,9 @@ def sigma_ell_core(G, sigma, ell):
         raise ValidationError("ell >= 1 required")
     color = np.asarray(sigma.assignment, dtype=np.int64)
     cnt = vertex_class_degrees(G, color, sigma.k)  # e(v, alive cap V_i)
-    short = cnt < ell
-    short[np.arange(G.n), color] = False  # no edges needed into its own class
+    other = np.arange(sigma.k) != color[:, None]  # none needed into own class
     alive = np.ones(G.n, dtype=bool)
-    evict = np.flatnonzero(short.any(axis=1))
+    evict = np.flatnonzero((other & (cnt < ell)).any(axis=1))
     rounds = [evict]
     if evict.size:  # often empty: then nothing peels and needs no adjacency
         csr = neighbors(G)
@@ -52,17 +56,16 @@ def sigma_ell_core(G, sigma, ell):
         np.subtract.at(cnt, (nbr, col), mult[keep])
         evict = np.unique(nbr[cnt[nbr, col] < ell])
         rounds.append(evict)
-    return CoreResult(frozenset(np.flatnonzero(alive).tolist()),
-                      tuple(np.concatenate(rounds).tolist()))
+    return CoreResult(read_only(alive), read_only(np.concatenate(rounds)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WUYSets:
-    W: dict        # (i, j) -> set, j != i
-    W_union: frozenset
-    U: dict        # (i, j) -> set
-    U_prime: dict  # (i, j) -> set
-    Y: frozenset
+    W: np.ndarray        # (n, k): [v, j] iff v in W_{sigma(v), j}
+    W_union: np.ndarray  # (n,)
+    U: np.ndarray        # (n, k)
+    U_prime: np.ndarray  # (n, k)
+    Y: np.ndarray        # (n,)
     thresholds: dict
 
 
@@ -77,24 +80,14 @@ def build_WUY(G, sigma, ell):
     deg = vertex_class_degrees(G, color, k)
     hi = 2 * ell * math.log(k)
 
-    row_ok = (deg < hi).all(axis=1)
-    in_w = np.zeros(G.n, dtype=bool)
-    W = {}
-    for i, j in itertools.permutations(range(k), 2):
-        w_ij = (color == i) & row_ok & (deg[:, j] < 3 * ell)
-        W[(i, j)] = _members(w_ij)
-        in_w |= w_ij
+    other = np.arange(k) != color[:, None]  # [v, j]: j != sigma(v)
+    W = other & (deg < 3 * ell) & (deg < hi).all(axis=1, keepdims=True)
+    in_w = W.any(axis=1)
+    outside = other & ~in_w[:, None]
+    U = outside & (vertex_class_degrees(G, color, k, within=in_w) > ell)
+    U_prime = outside & (deg > hi)
 
-    into_w = vertex_class_degrees(G, color, k, within=in_w)
-    in_y = np.zeros(G.n, dtype=bool)
-    U, U_prime = {}, {}
-    for i, j in itertools.permutations(range(k), 2):
-        outside = (color == i) & ~in_w
-        u_ij = outside & (into_w[:, j] > ell)
-        u_prime_ij = outside & (deg[:, j] > hi)
-        U[(i, j)], U_prime[(i, j)] = _members(u_ij), _members(u_prime_ij)
-        in_y |= u_ij | u_prime_ij
-
+    in_y = (U | U_prime).any(axis=1)
     into_y = vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
     join = np.flatnonzero(~in_y & (into_y > ell))
     if join.size:  # often empty: then Y cannot grow and needs no adjacency
@@ -104,37 +97,29 @@ def build_WUY(G, sigma, ell):
         _, nbr, mult = neighbor_rows(csr, join)
         np.add.at(into_y, nbr, mult)  # a loop at v: into_y[v] is not read
         join = np.unique(nbr[~in_y[nbr] & (into_y[nbr] > ell)])
-    return WUYSets(W, frozenset(_members(in_w)), U, U_prime,
-                   frozenset(_members(in_y)),
+    return WUYSets(*map(read_only, (W, in_w, U, U_prime, in_y)),
                    {"w_low": 3 * ell, "degree_high": hi, "ell": ell})
 
 
-def _members(mask):
-    """The vertices marked in a boolean mask, as a set of ints."""
-    return set(np.flatnonzero(mask).tolist())
-
-
-def _inclusion_witness(n, wuy, core):
+def _inclusion_witness(wuy, core):
     """Smallest vertex of V minus (W cup Y) outside the core, or None."""
-    outside = wuy.W_union | wuy.Y
-    return next((v for v in range(n) if v not in outside and v not in core),
-                None)
+    outside = np.flatnonzero(~(wuy.W_union | wuy.Y | core))
+    return int(outside[0]) if outside.size else None
 
 
 def check_core_inclusion(G, sigma, ell):
     """Verify V minus (W cup Y) is contained in the (sigma, ell)-core.
     Returns (ok, offending vertex or None)."""
-    wuy = build_WUY(G, sigma, ell)
-    core = sigma_ell_core(G, sigma, ell).core
-    witness = _inclusion_witness(G.n, wuy, core)
+    witness = _inclusion_witness(build_WUY(G, sigma, ell),
+                                 sigma_ell_core(G, sigma, ell).core)
     return witness is None, witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreedomReport:
-    free_1: frozenset
-    free_2: frozenset
-    complete: frozenset
+    free_1: np.ndarray    # (n,) masks
+    free_2: np.ndarray
+    complete: np.ndarray  # ~free_1
     cluster_log2_upper: float
     mode: str
 
@@ -144,18 +129,17 @@ def _freedom(G, sigma, core, mode):
         raise ValidationError("mode must be prose or strict")
     k = sigma.k
     color = np.asarray(sigma.assignment, dtype=np.int64)
-    vacant = vertex_class_degrees(G, color, k,
-                                  within=vertex_mask(G.n, core)) == 0
+    vacant = vertex_class_degrees(G, color, k, within=core) == 0
     n_vacant = vacant.sum(axis=1)
     if mode == "prose":
         n_vacant -= vacant[np.arange(G.n), color]  # only colors != sigma(v)
     else:
         n_vacant -= 1  # all k colors, a-free needs a + 1 of them
-    free_1, free_2 = _members(n_vacant >= 1), _members(n_vacant >= 2)
-    complete = frozenset(range(G.n)) - free_1
-    bound = len(free_1 - free_2) * 1.0 + len(free_2) * math.log2(k)
-    return FreedomReport(frozenset(free_1), frozenset(free_2), complete,
-                         bound, mode)
+    free_1, free_2 = n_vacant >= 1, n_vacant >= 2
+    bound = (count_marked(free_1 & ~free_2)
+             + count_marked(free_2) * math.log2(k))
+    return FreedomReport(*map(read_only, (free_1, free_2, ~free_1)), bound,
+                         mode)
 
 
 def freedom_report(G, sigma, ell, mode="prose"):
@@ -169,7 +153,7 @@ def freedom_report(G, sigma, ell, mode="prose"):
     return _freedom(G, sigma, sigma_ell_core(G, sigma, ell).core, mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoreAnalysis:
     core: CoreResult
     wuy: WUYSets
@@ -183,7 +167,7 @@ def core_analysis(G, sigma, ell, mode="prose"):
     core = sigma_ell_core(G, sigma, ell)
     wuy = build_WUY(G, sigma, ell)
     return CoreAnalysis(core, wuy, _freedom(G, sigma, core.core, mode),
-                        _inclusion_witness(G.n, wuy, core.core) is None)
+                        _inclusion_witness(wuy, core.core) is None)
 
 
 def density_predicate(G, bound_c=5, size_cap=None, k=None):
@@ -227,12 +211,7 @@ def density_predicate(G, bound_c=5, size_cap=None, k=None):
                 spanned = sum(1 for u, v in edges if u in Sset and v in Sset)
                 if spanned > bound_c * r:
                     violations.append(frozenset(Sset))
-    # dedupe, keep deterministic order
-    seen = []
-    for w in violations:
-        if w not in seen:
-            seen.append(w)
-    return seen
+    return list(dict.fromkeys(violations))  # dedupe, keep the order
 
 
 def cluster_size_rate(k, d):

@@ -1,6 +1,6 @@
 """Coloring data type and predicates: proper, balanced, overlap matrices,
-clusters, separability, skewedness, niceness, rainbow and vacant vertices,
-plus exact counting oracles by backtracking.
+clusters, separability, skewedness, niceness, rainbow and vacant vertices
+(as read-only boolean masks), plus exact counting oracles by backtracking.
 
 One search engine (`_search`) counts, decides and enumerates proper
 colorings.  All counts are over labeled colorings (color classes are
@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import _int_tokens, class_edge_matrix, vertex_class_degrees
+from .graphs import (_int_tokens, class_edge_matrix, read_only,
+                     vertex_class_degrees)
 
 CLUSTER_DIAG = Fraction(51, 100)   # strict > for cluster membership
 NICE_DIAG = Fraction(9, 10)        # >= for the rigidity condition
@@ -39,10 +40,7 @@ class Coloring:
         return len(self.assignment)
 
     def class_sizes(self):
-        sizes = [0] * self.k
-        for c in self.assignment:
-            sizes[c] += 1
-        return sizes
+        return [self.assignment.count(c) for c in range(self.k)]
 
 
 def coloring(values, k):
@@ -301,35 +299,19 @@ def is_nice(G, sigma, check_cluster=False):
     return NiceReport(cond1, cond2, cond3, rho_dev, mu_dev)
 
 
-def rainbow_vertices(G, sigma):
-    """Vertices with a neighbor of every color other than their own."""
-    color = np.asarray(sigma.assignment, dtype=np.int64)
-    reached = vertex_class_degrees(G, color, sigma.k) > 0
-    reached[np.arange(G.n), color] = True
-    return set(np.flatnonzero(reached.all(axis=1)).tolist())
-
-
-@dataclass(frozen=True)
-class VacantTable:
-    """sets[(i, j)] = vertices of color i with no edge into color class j."""
-    sets: dict
-    k: int
-
-    def __getitem__(self, key):
-        return self.sets[key]
-
-
 def vacant_table(G, sigma):
-    k = sigma.k
+    """(n, k) read-only mask: [v, j] is set when v has no edge into the
+    color class j != sigma(v), so column j of the rows of class i is the
+    vacant set of the pair (i, j)."""
     color = np.asarray(sigma.assignment, dtype=np.int64)
-    vacant = vertex_class_degrees(G, color, k) == 0
-    sets = {}
-    for i in range(k):
-        members = np.flatnonzero(color == i)
-        for j in range(k):
-            if i != j:
-                sets[(i, j)] = set(members[vacant[members, j]].tolist())
-    return VacantTable(sets, k)
+    return read_only((vertex_class_degrees(G, color, sigma.k) == 0)
+                     & (np.arange(sigma.k) != color[:, None]))
+
+
+def rainbow_vertices(G, sigma):
+    """(n,) read-only mask of the vertices with a neighbor of every color
+    other than their own: those vacant in no other class."""
+    return read_only(~vacant_table(G, sigma).any(axis=1))
 
 
 def _count_guard(G, k):

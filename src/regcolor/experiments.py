@@ -162,9 +162,10 @@ def _run_colorability(p, generator):
 def _run_vacant(p, generator):
     n, d, k = p["n"], p["d"], p["k"]
     G, sigma = sample_flat_planted(n, d, k, generator)
-    table = colorings.vacant_table(G, sigma)
-    fracs = [len(table[(i, j)]) / (n / k)
-             for i in range(k) for j in range(k) if i != j]
+    counts = np.zeros((k, k), dtype=np.int64)  # [i, j]: V_i vacant in V_j
+    np.add.at(counts, np.asarray(sigma.assignment),
+              colorings.vacant_table(G, sigma))
+    fracs = counts[~np.eye(k, dtype=bool)] / (n / k)
     return {"vacant_fraction": float(np.mean(fracs)),
             "predicted": (1 - (1 / (k * (k - 1))) / (1 / k)) ** d}
 
@@ -172,10 +173,10 @@ def _run_vacant(p, generator):
 def _run_core_profile(p, generator):
     G, sigma = sample_flat_planted(p["n"], p["d"], p["k"], generator)
     res = clustergeo.core_analysis(G, sigma, p["ell"])
-    core, wuy, rep = res.core.core, res.wuy, res.freedom
-    return {"core_size": len(core), "w_size": len(wuy.W_union),
-            "y_size": len(wuy.Y), "f1_size": len(rep.free_1),
-            "f2_size": len(rep.free_2), "complete_size": len(rep.complete),
+    wuy, rep, size = res.wuy, res.freedom, graphs.count_marked
+    return {"core_size": size(res.core.core), "w_size": size(wuy.W_union),
+            "y_size": size(wuy.Y), "f1_size": size(rep.free_1),
+            "f2_size": size(rep.free_2), "complete_size": size(rep.complete),
             "cluster_log2_upper": rep.cluster_log2_upper,
             "inclusion_ok": 1.0 if res.inclusion_ok else 0.0}
 

@@ -141,8 +141,7 @@ def _from_pairs(n, d, a, b):
     key.sort()
     edges = np.empty((key.size, 2), dtype=np.int64)
     np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
-    edges.flags.writeable = False
-    return MultiGraph(n, d, edges)
+    return MultiGraph(n, d, read_only(edges))
 
 
 def neighbors(G):
@@ -290,6 +289,17 @@ def vertex_mask(n, S):
     mask = np.zeros(n, dtype=bool)
     mask[list(S)] = True
     return mask
+
+
+def read_only(a):
+    """`a`, marked read-only, as every array a query hands out is."""
+    a.flags.writeable = False
+    return a
+
+
+def count_marked(mask):
+    """The entries set in a mask, as a Python int, which `json` accepts."""
+    return int(np.count_nonzero(mask))
 
 
 def edge_count_between(G, A, B):

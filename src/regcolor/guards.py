@@ -14,6 +14,11 @@ MAX_SAMPLE_CLONES = 10 ** 7
 # threshold table peaks at about 165 B per row (186 MiB at 10^6 rows)
 MAX_TABLE_ROWS = 4 * 10 ** 6
 
+# birkhoff.maximize_f refuses starts holding more k x k entries: it keeps
+# (restarts + 7) k^2 of them and peaks near 48 B per entry at k = 3 (the
+# per-start trace) and 11-17 B at k >= 10, so about 480 MiB at the bound
+MAX_START_ENTRIES = 10 ** 7
+
 # exact rational partition probability (big factorials stay cheap here)
 MAX_EXACT_CLONES = 40
 

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,6 +283,33 @@ def test_tables_refuse_past_the_row_bound(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+def test_start_entry_bound_allocates_nothing(tmp_path, capsys):
+    # one past guards.MAX_START_ENTRIES, by restarts at k = 3 and by k with
+    # no random starts, is refused before any start exists
+    bound = guards.MAX_START_ENTRIES
+    restarts = -(-(bound + 1) // 9) - 7
+    k = math.isqrt((bound + 1) // 7 - 1) + 1
+    assert (restarts + 7) * 9 > bound >= (restarts + 6) * 9
+    assert 7 * k * k > bound >= 7 * (k - 1) ** 2
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = optimize-sweep\nk = 3\nd = 5\nrestarts = %d\n"
+                    % restarts)
+    tracemalloc.start()
+    try:
+        for argv, entries in (
+                (["optimize", "--k", "3", "--d", "5", "--restarts",
+                  str(restarts)], (restarts + 7) * 9),
+                (["optimize", "--k", str(k), "--d", "5", "--restarts", "0"],
+                 7 * k * k),
+                (["experiment", "--spec", str(spec)], (restarts + 7) * 9)):
+            refused(argv, capsys, "entries=%d exceeds the %d-entry bound "
+                    "(guards.MAX_START_ENTRIES)" % (entries, bound))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_table_row_bound_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(guards, "MAX_TABLE_ROWS", 6)
     assert len(threshold.threshold_scan(3, 8)["k"]) == 6
@@ -489,7 +517,7 @@ def test_parser_shared_across_calls(tmp_path, capsys):
     assert run(["--out", str(out), *core]) == 0
     G = graphs.read_graph(gpath)
     sigma = colorings.parse_coloring(cpath.read_text(), 3)
-    assert json.loads(out.read_text())["core_size"] == len(
+    assert json.loads(out.read_text())["core_size"] == np.count_nonzero(
         clustergeo.sigma_ell_core(G, sigma, 3).core)
     args = vars(cli.build_parser().parse_args(core))
     assert {key: args[key] for key in ("seed", "out", "ell", "mode")} == \
@@ -664,6 +692,8 @@ def test_exit_code_sweep(tmp_path, capsys):
          "3..%d" % (one_past("MAX_TABLE_ROWS") + 2))
     past("MAX_TABLE_ROWS", "rates", "--k-range", "3..3", "--d-range",
          "1..%d" % one_past("MAX_TABLE_ROWS"))
+    past("MAX_START_ENTRIES", "optimize", "--k", "3", "--d", "5",
+         "--restarts", one_past("MAX_START_ENTRIES") // 9)
     n = one_past("MAX_COUNT_VERTICES")
     gpath = tmp_path / "g_count"
     assert go("--out", gpath, "sample", "--n", n, "--d", "4") == 0
@@ -695,6 +725,18 @@ def test_exit_code_sweep(tmp_path, capsys):
     assert go("experiment", "--spec", spec) == 2
     assert go("sample", "--n", "6", "--d", "3", "--coloring-out",
               tmp_path / "c.txt") == 2
+    # options that no code path reads, refused by name
+    gpath = str(files[0][0])
+    for flag, argv in (
+            ("--format", ["--format", "csv", "rates", "--k", "3", "--d", "4"]),
+            ("--format", ["--format", "json", "count", "--graph", gpath,
+                          "--k", "2"]),
+            ("--k", ["sample", "--n", "6", "--d", "3", "--k", "2"]),
+            ("--profile", ["count", "--graph", gpath, "--k", "2",
+                           "--profile", "1/2,1/2"]),
+            ("--profile", ["count", "--graph", gpath, "--k", "2", "--filter",
+                           "balanced", "--profile", "1/2,1/2"])):
+        refused(argv, capsys, flag)
     assert internal == []
 
 
@@ -720,6 +762,59 @@ _CORE_PINS = {
         "64a0377d453754e87574d824dcd9657ed8d97b57cd82ccf0aeeaf0d03125309c",
         "effe628cc9a11dcd0692138701e4557233f509818e59f664681a49910addaaa4"),
 }
+
+
+# sha256 of the `count --predicate rainbow|vacant` JSON on the graph planted
+# at seed 4, under its planted coloring and under the coloring v mod k
+_PREDICATE_PINS = {
+    (300, 4, 3): {
+        ("planted", "rainbow"):
+            "199e63e020eb7cf8bd1c06647933bdd5ca30e41113b6da3fb42b471ad4862919",
+        ("planted", "vacant"):
+            "b5c4106242de1c91861ee0c0b95e1ff332b9b4624dbe6b22c1ce99a02e19ea2e",
+        ("mod", "rainbow"):
+            "1efa43d7f1069ec5e5b2a17c97c7704b7ecc0079ef0b543e50a4f9f156832d13",
+        ("mod", "vacant"):
+            "f57b01d11bfb07ec6474f4eb8ce4f1c4e72add059eba1773609fc116805050da",
+    },
+    (400, 6, 4): {
+        ("planted", "rainbow"):
+            "b8b66f1eecc7aefcdcf35d884d4e5a6994bd58cd66a12ea1b9101361c403dcce",
+        ("planted", "vacant"):
+            "7d9e58d12dd00811412791672e1d40cd536d3e68fb75d0742568a6949ef3f3e0",
+        ("mod", "rainbow"):
+            "f1b72ff5f37aea4c18c4c32519d651531cb5ee46d5d8a8b7b282fa20c8bb1abd",
+        ("mod", "vacant"):
+            "3558e01a02192f9d48d538b7d00f8c62415500200ec227ed4301fa9fbc496a8c",
+    },
+    (996, 15, 6): {
+        ("planted", "rainbow"):
+            "518fe80c22ecd0c40733257c5653cbe68370322ceadb021e1ead49476598123e",
+        ("planted", "vacant"):
+            "236c69231c3eca6afa723de4e3c5f628f06e6f239246f5d8895f30c59473e35b",
+        ("mod", "rainbow"):
+            "811afd4881587f13b05f814086a0b5c08003f38c9288d1c12776a2ef6bb6ab34",
+        ("mod", "vacant"):
+            "62975b5a3f9fc7c106dee96c060104598b3a37b4fb7df096a26bd4f1c17b8df9",
+    },
+}
+
+
+@pytest.mark.parametrize("n, d, k", sorted(_PREDICATE_PINS))
+def test_rainbow_vacant_outputs_pinned(n, d, k, tmp_path):
+    gpath, cpath, mpath = tmp_path / "g", tmp_path / "c", tmp_path / "m"
+    out = tmp_path / "o"
+    assert run(["--seed", "4", "--out", str(gpath), "sample", "--planted",
+                "--n", str(n), "--d", str(d), "--k", str(k),
+                "--coloring-out", str(cpath)]) == 0
+    mpath.write_text(" ".join(str(v % k) for v in range(n)) + "\n")
+    for (coloring, predicate), digest in _PREDICATE_PINS[(n, d, k)].items():
+        path = cpath if coloring == "planted" else mpath
+        assert run(["--out", str(out), "count", "--graph", str(gpath), "--k",
+                    str(k), "--predicate", predicate, "--coloring",
+                    str(path)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
+            (coloring, predicate)
 
 
 # sha256 of the `sample --planted` graph file at seed 4

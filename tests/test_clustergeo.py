@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 from collections import Counter
@@ -20,17 +21,43 @@ def planted(n, k, d, seed):
     return G, sigma
 
 
+def members(mask):
+    """The vertices set in an (n,) mask, as the set the references return."""
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def pair_sets(mask, sigma):
+    """An (n, k) mask as the references' {(i, j): set}, over every j != i;
+    an entry in the own-color column has no pair and raises KeyError."""
+    k = sigma.k
+    sets = {(i, j): set() for i in range(k) for j in range(k) if i != j}
+    for v, j in zip(*(a.tolist() for a in np.nonzero(mask))):
+        sets[(sigma.assignment[v], j)].add(v)
+    return sets
+
+
+def assert_same(a, b):
+    """Results compare by identity: compare them field by field."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x):
+            assert_same(x, y)
+        else:
+            assert (np.array_equal(x, y) if isinstance(x, np.ndarray)
+                    else x == y), field.name
+
+
 def test_core_hand_instance():
     # path 0-1-2-3 with alternating colors, ell=1: the endpoints each have a
     # cross neighbor, so nothing peels; raise ell to 2 and everything peels
     G = graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
     sigma = colorings.coloring([0, 1, 0, 1], 2)
     res = clustergeo.sigma_ell_core(G, sigma, 1)
-    assert res.core == frozenset(range(4))
-    assert res.peel_order == ()
+    assert members(res.core) == frozenset(range(4))
+    assert res.peel_order.tolist() == []
     res2 = clustergeo.sigma_ell_core(G, sigma, 2)
-    assert res2.core == frozenset()
-    assert sorted(res2.peel_order) == list(range(4))
+    assert members(res2.core) == frozenset()
+    assert sorted(res2.peel_order.tolist()) == list(range(4))
     with pytest.raises(ValidationError):
         clustergeo.sigma_ell_core(G, sigma, 0)
 
@@ -40,16 +67,17 @@ def test_core_cascade():
     # cascades: star center keeps the leaves alive, leaves depend on center
     G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (0, 3)])
     sigma = colorings.coloring([0, 1, 1, 1], 2)
-    assert clustergeo.sigma_ell_core(G, sigma, 1).core == frozenset(range(4))
+    assert members(clustergeo.sigma_ell_core(G, sigma, 1).core) == \
+        frozenset(range(4))
     # with ell=2 the leaves fail (one cross edge each), then the center
     # loses everything
     res = clustergeo.sigma_ell_core(G, sigma, 2)
-    assert res.core == frozenset()
+    assert members(res.core) == frozenset()
 
 
 def test_core_order_independence():
     G, sigma = planted(60, 3, 5, 7)
-    canonical = clustergeo.sigma_ell_core(G, sigma, 2).core
+    canonical = members(clustergeo.sigma_ell_core(G, sigma, 2).core)
     for idx in range(5):
         random = _random_order_core(G, sigma, 2, rng.stream(100, idx))
         assert random == canonical
@@ -57,7 +85,7 @@ def test_core_order_independence():
 
 def test_core_monotone_in_ell():
     G, sigma = planted(90, 3, 6, 13)
-    cores = [clustergeo.sigma_ell_core(G, sigma, ell).core
+    cores = [members(clustergeo.sigma_ell_core(G, sigma, ell).core)
              for ell in (1, 2, 3)]
     assert cores[2] <= cores[1] <= cores[0]
 
@@ -70,13 +98,11 @@ def test_wuy_hand_instance():
                                  (2, 5), (2, 5)])
     sigma = colorings.coloring([0, 0, 0, 1, 1, 1], 2)
     w = clustergeo.build_WUY(G, sigma, 1)
-    assert w.W[(0, 1)] == {0, 1}
-    assert w.W[(1, 0)] == {3, 4}
-    assert w.W_union == frozenset({0, 1, 3, 4})
-    assert w.U[(0, 1)] == set() and w.U[(1, 0)] == set()
-    assert w.U_prime[(0, 1)] == {2}
-    assert w.U_prime[(1, 0)] == {5}
-    assert w.Y == frozenset({2, 5})
+    assert pair_sets(w.W, sigma) == {(0, 1): {0, 1}, (1, 0): {3, 4}}
+    assert members(w.W_union) == frozenset({0, 1, 3, 4})
+    assert not w.U.any()
+    assert pair_sets(w.U_prime, sigma) == {(0, 1): {2}, (1, 0): {5}}
+    assert members(w.Y) == frozenset({2, 5})
     assert w.thresholds["ell"] == 1
     assert abs(w.thresholds["degree_high"] - 2 * math.log(2)) < 1e-12
     ok, witness = clustergeo.check_core_inclusion(G, sigma, 1)
@@ -91,9 +117,9 @@ def test_y_growth():
                                  (2, 3)])
     sigma = colorings.coloring([0, 1, 0, 1, 0, 1], 2)
     w = clustergeo.build_WUY(G, sigma, 1)
-    assert 0 in w.U_prime[(0, 1)] and 1 in w.U_prime[(1, 0)]
-    assert 4 in w.W_union
-    assert w.Y == frozenset({0, 1, 4})
+    assert w.U_prime[0, 1] and w.U_prime[1, 0]
+    assert w.W_union[4]
+    assert members(w.Y) == frozenset({0, 1, 4})
 
 
 def test_y_growth_rounds():
@@ -103,9 +129,9 @@ def test_y_growth_rounds():
                                  (3, 0), (4, 3), (4, 1)])
     sigma = colorings.coloring([0, 1, 0, 0, 1], 2)
     w = clustergeo.build_WUY(G, sigma, 1)
-    assert w.U_prime[(0, 1)] | w.U_prime[(1, 0)] == {0, 1}
-    assert w.Y == frozenset(range(5)) == \
-        _reference_y(G, sigma, 1, w.U, w.U_prime)
+    assert members(w.U_prime.any(axis=1)) == {0, 1}
+    assert members(w.Y) == frozenset(range(5)) == _reference_y(
+        G, sigma, 1, pair_sets(w.U, sigma), pair_sets(w.U_prime, sigma))
 
 
 def test_check_core_inclusion_planted():
@@ -123,11 +149,11 @@ def test_freedom_report_modes():
     # ell=2 empties the core
     prose = clustergeo.freedom_report(G, sigma, 2, mode="prose")
     strict = clustergeo.freedom_report(G, sigma, 2, mode="strict")
-    assert prose.free_1 == frozenset(range(4))
-    assert prose.free_2 == frozenset()       # only k-1=1 other color
-    assert strict.free_1 == frozenset(range(4))  # 2 vacant >= a+1 = 2
-    assert strict.free_2 == frozenset()
-    assert prose.complete == frozenset()
+    assert members(prose.free_1) == frozenset(range(4))
+    assert members(prose.free_2) == frozenset()  # only k-1=1 other color
+    assert members(strict.free_1) == frozenset(range(4))  # 2 vacant >= a+1
+    assert members(strict.free_2) == frozenset()
+    assert members(prose.complete) == frozenset()
     assert prose.cluster_log2_upper == 4.0   # |F1 minus F2| bits
     with pytest.raises(ValidationError):
         clustergeo.freedom_report(G, sigma, 1, mode="loose")
@@ -138,10 +164,11 @@ def test_freedom_report_complete_on_dense_planted():
     rep = clustergeo.freedom_report(G, sigma, 1)
     # dense planted instances keep everyone complete with high probability
     core = clustergeo.sigma_ell_core(G, sigma, 1).core
-    if core == frozenset(range(60)):
-        assert rep.complete == frozenset(range(60))
+    if core.all():
+        assert rep.complete.all()
         assert rep.cluster_log2_upper == 0.0
-    bound = len(rep.free_1 - rep.free_2) + len(rep.free_2) * math.log2(3)
+    bound = (np.count_nonzero(rep.free_1 & ~rep.free_2)
+             + np.count_nonzero(rep.free_2) * math.log2(3))
     assert abs(rep.cluster_log2_upper - bound) < 1e-12
 
 
@@ -161,9 +188,10 @@ def planted_instances(draw):
 def test_core_analysis_matches_separate_calls(instance, mode):
     G, sigma, ell = instance
     res = clustergeo.core_analysis(G, sigma, ell, mode=mode)
-    assert res.core == clustergeo.sigma_ell_core(G, sigma, ell)
-    assert res.wuy == clustergeo.build_WUY(G, sigma, ell)
-    assert res.freedom == clustergeo.freedom_report(G, sigma, ell, mode=mode)
+    assert_same(res.core, clustergeo.sigma_ell_core(G, sigma, ell))
+    assert_same(res.wuy, clustergeo.build_WUY(G, sigma, ell))
+    assert_same(res.freedom,
+                clustergeo.freedom_report(G, sigma, ell, mode=mode))
     assert res.inclusion_ok == clustergeo.check_core_inclusion(G, sigma,
                                                                ell)[0]
 
@@ -398,14 +426,41 @@ def test_wu_and_freedom_match_per_vertex_reference(instance, mode):
     G, sigma, ell = instance
     wuy = clustergeo.build_WUY(G, sigma, ell)
     W, W_union, U, U_prime = _reference_wu(G, sigma, ell)
-    assert (wuy.W, wuy.W_union, wuy.U, wuy.U_prime) == \
+    assert (pair_sets(wuy.W, sigma), members(wuy.W_union),
+            pair_sets(wuy.U, sigma), pair_sets(wuy.U_prime, sigma)) == \
         (W, W_union, U, U_prime)
-    assert wuy.Y == _reference_y(G, sigma, ell, U, U_prime)
+    assert members(wuy.Y) == _reference_y(G, sigma, ell, U, U_prime)
     rep = clustergeo.freedom_report(G, sigma, ell, mode=mode)
-    core = clustergeo.sigma_ell_core(G, sigma, ell).core
-    assert (rep.free_1, rep.free_2) == \
+    core = members(clustergeo.sigma_ell_core(G, sigma, ell).core)
+    assert (members(rep.free_1), members(rep.free_2)) == \
         _reference_freedom(G, sigma, core, mode)
-    assert rep.complete == frozenset(range(G.n)) - rep.free_1
+    assert np.array_equal(rep.complete, ~rep.free_1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planted_instances(), uniform_instances(),
+                 multigraph_instances()))
+def test_results_are_read_only_masks(instance):
+    G, sigma, ell = instance
+    n, k = G.n, sigma.k
+    res = clustergeo.core_analysis(G, sigma, ell)
+    wuy, rep = res.wuy, res.freedom
+    for mask, shape in ((res.core.core, (n,)), (wuy.W, (n, k)),
+                        (wuy.W_union, (n,)), (wuy.U, (n, k)),
+                        (wuy.U_prime, (n, k)), (wuy.Y, (n,)),
+                        (rep.free_1, (n,)), (rep.free_2, (n,)),
+                        (rep.complete, (n,))):
+        assert mask.dtype == bool and mask.shape == shape
+        assert not mask.flags.writeable
+    peeled = res.core.peel_order
+    assert peeled.dtype == np.int64 and not peeled.flags.writeable
+    assert np.array_equal(wuy.W_union, wuy.W.any(axis=1))
+    # the smallest vertex outside W, Y and the core witnesses a failure
+    outside = (set(range(n)) - members(wuy.W_union) - members(wuy.Y)
+               - members(res.core.core))
+    assert clustergeo.check_core_inclusion(G, sigma, ell) == \
+        (not outside, min(outside, default=None))
+    assert res.inclusion_ok == (not outside)
 
 
 def cascade_path(n, extra=()):
@@ -424,7 +479,7 @@ def cascade_path(n, extra=()):
 @example((*cascade_path(2000, [(700, 701), (1200, 1200)]), 1), 0)
 def test_core_matches_random_order_peel(instance, seed):
     G, sigma, ell = instance
-    assert clustergeo.sigma_ell_core(G, sigma, ell).core == \
+    assert members(clustergeo.sigma_ell_core(G, sigma, ell).core) == \
         _random_order_core(G, sigma, ell, rng.stream(seed, 0))
 
 
@@ -464,9 +519,10 @@ def lazy_deletion_peel(G, sigma, ell):
 def test_peel_matches_lazy_deletion_reference(instance):
     G, sigma, ell = instance
     res = clustergeo.sigma_ell_core(G, sigma, ell)
-    assert res.core == lazy_deletion_peel(G, sigma, ell)
+    assert members(res.core) == lazy_deletion_peel(G, sigma, ell)
     # every vertex outside the core is evicted exactly once
-    assert sorted(res.peel_order) == sorted(set(range(G.n)) - res.core)
+    assert sorted(res.peel_order.tolist()) == np.flatnonzero(
+        ~res.core).tolist()
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -476,7 +532,7 @@ def test_peel_order_counts_evicted_vertices(instance, ell):
     G, sigma = planted(600, 4, 12, 1) if instance == "planted" \
         else cascade_path(300, [(100, 101), (50, 50)])
     res = clustergeo.sigma_ell_core(G, sigma, ell)
-    assert len(res.peel_order) == G.n - len(res.core)
+    assert len(res.peel_order) == G.n - np.count_nonzero(res.core)
 
 
 def test_core_analysis_mode_validation():

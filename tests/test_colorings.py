@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,23 +384,69 @@ def test_rainbow_and_vacant_consistency():
     mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
     G = graphs.sample_planted(sigma.assignment, k, d, mu, rng.stream(3, 0))
     rainbow = colorings.rainbow_vertices(G, sigma)
-    table = colorings.vacant_table(G, sigma)
-    vacant_any = set()
-    for (i, j), s in table.sets.items():
-        vacant_any |= s
+    vacant = colorings.vacant_table(G, sigma)
     # a vertex is rainbow exactly when it is not j-vacant for any other j
-    assert rainbow == set(range(n)) - vacant_any
-    for (i, j), s in table.sets.items():
-        for v in s:
-            assert sigma.assignment[v] == i
+    assert np.array_equal(rainbow, ~vacant.any(axis=1))
+    # and never vacant in its own class
+    assert not vacant[np.arange(n), sigma.assignment].any()
 
 
 def test_rainbow_hand_instance():
     G = graphs.multigraph(4, 0, [(0, 1), (0, 2), (1, 2)])
     sigma = colorings.coloring([0, 1, 2, 0], 3)
-    assert colorings.rainbow_vertices(G, sigma) == {0, 1, 2}
-    table = colorings.vacant_table(G, sigma)
-    assert 3 in table[(0, 1)] and 3 in table[(0, 2)]
+    assert np.flatnonzero(colorings.rainbow_vertices(G, sigma)).tolist() \
+        == [0, 1, 2]
+    assert colorings.vacant_table(G, sigma)[3].tolist() == [False, True, True]
+
+
+def _reference_rainbow_vacant(G, sigma):
+    """(rainbow set, {(i, j): color-i vertices with no edge into class j})
+    by one Python loop per edge and per vertex."""
+    k, assign = sigma.k, sigma.assignment
+    reached = [set() for _ in range(G.n)]
+    for u, v in G.edges.tolist():
+        reached[u].add(assign[v])
+        reached[v].add(assign[u])
+    vacant = {(i, j): set() for i in range(k) for j in range(k) if i != j}
+    rainbow = set()
+    for v in range(G.n):
+        missing = [j for j in range(k) if j != assign[v] and
+                   j not in reached[v]]
+        for j in missing:
+            vacant[(assign[v], j)].add(v)
+        if not missing:
+            rainbow.add(v)
+    return rainbow, vacant
+
+
+@st.composite
+def colored_multigraphs(draw):
+    """Multigraphs with loops, parallel edges and isolated vertices, under
+    colorings that may leave classes empty."""
+    n = draw(st.integers(1, 12))
+    ends = st.integers(0, n - 1)
+    G = graphs.multigraph(n, 0, draw(st.lists(st.tuples(ends, ends),
+                                              max_size=40)))
+    k = draw(st.integers(1, 5))
+    return G, colorings.coloring(draw(st.lists(
+        st.integers(0, k - 1), min_size=n, max_size=n)), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_multigraphs())
+def test_rainbow_and_vacant_match_per_vertex_reference(instance):
+    G, sigma = instance
+    rainbow, vacant = colorings.rainbow_vertices(G, sigma), \
+        colorings.vacant_table(G, sigma)
+    assert rainbow.shape == (G.n,) and vacant.shape == (G.n, sigma.k)
+    assert rainbow.dtype == vacant.dtype == bool
+    assert not rainbow.flags.writeable and not vacant.flags.writeable
+    want_rainbow, want_vacant = _reference_rainbow_vacant(G, sigma)
+    assert set(np.flatnonzero(rainbow).tolist()) == want_rainbow
+    got = {key: set() for key in want_vacant}
+    for v, j in zip(*(a.tolist() for a in np.nonzero(vacant))):
+        got[(sigma.assignment[v], j)].add(v)  # own column: KeyError
+    assert got == want_vacant
 
 
 def test_count_pairs_with_overlap():

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from regcolor import (cli, colorings, experiments, graphs, guards, moments,
-                      rng, threshold)
+import numpy as np
+
+from regcolor import (birkhoff, cli, colorings, experiments, graphs, guards,
+                      moments, rng, threshold)
 from regcolor.errors import GuardError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "regcolor"
@@ -56,6 +58,8 @@ CASES = [
     ("MAX_COUNT_COLORS", 3, lambda: colorings.count_colorings(_cycle4(), 3)),
     ("MAX_CLUSTER_VERTICES", 4, _separable),
     ("MAX_CLUSTER_COLORS", 2, _separable),
+    ("MAX_START_ENTRIES", (2 + 7) * 9, lambda: birkhoff.maximize_f(
+        3, 5, restarts=2)),
 ]
 
 
@@ -69,6 +73,13 @@ def test_bound_admits_itself_and_refuses_one_past(monkeypatch, name, value,
     with pytest.raises(GuardError, match=r"^\w+=%d exceeds the %d-\w+ bound "
                        r"\(guards\.%s\)$" % (value, value - 1, name)):
         call()
+
+
+@pytest.mark.parametrize("k, restarts", [(3, 0), (3, 5), (7, 2)])
+def test_start_entries_count_the_starts(k, restarts):
+    # maximize_f checks (restarts + 7) k^2 entries against the bound
+    starts = birkhoff._starts(k, restarts, np.random.default_rng(0))
+    assert sum(s.size for s in starts) == (restarts + 7) * k * k
 
 
 def test_every_refusal_bound_has_a_case():
