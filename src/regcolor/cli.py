@@ -67,6 +67,8 @@ def _emit_json(args, doc):
 def _load_coloring(path, G, k):
     if path is None:
         raise ValidationError("--coloring is required")
+    guards.check(G.n * k, "MAX_CLASS_ENTRIES", "nk", "entry")
+    guards.check(k * k, "MAX_CLASS_ENTRIES", "kk", "entry")
     sigma = colorings.parse_coloring(_read(path), k)
     if sigma.n != G.n:
         raise ValidationError("coloring has %d entries, graph has %d vertices"
@@ -115,17 +117,13 @@ def cmd_sample(args):
                 fh.write(colorings.format_coloring(sigma))
     else:
         G = graphs.sample_uniform(args.n, args.d, generator)
-    _write(args, graphs.format_graph(G))
-
-
-def _load_graph(path):
-    return graphs.parse_graph(_read(path))
+    _write(args, graphs.graph_blocks(G))
 
 
 def cmd_count(args):
     if args.profile is not None and args.filter != "profile":
         raise ValidationError("--profile needs --filter profile")
-    G = _load_graph(args.graph)
+    G = graphs.parse_graph(_read(args.graph))
     if args.predicate:
         sigma = _load_coloring(args.coloring, G, args.k)
         name = args.predicate
@@ -185,6 +183,10 @@ def cmd_rates(args):
             raise ValidationError("sweep needs both --k-range and --d-range")
         k_lo, k_hi = _parse_range(args.k_range, "--k-range")
         d_lo, d_hi = _parse_range(args.d_range, "--d-range")
+        try:  # every rate takes d / 2
+            d_lo / 2, d_hi / 2
+        except OverflowError:
+            raise ValidationError("--d-range: d/2 overflows a float") from None
         guards.check((k_hi - k_lo + 1) * (d_hi - d_lo + 1), "MAX_TABLE_ROWS",
                      "rows", "row")
         blocks = _rates_blocks(k_lo, k_hi, d_lo, d_hi)
@@ -239,7 +241,7 @@ def cmd_optimize(args):
 
 
 def cmd_core(args):
-    G = _load_graph(args.graph)
+    G = graphs.parse_graph(_read(args.graph))
     sigma = _load_coloring(args.coloring, G, args.k)
     res = clustergeo.core_analysis(G, sigma, args.ell, mode=args.mode)
     wuy, rep, size = res.wuy, res.freedom, graphs.count_marked

@@ -40,7 +40,7 @@ def sigma_ell_core(G, sigma, ell):
     for the next round.  Counts only fall, so the order does not matter."""
     if ell < 1:
         raise ValidationError("ell >= 1 required")
-    color = np.asarray(sigma.assignment, dtype=np.int64)
+    color = sigma.assignment
     cnt = vertex_class_degrees(G, color, sigma.k)  # e(v, alive cap V_i)
     other = np.arange(sigma.k) != color[:, None]  # none needed into own class
     alive = np.ones(G.n, dtype=bool)
@@ -75,8 +75,7 @@ def build_WUY(G, sigma, ell):
     into W_j.  U'_ij: outside W with > 2 ell ln k edges into V_j.  Y grows
     from U cup U' in rounds: each round adds every vertex with more than ell
     edges into the current Y."""
-    k = sigma.k
-    color = np.asarray(sigma.assignment, dtype=np.int64)
+    k, color = sigma.k, sigma.assignment
     deg = vertex_class_degrees(G, color, k)
     hi = 2 * ell * math.log(k)
 
@@ -127,8 +126,7 @@ class FreedomReport:
 def _freedom(G, sigma, core, mode):
     if mode not in ("prose", "strict"):
         raise ValidationError("mode must be prose or strict")
-    k = sigma.k
-    color = np.asarray(sigma.assignment, dtype=np.int64)
+    k, color = sigma.k, sigma.assignment
     vacant = vertex_class_degrees(G, color, k, within=core) == 0
     n_vacant = vacant.sum(axis=1)
     if mode == "prose":

@@ -19,36 +19,50 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import (_int_tokens, class_edge_matrix, read_only,
+from .graphs import (_int_tokens, class_edge_matrix, format_rows, read_only,
                      vertex_class_degrees)
 
 CLUSTER_DIAG = Fraction(51, 100)   # strict > for cluster membership
 NICE_DIAG = Fraction(9, 10)        # >= for the rigidity condition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
-    assignment: tuple
+    """Unchecked (`coloring` checks): `assignment` is a read-only (n,) int64
+    array of colors in range(k).  Compared and hashed by value."""
+    assignment: np.ndarray
     k: int
 
-    def __post_init__(self):
-        if any(not 0 <= c < self.k for c in self.assignment):
-            raise ValidationError("color out of range")
+    def __eq__(self, other):
+        return (isinstance(other, Coloring) and self.k == other.k
+                and np.array_equal(self.assignment, other.assignment))
+
+    def __hash__(self):
+        return hash((self.k, self.assignment.tobytes()))
 
     @property
     def n(self):
-        return len(self.assignment)
+        return self.assignment.size
 
     def class_sizes(self):
-        return [self.assignment.count(c) for c in range(self.k)]
+        return np.bincount(self.assignment, minlength=self.k).tolist()
 
 
 def coloring(values, k):
-    return Coloring(tuple(int(c) for c in values), k)
+    """The checked builder: a read-only int64 copy of `values`."""
+    try:
+        a = np.array(values, dtype=np.int64)
+    except OverflowError:  # past int64, so past k too
+        a = None
+    if (a is None or a.ndim != 1
+            or a.size and not 0 <= a.min() <= a.max() < k):
+        raise ValidationError("colors must form one row, each in range(k)")
+    return Coloring(read_only(a), k)
 
 
 def format_coloring(sigma):
-    return " ".join(str(c) for c in sigma.assignment) + "\n"
+    # " c" per color, then the first space dropped: one line
+    return "".join(format_rows(sigma.assignment[:, None], " %d"))[1:] + "\n"
 
 
 def _parse_tokens(text, k):
@@ -67,14 +81,12 @@ def parse_coloring(text, k):
     """Whitespace-separated colors.  A text that `_int_tokens` reads is
     parsed as one array; any other goes to `_parse_tokens`."""
     tokens = _int_tokens(text)
-    if tokens is None:
-        return _parse_tokens(text, k)
-    return Coloring(tuple(tokens[0].tolist()), k)
+    return _parse_tokens(text, k) if tokens is None else coloring(tokens[0], k)
 
 
 def is_proper(G, sigma):
     """No monochromatic edge; a self-loop is always monochromatic."""
-    ends = np.asarray(sigma.assignment, dtype=np.int64)[G.edges]
+    ends = sigma.assignment[G.edges]
     return not (ends[:, 0] == ends[:, 1]).any()
 
 
@@ -88,9 +100,8 @@ def overlap(sigma, tau):
     if sigma.n != tau.n or sigma.k != tau.k:
         raise ValidationError("colorings must share n and k")
     n, k = sigma.n, sigma.k
-    counts = [[0] * k for _ in range(k)]
-    for a, b in zip(sigma.assignment, tau.assignment):
-        counts[a][b] += 1
+    counts = np.bincount(k * sigma.assignment + tau.assignment,
+                         minlength=k * k).reshape(k, k).tolist()
     return tuple(tuple(Fraction(k * c, n) for c in row) for row in counts)
 
 
@@ -193,7 +204,7 @@ def _search(G, k, mode, caps=None):
 def enumerate_proper_colorings(G, k, balanced=False):
     caps = [G.n // k] * k if balanced else None
     for assign in _search(G, k, "yield", caps):
-        yield Coloring(assign, k)
+        yield Coloring(read_only(np.array(assign, dtype=np.int64)), k)
 
 
 def cluster_of(G, sigma):
@@ -218,14 +229,9 @@ def is_separable(G, sigma, kappa=0.1):
                               % (kappa,))
     _cluster_guard(G, sigma.k)
     kap = kappa if isinstance(kappa, Fraction) else Fraction(kappa).limit_denominator(10 ** 9)
-    k = sigma.k
-    for tau in enumerate_proper_colorings(G, k, balanced=True):
-        rho = overlap(sigma, tau)
-        for i in range(k):
-            for j in range(k):
-                if rho[i][j] > CLUSTER_DIAG and rho[i][j] < 1 - kap:
-                    return False
-    return True
+    return not any(CLUSTER_DIAG < x < 1 - kap for tau in
+                   enumerate_proper_colorings(G, sigma.k, balanced=True)
+                   for row in overlap(sigma, tau) for x in row)
 
 
 def is_skewed(G, sigma):
@@ -274,28 +280,23 @@ def is_nice(G, sigma, check_cluster=False):
     n, k = sigma.n, sigma.k
     if k < 2:
         raise ValidationError("k >= 2 required")
-    sizes = sigma.class_sizes()
-    rho = np.array(sizes, dtype=float) / n
+    rho = np.array(sigma.class_sizes(), dtype=float) / n
     rho_dev = float(np.linalg.norm(rho - 1 / k))
     cond1 = rho_dev < 1 / (k * math.log(k) ** (1 / 3))
 
     mu = class_edge_matrix(G, sigma.assignment, k) / (G.d * n)
-    mu_bar = np.full((k, k), 1 / (k * (k - 1)))
-    np.fill_diagonal(mu_bar, 0.0)
+    mu_bar = (1 - np.eye(k)) / (k * (k - 1))
     mu_dev = float(np.linalg.norm(mu - mu_bar))
     cond2 = mu_dev < 8 / (k * (k - 1) * math.log(k) ** (1 / 3))
 
     cond3 = None
-    if check_cluster:
-        _cluster_guard(G, k)
-        cond3 = True
+    if check_cluster:  # star_cluster is guarded
         slack = n / (k * math.log(k) ** (1 / 3))
-        for tau in star_cluster(G, sigma):
-            if all(abs(s - n / k) < slack for s in tau.class_sizes()):
-                rho_st = overlap(sigma, tau)
-                if any(rho_st[i][i] < NICE_DIAG for i in range(k)):
-                    cond3 = False
-                    break
+        cond3 = not any(
+            all(abs(s - n / k) < slack for s in tau.class_sizes())
+            and any(row[i] < NICE_DIAG for i, row in
+                    enumerate(overlap(sigma, tau)))
+            for tau in star_cluster(G, sigma))
     return NiceReport(cond1, cond2, cond3, rho_dev, mu_dev)
 
 
@@ -303,9 +304,8 @@ def vacant_table(G, sigma):
     """(n, k) read-only mask: [v, j] is set when v has no edge into the
     color class j != sigma(v), so column j of the rows of class i is the
     vacant set of the pair (i, j)."""
-    color = np.asarray(sigma.assignment, dtype=np.int64)
-    return read_only((vertex_class_degrees(G, color, sigma.k) == 0)
-                     & (np.arange(sigma.k) != color[:, None]))
+    return read_only((vertex_class_degrees(G, sigma.assignment, sigma.k) == 0)
+                     & (np.arange(sigma.k) != sigma.assignment[:, None]))
 
 
 def rainbow_vertices(G, sigma):
@@ -355,18 +355,11 @@ def count_colorings(G, k, filter="none", profile=None):
             raise ValidationError("profile must have k entries summing to 1")
         return _search(G, k, "count", [int(s) for s in sizes])
     if filter == "skewed":
-        total = 0
-        for tau in enumerate_proper_colorings(G, k, balanced=True):
-            if is_skewed(G, tau):
-                total += 1
-        return total
+        return sum(is_skewed(G, tau) for tau in
+                   enumerate_proper_colorings(G, k, balanced=True))
     if filter == "nice12":
-        total = 0
-        for tau in enumerate_proper_colorings(G, k):
-            rep = is_nice(G, tau)
-            if rep.condition1 and rep.condition2:
-                total += 1
-        return total
+        reports = (is_nice(G, tau) for tau in enumerate_proper_colorings(G, k))
+        return sum(rep.condition1 and rep.condition2 for rep in reports)
     raise ValidationError("unknown filter %r" % (filter,))
 
 
@@ -375,10 +368,5 @@ def count_pairs_with_overlap(G, k, rho):
     overlap matrix equals rho (k x k of rationals)."""
     _count_guard(G, k)
     target = tuple(tuple(Fraction(x) for x in row) for row in rho)
-    colorings_list = list(enumerate_proper_colorings(G, k, balanced=True))
-    total = 0
-    for s in colorings_list:
-        for t in colorings_list:
-            if overlap(s, t) == target:
-                total += 1
-    return total
+    balanced = list(enumerate_proper_colorings(G, k, balanced=True))
+    return sum(overlap(s, t) == target for s in balanced for t in balanced)

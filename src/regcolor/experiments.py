@@ -127,11 +127,11 @@ def _check_planted_k(k):
 def flat_planted_coloring(n, k):
     """Blocks of n/k consecutive vertices per color."""
     _check_planted_k(k)
-    if n % k != 0:
-        raise ValidationError("flat planting needs k | n")
+    if n < 1 or n % k != 0:
+        raise ValidationError("flat planting needs n >= 1 and k | n")
     # checked before the n labels exist
     guards.check(n, "MAX_SAMPLE_CLONES", "n", "clone")
-    return colorings.coloring([v // (n // k) for v in range(n)], k)
+    return colorings.coloring(np.repeat(np.arange(k), n // k), k)
 
 
 def flat_planted_mu(k):
@@ -144,6 +144,10 @@ def flat_planted_mu(k):
 def sample_flat_planted(n, d, k, generator):
     """(G, sigma): a graph planted on the flat coloring with the flat mu."""
     sigma = flat_planted_coloring(n, k)
+    # checked before mu: k | n leaves k^2 unbounded, k(k-1) <= dn does not
+    graphs._check_even(n, d)
+    if d * n % (k * (k - 1)):
+        raise ValidationError("flat planting needs k(k-1) | dn")
     return (graphs.sample_planted(sigma.assignment, k, d, flat_planted_mu(k),
                                   generator), sigma)
 
@@ -163,8 +167,7 @@ def _run_vacant(p, generator):
     n, d, k = p["n"], p["d"], p["k"]
     G, sigma = sample_flat_planted(n, d, k, generator)
     counts = np.zeros((k, k), dtype=np.int64)  # [i, j]: V_i vacant in V_j
-    np.add.at(counts, np.asarray(sigma.assignment),
-              colorings.vacant_table(G, sigma))
+    np.add.at(counts, sigma.assignment, colorings.vacant_table(G, sigma))
     fracs = counts[~np.eye(k, dtype=bool)] / (n / k)
     return {"vacant_fraction": float(np.mean(fracs)),
             "predicted": (1 - (1 / (k * (k - 1))) / (1 / k)) ** d}

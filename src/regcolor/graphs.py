@@ -446,15 +446,12 @@ def sample_planted(assignment, k, d, mu, rng):
     """
     from . import moments
 
-    assignment = [int(c) for c in assignment]
-    n = len(assignment)
+    color = np.asarray(assignment, dtype=np.int64)
+    n = color.size
     _check_even(n, d)
-    sizes = [0] * k
-    for c in assignment:
-        if not 0 <= c < k:
-            raise ValidationError("color out of range")
-        sizes[c] += 1
-    rho = [Fraction(s, n) for s in sizes]
+    if not 0 <= color.min() <= color.max() < k:
+        raise ValidationError("color out of range")
+    rho = [Fraction(s, n) for s in np.bincount(color, minlength=k).tolist()]
     pair = moments.validate_admissible(rho, mu, n, d)
     for i in range(k):
         if pair.mu[i][i] != 0:
@@ -463,7 +460,6 @@ def sample_planted(assignment, k, d, mu, rng):
     dn = d * n
     m = [[int(pair.mu[i][j] * dn) for j in range(k)] for i in range(k)]
     clones = np.arange(dn).reshape(n, d)
-    color = np.asarray(assignment, dtype=np.int64)
     segments = []  # segments[i][j]: the clones of class i paired into class j
     for i in range(k):
         own = clones[color == i].ravel()
@@ -477,16 +473,25 @@ def sample_planted(assignment, k, d, mu, rng):
 
 # --- graph file format: header "n d", one "u v" line per edge ---
 
-_FORMAT_BLOCK = 1 << 16  # edge rows per % in format_graph
+_FORMAT_BLOCK = 1 << 16  # rows per % in format_rows
+
+
+def format_rows(rows, fmt):
+    """`fmt` filled from each row of the 2-D int array `rows`, as str blocks:
+    one % per block, so Python ints exist for one block at a time."""
+    for start in range(0, len(rows), _FORMAT_BLOCK):
+        block = rows[start:start + _FORMAT_BLOCK]
+        yield fmt * len(block) % tuple(block.ravel().tolist())
+
+
+def graph_blocks(G):
+    """The graph file as str blocks."""
+    yield "%d %d\n" % (G.n, G.d)
+    yield from format_rows(G.edges, "%d %d\n")
 
 
 def format_graph(G):
-    # one % per block of rows: Python ints for one block at a time
-    blocks = ["%d %d\n" % (G.n, G.d)]
-    for start in range(0, len(G.edges), _FORMAT_BLOCK):
-        rows = G.edges[start:start + _FORMAT_BLOCK]
-        blocks.append("%d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
-    return "".join(blocks)
+    return "".join(graph_blocks(G))
 
 
 def _int_tokens(text):
@@ -566,7 +571,7 @@ def parse_graph(text):
 
 def write_graph(G, path):
     with open(path, "w") as fh:
-        fh.write(format_graph(G))
+        fh.writelines(graph_blocks(G))
 
 
 def read_graph(path):

@@ -6,7 +6,7 @@ from .errors import GuardError
 # enumerate_configurations: (17)!! > 3e8 items, refuse beyond this
 MAX_ENUM_CLONES = 16
 
-# samplers refuse more clones dn: at the bound `sample` peaks near 600 MiB
+# samplers refuse more clones dn: at the bound `sample` peaks near 230 MiB
 # and a core-profile sample (d = 12, k = 4) near 800 MiB
 MAX_SAMPLE_CLONES = 10 ** 7
 
@@ -18,6 +18,10 @@ MAX_TABLE_ROWS = 4 * 10 ** 6
 # (restarts + 7) k^2 of them and peaks near 48 B per entry at k = 3 (the
 # per-start trace) and 11-17 B at k >= 10, so about 480 MiB at the bound
 MAX_START_ENTRIES = 10 ** 7
+
+# a coloring file refuses more n k class-degree or k^2 class-edge entries:
+# `core` and `nice` take about 20 B per entry, `vacant` 120 B per vacant one
+MAX_CLASS_ENTRIES = 10 ** 7
 
 # exact rational partition probability (big factorials stay cheap here)
 MAX_EXACT_CLONES = 40

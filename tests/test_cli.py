@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +115,40 @@ def test_python_dash_m(tmp_path):
                           timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("refused: cannot open")
+
+
+def test_refusals_under_a_memory_limit(tmp_path):
+    # inputs that would allocate by k, or overflow d / 2, unless refused
+    # first: each child runs under a 512 MiB address-space limit, so a
+    # regression fails here instead of pressing on the machine's memory
+    src = Path(colorings.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert run(["--out", str(gpath), "sample", "--n", "12", "--d", "4"]) == 0
+    cpath.write_text("0 1 2 " * 4)
+    huge_k, huge_d = str(10 ** 10), "4" + "0" * 308
+    argvs = [["sample", "--planted", "--n", "0", "--d", "2", "--k", huge_k],
+             ["rates", "--k-range", "3..3",
+              "--d-range", huge_d + ".." + huge_d]]
+    for kind in ("core-profile", "vacant-fractions"):
+        spec = tmp_path / (kind + ".txt")
+        spec.write_text("kind = %s\nn = 0\nd = 2\nk = %s\n" % (kind, huge_k))
+        argvs.append(["experiment", "--spec", str(spec)])
+    for command in (["core"], *(["count", "--predicate", p]
+                                for p in ("nice", "rainbow", "vacant"))):
+        argvs.append(command + ["--graph", str(gpath), "--coloring",
+                                str(cpath), "--k", str(10 ** 8)])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "regcolor", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, preexec_fn=limit)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("refused: "), lines
 
 
 def test_rates(tmp_path):
@@ -255,6 +290,14 @@ def test_rates_range_refusals(capsys):
             "--d-range")
     refused(["rates", "--k-range", "4..3", "--d-range", "5..6"], capsys,
             "--k-range")
+    # d / 2 is a float up to about 3.6e308; the sweep's every rate takes it
+    huge = "4" + "0" * 308
+    for span in (huge + ".." + huge, "1.." + huge, "-%s..1" % huge):
+        refused(["rates", "--k-range", "3..3", "--d-range=" + span], capsys,
+                "--d-range: d/2 overflows a float")
+    big = str(int(sys.float_info.max))
+    assert run(["--out", os.devnull, "rates", "--k-range", "3..3",
+                "--d-range", big + ".." + big]) == 0
 
 
 def test_tables_refuse_past_the_row_bound(tmp_path, capsys):
@@ -277,6 +320,34 @@ def test_tables_refuse_past_the_row_bound(tmp_path, capsys):
                   "1..%d" % ((rows + 1) // 2)],
                  "rows=%d exceeds the " % (rows + 1))):
             refused(argv, capsys, needle + bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_class_tables_refuse_past_the_entry_bound(tmp_path, capsys):
+    # one entry past the bound, refused before the coloring is parsed or
+    # any per-class table exists: n k on a 12-vertex graph, then k^2 once
+    # k > n
+    bound = guards.MAX_CLASS_ENTRIES
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert run(["--out", str(gpath), "sample", "--n", "12", "--d", "4"]) == 0
+    cpath.write_text("0 1 2 " * 4)
+    k_nk, k_kk = -(-(bound + 1) // 12), math.isqrt(bound) + 1
+    assert 12 * k_nk > bound >= 12 * (k_nk - 1) and 12 * k_kk <= bound
+    tracemalloc.start()
+    try:
+        for k, needle in ((k_nk, "nk=%d" % (12 * k_nk)),
+                          (k_kk, "kk=%d" % (k_kk * k_kk))):
+            for argv in (["core"], ["count", "--predicate", "nice"],
+                         ["count", "--predicate", "rainbow"],
+                         ["count", "--predicate", "vacant"],
+                         ["count", "--predicate", "skewed"]):
+                refused(argv + ["--graph", str(gpath), "--coloring",
+                                str(cpath), "--k", str(k)], capsys,
+                        "%s exceeds the %d-entry bound "
+                        "(guards.MAX_CLASS_ENTRIES)" % (needle, bound))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -828,13 +899,27 @@ _PLANTED_PINS = {
 }
 
 
+# sha256 of its `--coloring-out` file
+_COLORING_PINS = {
+    (300, 9, 3):
+        "2ee77da14f43494834985ee45c9d571dd9ec95c88cd738cf8102e733ad1e3621",
+    (400, 12, 4):
+        "14477128fcd37d1e6d05de3521d1f4a17f1dd5d051e53447511e479ea861ff5f",
+    (996, 15, 6):
+        "d7ff6d450581ef144f587124523ee1d9b8e3d32a8839be54e8aeba9aae61b8b2",
+}
+
+
 @pytest.mark.parametrize("n, d, k", sorted(_PLANTED_PINS))
 def test_sample_planted_pinned(n, d, k, tmp_path):
-    gpath = tmp_path / "g"
+    gpath, cpath = tmp_path / "g", tmp_path / "c"
     assert run(["--seed", "4", "--out", str(gpath), "sample", "--planted",
-                "--n", str(n), "--d", str(d), "--k", str(k)]) == 0
+                "--n", str(n), "--d", str(d), "--k", str(k),
+                "--coloring-out", str(cpath)]) == 0
     assert (hashlib.sha256(gpath.read_bytes()).hexdigest()
             == _PLANTED_PINS[(n, d, k)])
+    assert (hashlib.sha256(cpath.read_bytes()).hexdigest()
+            == _COLORING_PINS[(n, d, k)])
 
 
 @pytest.mark.parametrize("n, d, k, ell", sorted(_CORE_PINS))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcolor import colorings, graphs, rng
+from regcolor import colorings, experiments, graphs, rng
 from regcolor.errors import GuardError, ValidationError
 
 
@@ -29,6 +29,48 @@ def test_coloring_basics():
     assert colorings.parse_coloring(text, 3) == sigma
     with pytest.raises(ValidationError, match="'x'"):
         colorings.parse_coloring("0 1 x", 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_coloring_is_one_value_whatever_it_is_built_from(k, data):
+    values = data.draw(st.lists(st.integers(0, k - 1), max_size=12))
+    built = [colorings.coloring(v, k) for v in
+             (values, tuple(values), np.array(values, dtype=np.int64))]
+    for sigma in built:
+        a = sigma.assignment
+        assert a.dtype == np.int64 and a.shape == (len(values),)
+        assert not a.flags.writeable
+        assert sigma == built[0] and hash(sigma) == hash(built[0])
+        assert colorings.parse_coloring(colorings.format_coloring(sigma),
+                                        k) == sigma
+    assert len(set(built)) == 1
+    # the builder copies: a later write to its input changes nothing
+    source = np.array(values + [0], dtype=np.int64)
+    sigma = colorings.coloring(source, k)
+    source[-1] = k - 1 if k > 1 else 1
+    assert sigma.assignment[-1] == 0
+    assert sigma != colorings.coloring(values + [0], k + 1)
+
+
+def test_every_constructor_gives_a_read_only_int64_array():
+    G = cycle_graph(6)
+    sigmas = [colorings.coloring([0, 1, 0, 1], 2),
+              colorings.parse_coloring("0 1 1\n", 2),
+              colorings.parse_coloring("0 +1\n", 2),  # the per-token path
+              next(colorings.enumerate_proper_colorings(G, 3)),
+              experiments.flat_planted_coloring(6, 3)]
+    for sigma in sigmas:
+        a = sigma.assignment
+        assert type(a) is np.ndarray and a.dtype == np.int64
+        assert a.ndim == 1 and not a.flags.writeable
+
+
+@pytest.mark.parametrize("values, k", [([[0, 1]], 2), (0, 2), ([-1], 2),
+                                       ([2], 2), ([2 ** 70], 3)])
+def test_coloring_refusals(values, k):
+    with pytest.raises(ValidationError):
+        colorings.coloring(values, k)
 
 
 def test_is_proper():
@@ -58,6 +100,26 @@ def test_overlap_exact():
     assert all(sum(rho[i][j] for i in range(2)) == 1 for j in range(2))
     with pytest.raises(ValidationError):
         colorings.overlap(sigma, colorings.coloring([0, 1, 2, 0], 3))
+
+
+def reference_overlap(sigma, tau):
+    """overlap as a Python loop over the vertices."""
+    n, k = sigma.n, sigma.k
+    counts = [[0] * k for _ in range(k)]
+    for a, b in zip(sigma.assignment, tau.assignment):
+        counts[a][b] += 1
+    return tuple(tuple(Fraction(k * c, n) for c in row) for row in counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_overlap_matches_the_loop(k, data):
+    n = data.draw(st.integers(1, 20))
+    row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    sigma, tau = (colorings.coloring(data.draw(row), k) for _ in range(2))
+    rho = colorings.overlap(sigma, tau)
+    assert rho == reference_overlap(sigma, tau)
+    assert all(type(x) is Fraction for r in rho for x in r)
 
 
 def test_in_cluster():
@@ -127,7 +189,8 @@ def test_enumerate_matches_count():
         bal = list(colorings.enumerate_proper_colorings(G, k, balanced=True))
         assert len(bal) == colorings.count_colorings(G, k, filter="balanced")
         assert all(colorings.is_balanced(c) for c in bal)
-        assert {c.assignment for c in bal} <= {c.assignment for c in cols}
+        assert ({tuple(c.assignment) for c in bal}
+                <= {tuple(c.assignment) for c in cols})
 
 
 def _distinct_neighbors(G):
@@ -246,7 +309,7 @@ def test_engine_yield_order(G, k, balanced):
     if nbrs is not None:
         order = sorted(range(G.n), key=lambda v: -len(nbrs[v]))
         want.sort(key=lambda a: [a[v] for v in order])
-    got = [c.assignment for c in
+    got = [tuple(c.assignment) for c in
            colorings.enumerate_proper_colorings(G, k, balanced)]
     assert got == want
 

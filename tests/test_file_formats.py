@@ -161,7 +161,7 @@ def test_parse_graph_matches_per_line_parser(text):
 def test_parse_coloring_matches_per_token_parser(k, data):
     values = data.draw(st.lists(st.integers(0, k), max_size=12))
     text = data.draw(mutated(colorings.format_coloring(
-        colorings.Coloring(tuple(values), k + 1)), k))
+        colorings.coloring(values, k + 1)), k))
     assert outcome(colorings.parse_coloring, text, k) == outcome(
         reference_parse_coloring, text, k)
 
@@ -219,3 +219,24 @@ def test_clean_files_take_the_array_path(monkeypatch):
         sigma = colorings.coloring([v % 3 for v in range(n)], 3)
         assert colorings.parse_coloring(colorings.format_coloring(sigma),
                                         3) == sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+def test_block_formatting_matches_one_string(block, n, data):
+    """Any block size writes the text a single format of every row would."""
+    vertex = st.integers(0, n - 1)
+    G = graphs.multigraph(n, 0, data.draw(st.lists(st.tuples(vertex, vertex),
+                                                   max_size=9)))
+    colors = data.draw(st.lists(st.integers(0, 2), max_size=9))
+    saved = graphs._FORMAT_BLOCK
+    graphs._FORMAT_BLOCK = block
+    try:
+        graph_text = graphs.format_graph(G)
+        coloring_text = colorings.format_coloring(
+            colorings.coloring(colors, 3))
+    finally:
+        graphs._FORMAT_BLOCK = saved
+    assert graph_text == "%d 0\n" % n + "".join(
+        "%d %d\n" % (u, v) for u, v in G.edges.tolist())
+    assert coloring_text == " ".join(map(str, colors)) + "\n"

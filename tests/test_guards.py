@@ -2,6 +2,7 @@
 the constant, and admits the bound itself; only `guards.check` raises it."""
 
 import ast
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,14 @@ def _separable():
                                   colorings.coloring([0, 1, 0, 1], 2))
 
 
+def _load_coloring(k):
+    # a 4-vertex coloring file under k colors: n k = 4k, k^2 entries
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.txt"
+        path.write_text("0 1 0 1\n")
+        return cli._load_coloring(str(path), _cycle4(), k)
+
+
 # (constant, the value each call checks against it, entry point)
 CASES = [
     ("MAX_SAMPLE_CLONES", 12, lambda: graphs.sample_uniform(
@@ -60,6 +69,8 @@ CASES = [
     ("MAX_CLUSTER_COLORS", 2, _separable),
     ("MAX_START_ENTRIES", (2 + 7) * 9, lambda: birkhoff.maximize_f(
         3, 5, restarts=2)),
+    ("MAX_CLASS_ENTRIES", 4 * 2, lambda: _load_coloring(2)),
+    ("MAX_CLASS_ENTRIES", 5 * 5, lambda: _load_coloring(5)),
 ]
 
 
