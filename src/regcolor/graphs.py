@@ -350,36 +350,28 @@ def _weighted_triangles(n, key, mult):
     key = u*n + v (u < v, sorted, unique) with multiplicities `mult`, each
     weighted by the product of its three multiplicities.
 
-    Chiba-Nishizeki wedge count: orient every edge away from its end of lower
-    (degree, id), pair each out-edge of a vertex with the later out-edges of
-    the same vertex, and look the closing edge up among the keys.  The lowest
-    vertex of a triangle sees its two other vertices as out-neighbours, so
-    each triangle is found once; out-degrees are O(sqrt(m)), so the wedges
-    number O(m^1.5).
+    Id-ordered wedge count: each key pairs with the later keys of its run of
+    equal u (the forward row of u), and the closing edges, argsorted, are
+    looked up among the keys.  A triangle's lowest vertex sees its other two
+    in its forward row, so the triangle is found once.  The wedges number
+    sum_u C(fdeg(u), 2): about n d (d - 1) / 6 on d-regular input, but
+    C(D, 2) for a hub of degree D at a low id.
     """
     u, v = np.divmod(key, n)
-    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
-    flip = rank[u] > rank[v]
-    tail, head = np.where(flip, v, u), np.where(flip, u, v)
-    del deg, rank, flip, u, v
-    # keys are unique and tail is nearly sorted: the stable sort uses the runs
-    order = np.argsort(tail * n + head, kind="stable")
-    tail, head, w = tail[order], head[order], mult[order]
+    # key p pairs with the keys p+1 .. end-1 of its run, in that order
+    later = np.cumsum(np.bincount(u, minlength=n))[u] - np.arange(u.size) - 1
+    del u
+    wedges = int(later.sum())
+    guards.check(wedges, "MAX_CENSUS_WEDGES", "wedges", "wedge")
+    second = np.arange(wedges) + np.repeat(
+        np.arange(1, later.size + 1) - np.cumsum(later) + later, later)
+    # v ascends within a run, so each closing key is a (lower, higher) pair
+    closing = np.repeat(v * n, later) + v[second]
+    wedge = np.repeat(mult, later) * mult[second]
+    del later, second, v
+    order = np.argsort(closing)
+    closing, wedge = closing[order], wedge[order]
     del order
-    # out-edges of one vertex are contiguous; edge p pairs with p+1 .. end-1
-    end = np.cumsum(np.bincount(tail, minlength=n))[tail]
-    later = end - np.arange(tail.size) - 1
-    del end
-    first = np.repeat(np.arange(tail.size), later)
-    starts = np.cumsum(later) - later
-    second = first + 1 + np.arange(first.size) - np.repeat(starts, later)
-    del later, starts
-    # heads ascend within each vertex, so head[first] < head[second]
-    closing = head[first] * n + head[second]
-    wedge = w[first] * w[second]
-    del first, second, tail, head
     pos = np.minimum(np.searchsorted(key, closing), key.size - 1)
     hit = key[pos] == closing
     return int((wedge[hit] * mult[pos[hit]]).sum())
@@ -391,9 +383,9 @@ def cycle_census(G, L):
     vertices in cyclic order counts once, weighted by the product of the edge
     multiplicities along the cycle.
 
-    j <= 3 are counted from the edge array (triangles by
-    `_weighted_triangles`); j >= 4 by a depth-first search over the rows of
-    `neighbors`."""
+    j <= 3 are counted in passes over the sorted edge array (parallel edges
+    are runs of equal rows, triangles by `_weighted_triangles`); j >= 4 by a
+    depth-first search over the rows of `neighbors`."""
     if L < 1:
         raise ValidationError("L must be >= 1")
     guards.check(L, "MAX_CYCLE_LENGTH", "L", "edge")
@@ -403,10 +395,13 @@ def cycle_census(G, L):
     loop = u == v
     counts[0] = int(loop.sum())
     if L >= 2:
-        key, mult = np.unique(u[~loop] * n + v[~loop], return_counts=True)
+        key = (u * n + v)[~loop]
         del u, v, loop
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, mult = key[first], np.diff(first, append=key.size)
+        del first
         counts[1] = int((mult * (mult - 1) // 2).sum())
-        if L >= 3 and key.size:
+        if L >= 3:
             counts[2] = _weighted_triangles(n, key, mult)
         del key, mult
     if L < 4:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -379,6 +380,18 @@ def test_start_entry_bound_allocates_nothing(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_census_refuses_past_the_wedge_bound(monkeypatch, tmp_path, capsys):
+    # a 3-regular sample of 100 vertices pairs about 100 triangle wedges
+    monkeypatch.setattr(guards, "MAX_CENSUS_WEDGES", 10)
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = cycle-census\nn = 100\nd = 3\nL = 3\n")
+    assert run(["experiment", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert re.fullmatch(r"refused: wedges=\d+ exceeds the 10-wedge bound "
+                        r"\(guards\.MAX_CENSUS_WEDGES\)", err[0]), err
 
 
 def test_table_row_bound_is_inclusive(monkeypatch, capsys):

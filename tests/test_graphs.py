@@ -287,21 +287,6 @@ def test_sample_uniform_matches_configuration(n, d, seed):
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
-    st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
-                                  st.integers(0, n - 1)), max_size=200))),
-       st.booleans())
-def test_triangle_order_matches_lexsort(graph, presorted):
-    # _weighted_triangles orders its oriented edges by one key per edge
-    n, pairs = graph
-    pairs = sorted(pairs) if presorted else list(pairs)
-    tail = np.array([t for t, _ in pairs], dtype=np.int64)
-    head = np.array([h for _, h in pairs], dtype=np.int64)
-    assert np.array_equal(np.argsort(tail * n + head, kind="stable"),
-                          np.lexsort((head, tail)))
-
-
 def test_probability_simple_plausible():
     # for d=3 the contracted multigraph should be simple a nontrivial
     # fraction of the time (asymptotically exp(-(d-1)/2 - (d-1)^2/4))
@@ -359,6 +344,25 @@ def test_cycle_census_guards():
         graphs.cycle_census(G, 0)
     with pytest.raises(GuardError):
         graphs.cycle_census(G, 13)
+
+
+def test_census_refuses_a_hub_past_the_wedge_bound():
+    # a star's centre at id 0 pairs all C(D, 2) of its forward rows; one
+    # past the bound is refused before any wedge array exists
+    D = math.isqrt(2 * guards.MAX_CENSUS_WEDGES) + 1
+    wedges = D * (D - 1) // 2
+    assert wedges > guards.MAX_CENSUS_WEDGES >= (D - 1) * (D - 2) // 2
+    star = graphs.multigraph(D + 1, 0, [(0, v) for v in range(1, D + 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match=r"^wedges=%d exceeds the %d-wedge"
+                           % (wedges, guards.MAX_CENSUS_WEDGES)):
+            graphs.cycle_census(star, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert graphs.cycle_census(star, 2).counts == (0, 0)
 
 
 def _census_oracle(G, L):
@@ -419,6 +423,142 @@ def test_cycle_census_matches_networkx(graph, L):
         want[len(cycle) - 1] += 1
     G = graphs.multigraph(n, 0, edges)
     assert graphs.cycle_census(G, L).counts == tuple(want)
+
+
+def reference_weighted_triangles(n, key, mult):
+    """Triangles of the multigraph whose distinct non-loop edges are
+    key = u*n + v (u < v, sorted, unique) with multiplicities `mult`, each
+    weighted by the product of its three multiplicities.
+
+    Chiba-Nishizeki wedge count: orient every edge away from its end of lower
+    (degree, id), pair each out-edge of a vertex with the later out-edges of
+    the same vertex, and look the closing edge up among the keys.  The lowest
+    vertex of a triangle sees its two other vertices as out-neighbours, so
+    each triangle is found once; out-degrees are O(sqrt(m)), so the wedges
+    number O(m^1.5).
+    """
+    u, v = np.divmod(key, n)
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    flip = rank[u] > rank[v]
+    tail, head = np.where(flip, v, u), np.where(flip, u, v)
+    del deg, rank, flip, u, v
+    # keys are unique and tail is nearly sorted: the stable sort uses the runs
+    order = np.argsort(tail * n + head, kind="stable")
+    tail, head, w = tail[order], head[order], mult[order]
+    del order
+    # out-edges of one vertex are contiguous; edge p pairs with p+1 .. end-1
+    end = np.cumsum(np.bincount(tail, minlength=n))[tail]
+    later = end - np.arange(tail.size) - 1
+    del end
+    first = np.repeat(np.arange(tail.size), later)
+    starts = np.cumsum(later) - later
+    second = first + 1 + np.arange(first.size) - np.repeat(starts, later)
+    del later, starts
+    # heads ascend within each vertex, so head[first] < head[second]
+    closing = head[first] * n + head[second]
+    wedge = w[first] * w[second]
+    del first, second, tail, head
+    pos = np.minimum(np.searchsorted(key, closing), key.size - 1)
+    hit = key[pos] == closing
+    return int((wedge[hit] * mult[pos[hit]]).sum())
+
+
+def reference_short_census(G):
+    """The counts of j = 1, 2, 3 as the degree-ordered census made them:
+    the distinct edges by np.unique, the triangles by
+    reference_weighted_triangles."""
+    u, v = G.edges.T
+    loop = u == v
+    key, mult = np.unique(u[~loop] * G.n + v[~loop], return_counts=True)
+    triangles = reference_weighted_triangles(G.n, key, mult) if key.size else 0
+    return int(loop.sum()), int((mult * (mult - 1) // 2).sum()), triangles
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2000), st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_short_census_matches_degree_order_on_samples(n, d, seed):
+    # sampled d-regular multigraphs, loops and parallel edges included
+    if n * d % 2:
+        n += 1
+    G = graphs.sample_uniform(n, d, rng.stream(seed, 0))
+    assert graphs.cycle_census(G, 3).counts == reference_short_census(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_skewed_multigraphs())
+def test_short_census_matches_degree_order_on_skewed(G):
+    assert graphs.cycle_census(G, 3).counts == reference_short_census(G)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(100, 400), st.floats(0.01, 0.1), st.integers(0, 10 ** 6))
+def test_triangles_match_networkx(n, p, seed):
+    # simple graphs of a few hundred vertices: each triangle counts once
+    nxG = nx.gnp_random_graph(n, p, seed=seed)
+    G = graphs.multigraph(n, 0, nxG.edges())
+    assert graphs.cycle_census(G, 3).counts == (
+        0, 0, sum(nx.triangles(nxG).values()) // 3)
+
+
+def assert_sorted_rows(G):
+    """G.edges is what cycle_census reads: a read-only (m, 2) int64 array
+    of rows (u, v) with u <= v, sorted lexicographically."""
+    e = G.edges
+    assert e.dtype == np.int64 and e.ndim == 2 and e.shape[1] == 2
+    assert not e.flags.writeable
+    assert (e[:, 0] <= e[:, 1]).all()
+    assert np.array_equal(np.lexsort((e[:, 1], e[:, 0])), np.arange(len(e)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(0, 10 ** 6),
+       st.data())
+def test_every_builder_hands_out_sorted_rows(n, d, seed, data):
+    if n * d % 2:
+        n += 1
+    G = graphs.sample_uniform(n, d, rng.stream(seed, 0))
+    assert_sorted_rows(G)
+    assert_sorted_rows(graphs.contract(
+        graphs.sample_configuration(n, d, rng.stream(seed, 1))))
+    # the same edges in any order, each either way round
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(
+        data.draw(st.permutations(G.edges.tolist())),
+        data.draw(st.lists(st.booleans(), min_size=len(G.edges),
+                           max_size=len(G.edges))))]
+    for H in (graphs.multigraph(n, d, edges), graphs.multigraph(n, 0, edges)):
+        assert_sorted_rows(H)
+        assert np.array_equal(H.edges, G.edges)
+    # the array path, then the per-line path ("+" is not an array token)
+    lines = "%d %d\n" % (n, d) + "".join("%d %d\n" % e for e in edges)
+    signed = lines.replace(" ", " +")
+    assert graphs._int_tokens(lines) is not None
+    assert graphs._int_tokens(signed) is None
+    for text in (lines, signed):
+        H = graphs.parse_graph(text)
+        assert_sorted_rows(H)
+        assert np.array_equal(H.edges, G.edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 4),
+       st.integers(0, 10 ** 6))
+def test_planted_samples_have_sorted_rows(k, blocks, c, seed):
+    n, d = k * blocks, (k - 1) * c
+    if n * d % 2:
+        d *= 2
+    off = Fraction(1, k * (k - 1))
+    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
+    assert_sorted_rows(graphs.sample_planted(
+        [v % k for v in range(n)], k, d, mu, rng.stream(seed, 0)))
+
+
+@pytest.mark.parametrize("n, d", [nd for nd in _ENUMERABLE
+                                  if nd[0] * nd[1] <= 12])
+def test_enumerated_multigraphs_have_sorted_rows(n, d):
+    for G, _ in graphs.enumerate_multigraphs(n, d):
+        assert_sorted_rows(G)
 
 
 @settings(max_examples=200, deadline=None)

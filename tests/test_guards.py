@@ -71,6 +71,8 @@ CASES = [
         3, 5, restarts=2)),
     ("MAX_CLASS_ENTRIES", 4 * 2, lambda: _load_coloring(2)),
     ("MAX_CLASS_ENTRIES", 5 * 5, lambda: _load_coloring(5)),
+    # vertex 0 pairs its two forward rows (0, 1), (0, 3); the others have one
+    ("MAX_CENSUS_WEDGES", 1, lambda: graphs.cycle_census(_cycle4(), 3)),
 ]
 
 
