@@ -2,13 +2,14 @@
 
     regcolor [--seed S] [--out FILE] [--format json|csv] <subcommand> ...
 
-Subcommands: sample, count, rates, optimize, core, threshold, experiment.
-`--format` applies to `experiment` only (default json); others refuse it.
-Exit codes: 0 success, 2 guard/validation refusal, 1 internal error.
+`OPTIONS` declares each subcommand's options once, with the mode that reads
+each; elsewhere a value off its default is refused.  Exit codes: 0 success,
+1 internal error, 2 refusal (a usage, guard or validation error: one line).
 """
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -33,8 +34,7 @@ def _open(path, mode="r"):
 
 
 def _read(path):
-    """Text of a file the user named; bytes that do not decode are a
-    refusal naming it."""
+    """Text of a file the user named; undecodable bytes are a refusal."""
     with _open(path) as fh:
         try:
             return fh.read()
@@ -45,28 +45,19 @@ def _read(path):
 
 
 def _write(args, payload):
-    """Write bytes, a str, or str blocks as each is made, to --out or stdout.
-    Refuse before calling it: a refusal during it leaves a partial output."""
-    if isinstance(payload, bytes):
-        if args.out:
-            with _open(args.out, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload.decode())
-        return
+    """Write a JSON document, bytes, a str or str blocks (each as it is made)
+    to --out or stdout; refuse before it, or the output is left partial."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with (_open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
+        if isinstance(payload, bytes):
+            return fh.buffer.write(payload)
         for block in (payload,) if isinstance(payload, str) else payload:
             fh.write(block)
 
 
-def _emit_json(args, doc):
-    _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _load_coloring(path, G, k):
-    if path is None:
-        raise ValidationError("--coloring is required")
     guards.check(G.n * k, "MAX_CLASS_ENTRIES", "nk", "entry")
     guards.check(k * k, "MAX_CLASS_ENTRIES", "kk", "entry")
     sigma = colorings.parse_coloring(_read(path), k)
@@ -76,21 +67,20 @@ def _load_coloring(path, G, k):
     return sigma
 
 
-def _parse_range(text, flag):
-    """`lo..hi` with integers lo <= hi, as (lo, hi)."""
+def _parse_range(text):
+    """Argparse type of `lo..hi` with integers lo <= hi: (lo, hi)."""
     lo, sep, hi = text.partition("..")
     try:
-        bounds = int(lo), int(hi)
+        if sep and int(lo) <= int(hi):
+            return int(lo), int(hi)
     except ValueError:
-        bounds = None
-    if not sep or bounds is None or bounds[0] > bounds[1]:
-        raise ValidationError("%s must be lo..hi with integers lo <= hi, "
-                              "got %r" % (flag, text))
-    return bounds
+        pass
+    raise argparse.ArgumentTypeError("must be lo..hi with integers lo <= hi, "
+                                     "got %r" % text)
 
 
 def _parse_profile(text):
-    """`--profile`: comma-separated rationals such as 1/2,1/4,1/4."""
+    """Argparse type of comma-separated rationals such as 1/2,1/4,1/4."""
     values = []
     for token in text.split(","):
         try:
@@ -103,13 +93,7 @@ def _parse_profile(text):
 
 def cmd_sample(args):
     generator = rng.stream(args.seed or 0, 0)
-    for flag, value in (("--coloring-out", args.coloring_out),
-                        ("--k", args.k)):
-        if value is not None and not args.planted:
-            raise ValidationError("%s needs --planted" % flag)
     if args.planted:
-        if args.k is None:
-            raise ValidationError("--planted needs --k")
         G, sigma = experiments.sample_flat_planted(args.n, args.d, args.k,
                                                    generator)
         if args.coloring_out:
@@ -121,47 +105,40 @@ def cmd_sample(args):
 
 
 def cmd_count(args):
-    if args.profile is not None and args.filter != "profile":
-        raise ValidationError("--profile needs --filter profile")
     G = graphs.parse_graph(_read(args.graph))
-    if args.predicate:
-        sigma = _load_coloring(args.coloring, G, args.k)
-        name = args.predicate
-        witnesses = None
-        if name == "proper":
-            value = colorings.is_proper(G, sigma)
-        elif name == "balanced":
-            value = colorings.is_balanced(sigma)
-        elif name == "skewed":
-            value = colorings.is_skewed(G, sigma)
-        elif name == "separable":
-            value = colorings.is_separable(G, sigma, args.kappa)
-        elif name == "nice":
-            rep = colorings.is_nice(G, sigma, check_cluster=args.check_cluster)
-            value = bool(rep) if rep.condition3 is not None else None
-            witnesses = dict(vars(rep))  # its five fields
-        elif name == "rainbow":
-            witnesses = np.flatnonzero(
-                colorings.rainbow_vertices(G, sigma)).tolist()
-            value = len(witnesses)
-        elif name == "vacant":
-            vacant = colorings.vacant_table(G, sigma)
-            value = graphs.count_marked(vacant)
-            witnesses = {}
-            for v, j in zip(*(a.tolist() for a in np.nonzero(vacant))):
-                witnesses.setdefault("%d,%d" % (sigma.assignment[v], j),
-                                     []).append(v)  # v ascending
-        else:
-            raise ValidationError("unknown predicate %r" % name)
-        doc = {"predicate": name, "value": value}
-        if witnesses is not None:
-            doc["witnesses"] = witnesses
-        _emit_json(args, doc)
-        return
-    profile = _parse_profile(args.profile) if args.profile else None
-    count = colorings.count_colorings(G, args.k, args.filter, profile)
-    _emit_json(args, {"n": G.n, "d": G.d, "k": args.k, "filter": args.filter,
-                      "count": str(count)})
+    name = args.predicate
+    if name is None:
+        count = colorings.count_colorings(G, args.k, args.filter, args.profile)
+        return _write(args, {"n": G.n, "d": G.d, "k": args.k,
+                             "filter": args.filter, "count": str(count)})
+    sigma = _load_coloring(args.coloring, G, args.k)
+    witnesses = None
+    if name == "proper":
+        value = colorings.is_proper(G, sigma)
+    elif name == "balanced":
+        value = colorings.is_balanced(sigma)
+    elif name == "skewed":
+        value = colorings.is_skewed(G, sigma)
+    elif name == "separable":
+        value = colorings.is_separable(G, sigma, args.kappa)
+    elif name == "nice":
+        rep = colorings.is_nice(G, sigma, check_cluster=args.check_cluster)
+        value = bool(rep) if rep.condition3 is not None else None
+        witnesses = dict(vars(rep))  # its five fields
+    elif name == "rainbow":
+        witnesses = np.flatnonzero(
+            colorings.rainbow_vertices(G, sigma)).tolist()
+        value = len(witnesses)
+    else:  # vacant
+        vacant = colorings.vacant_table(G, sigma)
+        value, witnesses = graphs.count_marked(vacant), {}
+        for v, j in zip(*(a.tolist() for a in np.nonzero(vacant))):
+            witnesses.setdefault("%d,%d" % (sigma.assignment[v], j),
+                                 []).append(v)  # v ascending
+    doc = {"predicate": name, "value": value}
+    if witnesses is not None:
+        doc["witnesses"] = witnesses
+    _write(args, doc)
 
 
 def _rates_blocks(k_lo, k_hi, d_lo, d_hi):
@@ -178,11 +155,10 @@ def _rates_blocks(k_lo, k_hi, d_lo, d_hi):
 
 
 def cmd_rates(args):
-    if args.k_range or args.d_range:
-        if not (args.k_range and args.d_range):
-            raise ValidationError("sweep needs both --k-range and --d-range")
-        k_lo, k_hi = _parse_range(args.k_range, "--k-range")
-        d_lo, d_hi = _parse_range(args.d_range, "--d-range")
+    if args.k_range and args.d_range:
+        (k_lo, k_hi), (d_lo, d_hi) = args.k_range, args.d_range
+        if 2 * k_hi > sys.float_info.max:  # dplus takes 2k - 1 as a float
+            raise ValidationError("--k-range: 2k overflows a float")
         try:  # every rate takes d / 2
             d_lo / 2, d_hi / 2
         except OverflowError:
@@ -196,20 +172,21 @@ def cmd_rates(args):
         return
     k, d = args.k, args.d
     if k is None or d is None:
-        raise ValidationError("rates needs --k and --d (or a sweep)")
+        raise ValidationError("rates needs --k and --d, or --k-range and "
+                              "--d-range")
     if not math.isfinite(d):
         raise ValidationError("--d must be a finite number, got %r" % d)
+    if 2 * k > sys.float_info.max:
+        raise ValidationError("--k: 2k overflows a float")
     rate = moments.first_moment_rate(k, d)
-    doc = {
-        "k": k, "d": d,
-        "first_moment_rate": rate,
+    _write(args, {
+        "k": k, "d": d, "first_moment_rate": rate,
         "components": {"entropy": math.log(k),
                        "edge_penalty": rate - math.log(k)},
         "balanced_polynomial_exponent": -(k - 1) / 2,
         "second_moment_flat": 2 * rate,
         "dplus": moments.dplus(k) if k >= 3 else None,
-    }
-    _emit_json(args, doc)
+    })
 
 
 def _parse_region(text):
@@ -219,20 +196,17 @@ def _parse_region(text):
     s, sep, rest = text.partition("-")
     if not (s.isdecimal() and sep and rest == "stable"):
         raise ValidationError("--region must be 'unconstrained' or "
-                              "'<s>-stable' with an integer s >= 0, got %r"
-                              % text)
+                              "'<s>-stable', got %r" % text)
     return ("stable", int(s))
 
 
 def cmd_optimize(args):
-    region = _parse_region(args.region)
-    seed = args.seed or 0
+    region, seed = _parse_region(args.region), args.seed or 0
     res = birkhoff.maximize_f(args.k, args.d, region=region,
-                              restarts=args.restarts,
-                              rng=rng.stream(seed, 0), kappa=args.kappa)
-    _emit_json(args, {
-        "k": args.k, "d": args.d,
-        "region": args.region or "unconstrained",
+                              restarts=args.restarts, rng=rng.stream(seed, 0),
+                              kappa=args.kappa)
+    _write(args, {
+        "k": args.k, "d": args.d, "region": args.region or "unconstrained",
         "best_value": res.value, "f_flat": res.f_flat,
         "exceeded_flat": res.exceeded_flat,
         "argmax": [[float(x) for x in row] for row in res.best],
@@ -245,102 +219,121 @@ def cmd_core(args):
     sigma = _load_coloring(args.coloring, G, args.k)
     res = clustergeo.core_analysis(G, sigma, args.ell, mode=args.mode)
     wuy, rep, size = res.wuy, res.freedom, graphs.count_marked
-    _emit_json(args, {
+    _write(args, {
         "core_size": size(res.core.core), "W": size(wuy.W_union),
         "U": size(wuy.U.any(axis=1)), "U_prime": size(wuy.U_prime.any(axis=1)),
         "Y": size(wuy.Y), "F1": size(rep.free_1), "F2": size(rep.free_2),
-        "complete": size(rep.complete),
+        "complete": size(rep.complete), "inclusion_ok": res.inclusion_ok,
         "cluster_log2_upper": rep.cluster_log2_upper,
-        "inclusion_ok": res.inclusion_ok,
     })
 
 
 def cmd_threshold(args):
-    k_lo, k_hi = _parse_range(args.k_range, "--k-range")
-    _write(args, threshold.format_csv(k_lo, k_hi, args.eps_mode,
+    _write(args, threshold.format_csv(*args.k_range, args.eps_mode,
                                       args.eps_value))
 
 
 def cmd_experiment(args):
     spec = experiments.parse_spec(_read(args.spec))
     if args.seed is not None:
-        spec = experiments.ExperimentSpec(spec.kind, spec.params,
-                                          spec.samples, args.seed)
+        spec = dataclasses.replace(spec, seed=args.seed)
     report = experiments.run_experiment(spec)
     _write(args, experiments.emit(report, args.format or "json"))
 
 
+_PLANTED = (lambda a: a.planted, "needs --planted")
+_POINT = (lambda a: not (a.k_range or a.d_range),
+          "applies without a sweep only")
+_INT, _FLOAT = {"type": int}, {"type": float}
+_REQUIRED, _REQUIRED_INT = {"required": True}, {"type": int, "required": True}
+
+# Every option, declared once: subcommand (None for the global options) ->
+# (runner, help, options), where options maps flag -> (argparse keywords,
+# read when).  Read when is None for always, else (reads(args), words):
+# where reads is false, a value off the flag's default is refused as
+# "<flag> <words>", so such a row gives its default unless it is None.
+OPTIONS = {
+    None: (None, None, {
+        "--seed": (_INT, (
+            lambda a: a.command in ("sample", "optimize", "experiment"),
+            "applies to sample, optimize and experiment only")),
+        "--out": ({}, None),
+        "--format": ({"choices": ("json", "csv")}, (
+            lambda a: a.command == "experiment",
+            "applies to experiment only"))}),
+    "sample": (cmd_sample, "sample a regular multigraph", {
+        "--n": (_REQUIRED_INT, None), "--d": (_REQUIRED_INT, None),
+        "--k": (_INT, _PLANTED), "--coloring-out": ({}, _PLANTED),
+        "--planted": ({"action": "store_true", "default": False}, (
+            lambda a: a.k is not None, "needs --k"))}),
+    "count": (cmd_count, "exact coloring counts and predicates", {
+        "--graph": (_REQUIRED, None), "--k": (_REQUIRED_INT, None),
+        "--predicate": ({"choices": "proper balanced skewed separable nice "
+                                    "rainbow vacant".split()}, (
+            lambda a: a.coloring is not None, "needs --coloring")),
+        "--filter": ({"default": "none"}, (
+            lambda a: a.predicate is None, "needs no --predicate")),
+        "--profile": ({"type": _parse_profile}, (
+            lambda a: a.filter == "profile", "needs --filter profile")),
+        "--coloring": ({}, (
+            lambda a: a.predicate is not None, "needs --predicate")),
+        "--kappa": ({**_FLOAT, "default": 0.1}, (
+            lambda a: a.predicate == "separable",
+            "needs --predicate separable")),
+        "--check-cluster": ({"action": "store_true", "default": False}, (
+            lambda a: a.predicate == "nice", "needs --predicate nice"))}),
+    "rates": (cmd_rates, "rate functions", {
+        "--k": (_INT, _POINT), "--d": (_FLOAT, _POINT),
+        "--k-range": ({"type": _parse_range}, None),
+        "--d-range": ({"type": _parse_range}, None)}),
+    "optimize": (cmd_optimize, "maximize f on the Birkhoff polytope", {
+        "--k": (_REQUIRED_INT, None), "--d": ({**_FLOAT, **_REQUIRED}, None),
+        "--restarts": ({**_INT, "default": 20}, None), "--region": ({}, None),
+        "--kappa": ({**_FLOAT, "default": 0.1}, (
+            lambda a: _parse_region(a.region), "needs --region <s>-stable"))}),
+    "core": (cmd_core, "core peeling and freedom report", {
+        "--graph": (_REQUIRED, None), "--coloring": (_REQUIRED, None),
+        "--k": (_REQUIRED_INT, None), "--ell": ({**_INT, "default": 3}, None),
+        "--mode": ({"choices": ("prose", "strict"), "default": "prose"},
+                   None)}),
+    "threshold": (cmd_threshold, "threshold interval table", {
+        "--k-range": ({"type": _parse_range, **_REQUIRED}, None),
+        "--eps-mode": ({"choices": ("pow09", "zero", "value"),
+                        "default": "pow09"}, None),
+        "--eps-value": (_FLOAT, (lambda a: a.eps_mode == "value",
+                                 "needs --eps-mode value"))}),
+    "experiment": (cmd_experiment, "run an experiment spec file", {
+        "--spec": (_REQUIRED, None)}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a refusal too
+        raise ValidationError(message)
+
+
 @functools.cache
 def build_parser():
-    """Built on the first `main` call and shared by every later one."""
-    p = argparse.ArgumentParser(prog="regcolor")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"))  # experiment only
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("sample", help="sample a regular multigraph")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--k", type=int)
-    s.add_argument("--planted", action="store_true")
-    s.add_argument("--coloring-out")
-    s.set_defaults(func=cmd_sample)
-
-    s = sub.add_parser("count", help="exact coloring counts and predicates")
-    s.add_argument("--graph", required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--filter", default="none")
-    s.add_argument("--profile")
-    s.add_argument("--predicate")
-    s.add_argument("--coloring")
-    s.add_argument("--kappa", type=float, default=0.1)
-    s.add_argument("--check-cluster", action="store_true")
-    s.set_defaults(func=cmd_count)
-
-    s = sub.add_parser("rates", help="rate functions")
-    s.add_argument("--k", type=int)
-    s.add_argument("--d", type=float)
-    s.add_argument("--k-range")
-    s.add_argument("--d-range")
-    s.set_defaults(func=cmd_rates)
-
-    s = sub.add_parser("optimize", help="maximize f over the Birkhoff polytope")
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--d", type=float, required=True)
-    s.add_argument("--restarts", type=int, default=20)
-    s.add_argument("--region")
-    s.add_argument("--kappa", type=float, default=0.1)
-    s.set_defaults(func=cmd_optimize)
-
-    s = sub.add_parser("core", help="core peeling and freedom report")
-    s.add_argument("--graph", required=True)
-    s.add_argument("--coloring", required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--ell", type=int, default=3)
-    s.add_argument("--mode", choices=("prose", "strict"), default="prose")
-    s.set_defaults(func=cmd_core)
-
-    s = sub.add_parser("threshold", help="threshold interval table")
-    s.add_argument("--k-range", required=True)
-    s.add_argument("--eps-mode", choices=("pow09", "zero", "value"),
-                   default="pow09")
-    s.add_argument("--eps-value", type=float)
-    s.set_defaults(func=cmd_threshold)
-
-    s = sub.add_parser("experiment", help="run an experiment spec file")
-    s.add_argument("--spec", required=True)
-    s.set_defaults(func=cmd_experiment)
+    """Built from OPTIONS on the first `main` call, then shared."""
+    p = _Parser(prog="regcolor")
+    sub = p.add_subparsers(dest="command", required=True)  # of _Parser
+    for name, (_, help_, options) in OPTIONS.items():
+        parser = sub.add_parser(name, help=help_) if name else p
+        for flag, (kwargs, _) in options.items():
+            parser.add_argument(flag, **kwargs)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.format is not None and args.command != "experiment":
-            raise ValidationError("--format applies to experiment only")
-        args.func(args)
+        args = build_parser().parse_args(argv)
+        for name in (None, args.command):  # before any file is opened
+            for flag, (kwargs, when) in OPTIONS[name][2].items():
+                value = getattr(args, flag[2:].replace("-", "_"))
+                if (when and value != kwargs.get("default")
+                        and not when[0](args)):
+                    raise ValidationError("%s %s" % (flag, when[1]))
+        OPTIONS[args.command][0](args)
     except (GuardError, ValidationError) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return 2

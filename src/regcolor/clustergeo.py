@@ -16,6 +16,7 @@ is n, not the size of the set.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,8 @@ def build_WUY(G, sigma, ell):
     into W_j.  U'_ij: outside W with > 2 ell ln k edges into V_j.  Y grows
     from U cup U' in rounds: each round adds every vertex with more than ell
     edges into the current Y."""
+    if 2 * ell > sys.float_info.max:  # hi below is a float
+        raise ValidationError("ell: 2 ell overflows a float")
     k, color = sigma.k, sigma.assignment
     deg = vertex_class_degrees(G, color, k)
     hi = 2 * ell * math.log(k)

@@ -17,8 +17,8 @@ from . import guards
 
 AT_THRESHOLD_TOL = 1e-9
 
-# above 2^52 the interval ends are spaced a unit or more apart as doubles,
-# so the integers inside them can no longer be counted
+# above 2^52 the interval ends are a unit or more apart as doubles, so the
+# integers inside can no longer be counted: bounds eps and (2k-1) ln k
 MAX_EPS = 2.0 ** 52
 
 # a several-integers refusal lists at most this many integers
@@ -86,6 +86,10 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
         raise ValidationError("need 3 <= k_lo <= k_hi")
     # checked before any array exists
     guards.check(k_hi - k_lo + 1, "MAX_TABLE_ROWS", "rows", "row")
+    if k_hi > MAX_EPS or (2 * k_hi - 1) * math.log(k_hi) > MAX_EPS:
+        raise ValidationError("k_hi=%d puts (2k-1) ln k past 2^52" % k_hi)
+    if eps_value is not None and eps_mode != "value":
+        raise ValidationError("eps_value needs eps_mode=value")
     ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
     if eps_mode == "pow09":
         eps = ks ** -0.9

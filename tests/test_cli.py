@@ -152,6 +152,25 @@ def test_refusals_under_a_memory_limit(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("refused: "), lines
 
 
+def test_argv_grammar(tmp_path):
+    # hypothesis over every subcommand, each option given or not, values from
+    # a boundary set (tests/argv_grammar.py): exit 0, or 2 with one refusal
+    # line; 300 examples in one child that turns RuntimeWarnings into errors,
+    # under the 512 MiB address-space limit of the test above
+    script = Path(__file__).with_name("argv_grammar.py")
+    src = Path(colorings.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(script), "300", str(tmp_path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=600, preexec_fn=limit)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_rates(tmp_path):
     out = tmp_path / "r.json"
     assert run(["--out", str(out), "rates", "--k", "3", "--d", "5"]) == 0
@@ -235,6 +254,84 @@ def refused(argv, capsys, needle):
     assert err.startswith("refused:") and needle in err, err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--seed", "5", "rates", "--k", "3", "--d", "4"], "--seed"),
+    (["--seed", "3", "core", "--graph", "G", "--coloring", "C", "--k", "3"],
+     "--seed"),
+    (["threshold", "--k-range", "3..4", "--eps-value", "0.3"], "--eps-value"),
+    (["optimize", "--k", "3", "--d", "5", "--kappa", "0.7"], "--kappa"),
+    (["rates", "--k", "3", "--d", "4", "--k-range", "3..4", "--d-range",
+      "1..2"], "--k"),
+    (["count", "--graph", "G", "--k", "3", "--predicate", "proper",
+      "--coloring", "C", "--check-cluster"], "--check-cluster"),
+    (["count", "--graph", "G", "--k", "3", "--predicate", "proper",
+      "--coloring", "C", "--kappa", "0.3"], "--kappa"),
+    (["count", "--graph", "G", "--k", "3", "--predicate", "proper",
+      "--coloring", "C", "--filter", "balanced"], "--filter"),
+    (["count", "--graph", "G", "--k", "3", "--coloring", "C"], "--coloring"),
+    (["sample", "--n", "6", "--d", "3", "--planted"], "--planted"),
+    (["count", "--graph", "G", "--k", "3", "--predicate", "proper"],
+     "--predicate"),
+])
+def test_unread_options_refused(argv, flag, tmp_path, capsys):
+    # each gives an option where no mode reads it: one refusal naming it
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert run(["--out", str(gpath), "sample", "--planted", "--n", "12",
+                "--d", "4", "--k", "3", "--coloring-out", str(cpath)]) == 0
+    files = {"G": str(gpath), "C": str(cpath)}
+    assert run([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("refused: %s " % flag), err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["sample", "--n", "x", "--d", "3"], "argument --n: invalid int value"),
+    (["sample", "--n", "3", "--d", "3", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["sample", "--n", "3"], "the following arguments are required: --d"),
+    ([], "the following arguments are required: command"),
+    (["sparkly"], "argument command: invalid choice: 'sparkly'"),
+    (["threshold", "--k-range", "3..x"], "argument --k-range: must be lo..hi"),
+    # refused before the (missing) graph file is read
+    (["count", "--graph", "missing.txt", "--k", "3", "--predicate", "sparkly",
+      "--coloring", "missing.txt"], "argument --predicate: invalid choice"),
+])
+def test_usage_errors_are_one_refusal_line(argv, needle, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1, err
+    assert needle in err, err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: regcolor")
+
+
+def test_float_overflow_refusals(tmp_path, capsys):
+    # integers whose float arithmetic would overflow are refused, not an
+    # internal error: 2k - 1 in dplus, 2 ell ln k in the W/U/Y sets
+    huge = str(4 * 10 ** 308)
+    refused(["rates", "--k", huge, "--d", "3"], capsys,
+            "--k: 2k overflows a float")
+    refused(["rates", "--k-range", "3.." + huge, "--d-range", "1..1"], capsys,
+            "--k-range: 2k overflows a float")
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert run(["--out", str(gpath), "sample", "--planted", "--n", "6",
+                "--d", "2", "--k", "3", "--coloring-out", str(cpath)]) == 0
+    refused(["core", "--graph", str(gpath), "--coloring", str(cpath),
+             "--k", "3", "--ell", huge], capsys,
+            "ell: 2 ell overflows a float")
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = core-profile\nn = 6\nd = 2\nk = 3\nell = %s\n"
+                    % huge)
+    refused(["experiment", "--spec", str(spec)], capsys,
+            "ell: 2 ell overflows a float")
+
+
 def test_threshold_refusals(tmp_path, capsys):
     refused(["threshold", "--k-range", "3..x"], capsys, "--k-range")
     refused(["threshold", "--k-range", "5..4"], capsys, "--k-range")
@@ -246,6 +343,16 @@ def test_threshold_refusals(tmp_path, capsys):
     refused(["experiment", "--spec", str(spec)], capsys, "eps_value")
     refused(["threshold", "--k-range", "3..100", "--eps-mode", "value",
              "--eps-value", "0.4"], capsys, "contains 2 integers")
+    # past 2^52 doubles cannot place the interval ends (k = 10^14 gives lo,
+    # hi and d_col equal to 12 digits)
+    for k in (10 ** 14, 10 ** 20):
+        refused(["threshold", "--k-range", "%d..%d" % (k, k)], capsys,
+                "k_hi=%d puts (2k-1) ln k past 2^52" % k)
+    # only eps_mode = value reads eps_value, in a spec too
+    spec.write_text("kind = threshold-table\nk_lo = 3\nk_hi = 10\n"
+                    "eps_value = 0.3\n")
+    refused(["experiment", "--spec", str(spec)], capsys,
+            "eps_value needs eps_mode=value")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -265,10 +372,12 @@ def test_non_finite_refusals(value, tmp_path, capsys):
     refused(["count", "--graph", str(gpath), "--k", "3", "--predicate",
              "separable", "--coloring", str(cpath), "--kappa=" + value],
             capsys, "kappa must be a finite number")
-    for region in ([], ["--region", "1-stable"]):
-        refused(["optimize", "--k", "3", "--d", "5", "--restarts", "2",
-                 "--kappa=" + value, *region], capsys,
-                "kappa must be a finite number")
+    optimize = ["optimize", "--k", "3", "--d", "5", "--restarts", "2",
+                "--kappa=" + value]
+    # with no region the kappa is not read, and refused as such
+    refused(optimize, capsys, "--kappa needs --region <s>-stable")
+    refused(optimize + ["--region", "1-stable"], capsys,
+            "kappa must be a finite number")
 
 
 @pytest.mark.parametrize("value", ["1e17", "1e300"])
@@ -580,8 +689,10 @@ def test_empty_graph_refusals(flags, tmp_path, capsys):
     gpath.write_text("0 0\n")
     cpath = tmp_path / "c.txt"
     cpath.write_text("\n")
-    refused(flags + ["--graph", str(gpath), "--coloring", str(cpath)],
-            capsys, "n >= 1")
+    # the coloring is given where it is read
+    reads = flags[0] == "core" or "--predicate" in flags
+    refused(flags + ["--graph", str(gpath)]
+            + ["--coloring", str(cpath)] * reads, capsys, "n >= 1")
 
 
 def test_parser_shared_across_calls(tmp_path, capsys):
@@ -809,19 +920,94 @@ def test_exit_code_sweep(tmp_path, capsys):
     assert go("experiment", "--spec", spec) == 2
     assert go("sample", "--n", "6", "--d", "3", "--coloring-out",
               tmp_path / "c.txt") == 2
-    # options that no code path reads, refused by name
-    gpath = str(files[0][0])
-    for flag, argv in (
-            ("--format", ["--format", "csv", "rates", "--k", "3", "--d", "4"]),
-            ("--format", ["--format", "json", "count", "--graph", gpath,
-                          "--k", "2"]),
-            ("--k", ["sample", "--n", "6", "--d", "3", "--k", "2"]),
-            ("--profile", ["count", "--graph", gpath, "--k", "2",
-                           "--profile", "1/2,1/2"]),
-            ("--profile", ["count", "--graph", gpath, "--k", "2", "--filter",
-                           "balanced", "--profile", "1/2,1/2"])):
-        refused(argv, capsys, flag)
+    # every option with a read-when rule in cli.OPTIONS: refused by name
+    # where it is not read, accepted where it is
+    cases, rules = _read_when_cases(*files[0], tmp_path), _read_when_rules()
+    assert set(cases) == set(rules)
+    for (name, flag), (unread, read) in cases.items():
+        words = rules[name, flag]
+        assert run([str(a) for a in unread]) == 2, unread
+        assert capsys.readouterr().err == "refused: %s %s\n" % (flag, words)
+        assert go(*read) == 0, (read, internal)
     assert internal == []
+
+
+def test_readme_option_table_matches_options():
+    # the README's table of the options read only in some mode is OPTIONS's
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split(
+        "| subcommand | flag | default | read when |\n|---|---|---|---|\n")[1]
+    rows = set()
+    for line in table.split("\n\n")[0].splitlines():
+        cells = line.strip("|").split("|")
+        command, flags, default, words = (c.strip().replace("`", "")
+                                          for c in cells)
+        for flag in flags.split(", "):
+            rows.add((None if command == "global" else command, flag,
+                      default.split()[0], words))
+    shown = {None: "unset", False: "off"}
+    assert rows == {
+        (name, flag, shown.get(kwargs.get("default"),
+                               str(kwargs.get("default"))), when[1])
+        for name, (_, _, options) in cli.OPTIONS.items()
+        for flag, (kwargs, when) in options.items() if when}
+
+
+def _read_when_rules():
+    """(subcommand or None, flag) -> refusal words, for every option of
+    cli.OPTIONS read only in some mode."""
+    return {(name, flag): when[1]
+            for name, (_, _, options) in cli.OPTIONS.items()
+            for flag, (_, when) in options.items() if when}
+
+
+def _read_when_cases(gpath, cpath, tmp_path):
+    """(subcommand or None, flag) -> (an argv that gives the option where it
+    is not read, a tiny argv that gives it where it is)."""
+    spec = tmp_path / "read_when_spec.txt"
+    spec.write_text("kind = cycle-census\nn = 10\nd = 3\n")
+    out = str(tmp_path / "read_when_c.txt")
+    rates = ["rates", "--k", "3", "--d", "4"]
+    sweep = ["rates", "--k-range", "3..4", "--d-range", "1..2"]
+    optimize = ["optimize", "--k", "3", "--d", "20", "--restarts", "1"]
+    sample = ["sample", "--n", "6", "--d", "1"]
+    planted = sample + ["--planted", "--k", "2"]
+    count = ["count", "--graph", gpath, "--k", "2"]
+    predicate = count + ["--coloring", cpath, "--predicate"]
+    threshold = ["threshold", "--k-range", "3..4"]
+    return {
+        (None, "--seed"): (["--seed", "1", *rates],
+                           ["--seed", "1", *optimize]),
+        (None, "--format"): (["--format", "csv", *rates],
+                             ["--format", "csv", "experiment", "--spec",
+                              spec]),
+        ("sample", "--k"): (sample + ["--k", "2"], planted),
+        ("sample", "--planted"): (sample + ["--planted"], planted),
+        ("sample", "--coloring-out"): (sample + ["--coloring-out", out],
+                                       planted + ["--coloring-out", out]),
+        ("count", "--filter"): (predicate + ["proper", "--filter", "balanced"],
+                                count + ["--filter", "balanced"]),
+        ("count", "--profile"): (
+            count + ["--profile", "1/2,1/2"],
+            count + ["--filter", "profile", "--profile", "1/2,1/2"]),
+        ("count", "--coloring"): (count + ["--coloring", cpath],
+                                  predicate + ["proper"]),
+        ("count", "--predicate"): (count + ["--predicate", "proper"],
+                                   predicate + ["proper"]),
+        ("count", "--kappa"): (predicate + ["proper", "--kappa", "0.3"],
+                               predicate + ["separable", "--kappa", "0.3"]),
+        ("count", "--check-cluster"): (
+            predicate + ["proper", "--check-cluster"],
+            predicate + ["nice", "--check-cluster"]),
+        ("rates", "--k"): (sweep + ["--k", "3"], rates),
+        ("rates", "--d"): (sweep + ["--d", "4"], rates),
+        ("optimize", "--kappa"): (
+            optimize + ["--kappa", "0.3"],
+            optimize + ["--kappa", "0.3", "--region", "3-stable"]),
+        ("threshold", "--eps-value"): (
+            threshold + ["--eps-value", "0.3"],
+            threshold + ["--eps-mode", "value", "--eps-value", "0.3"]),
+    }
 
 
 # sha256 of the `core` JSON (the same for both modes: a planted coloring is

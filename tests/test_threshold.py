@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -268,3 +269,49 @@ def test_smallest_reliable_k():
     # a fat eps forces unreliability somewhere
     assert threshold.smallest_reliable_k(k_max=100, eps_mode="value",
                                          eps_value=0.4) > 3
+
+
+def _first_k_past_2_52():
+    """Smallest k with (2k - 1) ln k > 2^52, in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lo, hi = 3, 2 ** 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (2 * Decimal(mid) - 1) * Decimal(mid).ln() > 2 ** 52:
+                hi = mid
+            else:
+                lo = mid + 1
+    return lo
+
+
+def test_scan_refuses_k_past_2_52():
+    # past 2^52 the common term (2k - 1) ln k leaves the interval ends a
+    # unit or more apart, the bound threshold.MAX_EPS puts on eps
+    k = _first_k_past_2_52()
+    assert k == 70615306259285
+    for k_lo, k_hi in ((k, k), (k - 1, k), (10 ** 20, 10 ** 20),
+                       (4 * 10 ** 308, 4 * 10 ** 308)):
+        with pytest.raises(ValidationError,
+                           match=r"^k_hi=%d puts \(2k-1\) ln k past 2\^52$"
+                           % k_hi):
+            threshold.threshold_scan(k_lo, k_hi)
+    # the largest accepted k: its k column is exact, and the table too
+    scan = threshold.threshold_scan(k - 2, k - 1)
+    assert scan["k"].tolist() == [k - 2, k - 1]
+    assert [row.split(",")[0] for row in
+            threshold.format_csv(k - 2, k - 1).splitlines()[1:]] == \
+        [str(k - 2), str(k - 1)]
+    assert (scan["lo"] < scan["hi"]).all()
+
+
+def test_scan_refuses_eps_value_without_value_mode():
+    # only eps_mode = value reads an eps_value; the other modes refuse one
+    for mode in ("pow09", "zero"):
+        with pytest.raises(ValidationError,
+                           match="^eps_value needs eps_mode=value$"):
+            threshold.threshold_scan(3, 10, mode, 0.05)
+        with pytest.raises(ValidationError,
+                           match="^eps_value needs eps_mode=value$"):
+            threshold.format_csv(3, 10, mode, 0.0)
+    assert len(threshold.threshold_scan(3, 10, "value", 0.05)["k"]) == 8
