@@ -271,7 +271,7 @@ OPTIONS = {
         "--predicate": ({"choices": "proper balanced skewed separable nice "
                                     "rainbow vacant".split()}, (
             lambda a: a.coloring is not None, "needs --coloring")),
-        "--filter": ({"default": "none"}, (
+        "--filter": ({"choices": colorings.FILTERS, "default": "none"}, (
             lambda a: a.predicate is None, "needs no --predicate")),
         "--profile": ({"type": _parse_profile}, (
             lambda a: a.filter == "profile", "needs --filter profile")),

@@ -24,6 +24,7 @@ from .graphs import (_int_tokens, class_edge_matrix, format_rows, read_only,
 
 CLUSTER_DIAG = Fraction(51, 100)   # strict > for cluster membership
 NICE_DIAG = Fraction(9, 10)        # >= for the rigidity condition
+FILTERS = ("none", "balanced", "profile", "skewed", "nice12")
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,12 +330,14 @@ def is_colorable(G, k):
 
 
 def count_colorings(G, k, filter="none", profile=None):
-    """Exact number of proper k-colorings passing the filter.
-
-    Filters: "none", "balanced", "profile" (class sizes = profile[i] * n,
+    """Exact number of proper k-colorings passing the filter, one of
+    `FILTERS`: "none", "balanced", "profile" (class sizes = profile[i] * n,
     profile entries rationals), "skewed" (balanced and skewed), "nice12"
     (conditions 1-2 of niceness).
     """
+    if filter not in FILTERS:
+        raise ValidationError("unknown filter %r (one of %s)"
+                              % (filter, ", ".join(FILTERS)))
     _count_guard(G, k)
     n = G.n
     if filter == "none":
@@ -357,10 +360,8 @@ def count_colorings(G, k, filter="none", profile=None):
     if filter == "skewed":
         return sum(is_skewed(G, tau) for tau in
                    enumerate_proper_colorings(G, k, balanced=True))
-    if filter == "nice12":
-        reports = (is_nice(G, tau) for tau in enumerate_proper_colorings(G, k))
-        return sum(rep.condition1 and rep.condition2 for rep in reports)
-    raise ValidationError("unknown filter %r" % (filter,))
+    reports = (is_nice(G, tau) for tau in enumerate_proper_colorings(G, k))
+    return sum(rep.condition1 and rep.condition2 for rep in reports)  # nice12
 
 
 def count_pairs_with_overlap(G, k, rho):

@@ -77,6 +77,7 @@ def parse_spec(text):
     samples, seed = int(samples), int(seed)
     if samples < 1:
         raise ValidationError("samples >= 1 required")
+    guards.check(samples, "MAX_EXPERIMENT_SAMPLES", "samples", "sample")
     params = {key: _scalar(val) for key, val in fields.items()}
     declared = SPEC_TABLE[kind].params
     for key, (type_, default) in declared.items():
@@ -119,14 +120,10 @@ def _summarize(values):
     return MetricStats(mean, var, mean - half, mean + half, arr.size)
 
 
-def _check_planted_k(k):
-    if k < 2:
-        raise ValidationError("flat planting needs k >= 2, got k=%d" % k)
-
-
 def flat_planted_coloring(n, k):
     """Blocks of n/k consecutive vertices per color."""
-    _check_planted_k(k)
+    if k < 2:
+        raise ValidationError("flat planting needs k >= 2, got k=%d" % k)
     if n < 1 or n % k != 0:
         raise ValidationError("flat planting needs n >= 1 and k | n")
     # checked before the n labels exist
@@ -134,22 +131,16 @@ def flat_planted_coloring(n, k):
     return colorings.coloring(np.repeat(np.arange(k), n // k), k)
 
 
-def flat_planted_mu(k):
-    _check_planted_k(k)
-    off = Fraction(1, k * (k - 1))
-    return [[Fraction(0) if i == j else off for j in range(k)]
-            for i in range(k)]
-
-
 def sample_flat_planted(n, d, k, generator):
-    """(G, sigma): a graph planted on the flat coloring with the flat mu."""
+    """(G, sigma): a graph planted on the flat coloring, with dn/(k(k-1))
+    edges between each two classes."""
     sigma = flat_planted_coloring(n, k)
-    # checked before mu: k | n leaves k^2 unbounded, k(k-1) <= dn does not
+    # before the k x k counts: k(k-1) | dn bounds k^2 by dn, k | n does not
     graphs._check_even(n, d)
     if d * n % (k * (k - 1)):
         raise ValidationError("flat planting needs k(k-1) | dn")
-    return (graphs.sample_planted(sigma.assignment, k, d, flat_planted_mu(k),
-                                  generator), sigma)
+    counts = d * n // (k * (k - 1)) * (1 - np.eye(k, dtype=np.int64))
+    return graphs.sample_planted(sigma.assignment, d, counts, generator), sigma
 
 
 def _run_cycle_census(p, generator):

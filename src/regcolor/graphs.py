@@ -6,9 +6,11 @@ and degrees, class degrees and edge counts between vertex sets).
 
 A graph is one read-only (m, 2) int64 array of its edges, sorted, and every
 query counts from that array.  The samplers write it straight from their
-clone pairs (`_from_pairs`).  The one per-vertex view is the CSR adjacency
-of `neighbors`, int64 arrays built from the edge array on each call, whose
-rows `neighbor_rows` gathers for a whole vertex array at once.
+clone pairs (`_from_pairs`); the planted one takes the k x k integer matrix
+of class edge counts its sample must have, its `class_edge_matrix`.  The one
+per-vertex view is the CSR adjacency of `neighbors`, int64 arrays built from
+the edge array on each call, whose rows `neighbor_rows` gathers for a whole
+vertex array at once.
 
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
@@ -17,7 +19,6 @@ contributes 2 to the degree of its endpoint.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, isqrt
 
 import numpy as np
@@ -426,44 +427,60 @@ def cycle_census(G, L):
     return CycleCensus(tuple(counts))
 
 
-def sample_planted(assignment, k, d, mu, rng):
-    """Uniform configuration conditioned on e(V_i, V_j) = mu_ij * dn for the
-    classes of `assignment`, contracted.  Requires mu_ii = 0 and all
-    mu_ij * dn integral.
-
-    Each class's clone array is shuffled once and cut into one segment per
-    other class; pairing the (i,j) segment of class i with the (j,i) segment
-    of class j position by position is uniform over the conditioned
-    configurations, because a uniformly shuffled array induces a uniform
-    ordered selection for every segment independently.  The paired clones
-    (a, b) give the edge {a // d, b // d} directly, and `_from_pairs` puts
-    the edges in the order `contract` would.
-    """
-    from . import moments
-
-    color = np.asarray(assignment, dtype=np.int64)
-    n = color.size
-    _check_even(n, d)
+def _check_counts(counts, color, d):
+    """`counts` as int64 once checked: square, of integers (a float or
+    Fraction is refused, not truncated), nonnegative, symmetric, zero on the
+    diagonal, row i summing to d |V_i|; a refusal names the first bad one."""
+    M = np.asarray(counts)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError("counts must be a square matrix, got shape %s"
+                              % (M.shape,))
+    if M.dtype.kind not in "iu":
+        for (i, j), x in np.ndenumerate(M):
+            if not isinstance(x, (int, np.integer)):
+                raise ValidationError("counts[%d, %d] = %s is a %s, not an "
+                                      "integer" % (i, j, x, type(x).__name__))
+    k = len(M)
     if not 0 <= color.min() <= color.max() < k:
         raise ValidationError("color out of range")
-    rho = [Fraction(s, n) for s in np.bincount(color, minlength=k).tolist()]
-    pair = moments.validate_admissible(rho, mu, n, d)
-    for i in range(k):
-        if pair.mu[i][i] != 0:
-            raise ValidationError("planted model needs mu_ii = 0 (i=%d)" % i)
+    for bad, why in ((M < 0, "is negative"),
+                     (M != M.T, "differs from counts[{j}, {i}]"),
+                     (np.eye(k, dtype=bool) & (M != 0), "is on the diagonal")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValidationError("counts[%d, %d] = %d " % (i, j, M[i, j])
+                                  + why.format(i=i, j=j))
+    sums = d * np.bincount(color, minlength=k)
+    bad = np.flatnonzero(M.sum(axis=1) != sums)
+    if bad.size:
+        i = bad[0]
+        raise ValidationError("counts row %d sums to %d, not d |V_%d| = %d"
+                              % (i, M[i].sum(), i, sums[i]))
+    return M.astype(np.int64)
 
-    dn = d * n
-    m = [[int(pair.mu[i][j] * dn) for j in range(k)] for i in range(k)]
-    clones = np.arange(dn).reshape(n, d)
-    segments = []  # segments[i][j]: the clones of class i paired into class j
-    for i in range(k):
-        own = clones[color == i].ravel()
-        perm = rng.permutation(own.size)
-        segments.append(np.split(own[perm], np.cumsum(m[i])[:-1]))
-    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    a = np.concatenate([segments[i][j] for i, j in upper]) // d
-    b = np.concatenate([segments[j][i] for i, j in upper]) // d
-    return _from_pairs(n, d, a, b)
+
+def sample_planted(assignment, d, counts, rng):
+    """Uniform configuration with class edge counts e(V_i, V_j) =
+    counts[i, j] (its `class_edge_matrix`) on the classes of `assignment`,
+    contracted.  Each class's clones are shuffled once and cut into one
+    segment per class; pairing segment (i, j) with segment (j, i) position
+    by position is uniform, as a shuffle selects each segment uniformly."""
+    color = np.asarray(assignment, dtype=np.int64)
+    _check_even(color.size, d)
+    M = _check_counts(counts, color, d)
+    clones = (np.argsort(color, kind="stable")[:, None] * d
+              + np.arange(d)).ravel()
+    # the segments lie in row-major order: (i, j) starts at first[i, j]
+    first = (np.cumsum(M) - M.ravel()).reshape(M.shape)
+    for start, size in zip(first[:, 0].tolist(), M.sum(axis=1).tolist()):
+        block = clones[start:start + size]  # the d |V_i| clones of class i
+        block[:] = block[rng.permutation(size)]
+    i, j = np.triu_indices(len(M), 1)
+    size = M[i, j]
+    step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    a = clones[np.repeat(first[i, j], size) + step] // d
+    b = clones[np.repeat(first[j, i], size) + step] // d
+    return _from_pairs(color.size, d, a, b)
 
 
 # --- graph file format: header "n d", one "u v" line per edge ---

@@ -23,6 +23,11 @@ MAX_START_ENTRIES = 10 ** 7
 # `core` and `nice` take about 20 B per entry, `vacant` 120 B per vacant one
 MAX_CLASS_ENTRIES = 10 ** 7
 
+# experiment specs refuse more samples: the cheapest kind takes 50 us a
+# sample (cycle-census, n = 2, d = 1, L = 1) and the metric lists 32 B per
+# metric per sample, 50 s and near 370 MiB (12 metrics at L = 12) at the bound
+MAX_EXPERIMENT_SAMPLES = 10 ** 6
+
 # exact rational partition probability (big factorials stay cheap here)
 MAX_EXACT_CLONES = 40
 

@@ -115,7 +115,7 @@ USUAL = {"--n": ("6", "12"), "--d": ("2", "4"), "--k": ("3",),
          "--kappa": ("0.3",), "--eps-value": ("0.3",),
          ("optimize", "--k"): ("3",), ("optimize", "--d"): ("5", "20"),
          ("rates", "--d"): ("4", "2.5"), "--k-range": ("3..5",),
-         "--d-range": ("1..3",), "--filter": ("none", "balanced", "profile"),
+         "--d-range": ("1..3",),
          "--profile": ("1/2,1/2", "1/3,1/3,1/3"),
          "--region": ("unconstrained", "1-stable", "3-stable")}
 USUAL_FILES = {"--out": ("out",), "--coloring-out": ("out",),
@@ -137,7 +137,6 @@ def _values(command, flag, kwargs, files):
         "--coloring": named("c_cluster", "zeros", "bad", "empty", "utf16",
                             "missing"),
         "--spec": named("empty", "utf16", "missing"),
-        "--filter": st.sampled_from(("skewed", "nice12", "sparkly")),
         "--profile": st.sampled_from(("abc", "1/0", "-1/2,3/2", "")),
         "--region": st.sampled_from(("0-stable", "x-stable", "")),
         "--k-range": _ranges(ints + [_first_unscannable_k()]),

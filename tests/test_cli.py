@@ -295,6 +295,8 @@ def test_unread_options_refused(argv, flag, tmp_path, capsys):
     # refused before the (missing) graph file is read
     (["count", "--graph", "missing.txt", "--k", "3", "--predicate", "sparkly",
       "--coloring", "missing.txt"], "argument --predicate: invalid choice"),
+    (["count", "--graph", "missing.txt", "--k", "3", "--filter", "sparkly"],
+     "argument --filter: invalid choice: 'sparkly'"),
 ])
 def test_usage_errors_are_one_refusal_line(argv, needle, capsys):
     assert run(argv) == 2
@@ -570,6 +572,12 @@ def test_spec_refusals(tmp_path, capsys):
     refused(["experiment", "--spec", str(spec)], capsys, "'many'")
     spec.write_text("kind = cycle-census\nn = 10\nd = 3\nseed = -1\n")
     refused(["experiment", "--spec", str(spec)], capsys, "seed")
+    # refused before the first sample, which would run without end
+    spec.write_text("kind = cycle-census\nn = 4\nd = 2\n"
+                    "samples = 1000000000000\n")
+    refused(["experiment", "--spec", str(spec)], capsys,
+            "samples=1000000000000 exceeds the 1000000-sample bound "
+            "(guards.MAX_EXPERIMENT_SAMPLES)")
     refused(["--seed", "-1", "sample", "--n", "10", "--d", "3"], capsys,
             "seed")
 
@@ -1119,6 +1127,15 @@ def test_sample_planted_pinned(n, d, k, tmp_path):
             == _PLANTED_PINS[(n, d, k)])
     assert (hashlib.sha256(cpath.read_bytes()).hexdigest()
             == _COLORING_PINS[(n, d, k)])
+
+
+def test_sample_planted_many_classes_pinned(tmp_path):
+    # k = 1000 classes of 999 vertices, two edges between each two classes
+    gpath = tmp_path / "g"
+    assert run(["--seed", "1", "--out", str(gpath), "sample", "--planted",
+                "--n", "999000", "--d", "2", "--k", "1000"]) == 0
+    assert hashlib.sha256(gpath.read_bytes()).hexdigest() == (
+        "fb53c44c96f94284b5cd27d6e6ac301ea3df558d29b06fd4e49830ee306f3950")
 
 
 @pytest.mark.parametrize("n, d, k, ell", sorted(_CORE_PINS))

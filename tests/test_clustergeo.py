@@ -2,23 +2,18 @@ import dataclasses
 import heapq
 import math
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regcolor import clustergeo, colorings, graphs, rng
+from regcolor import clustergeo, colorings, experiments, graphs, rng
 from regcolor.errors import ValidationError
 
 
 def planted(n, k, d, seed):
-    sigma = colorings.coloring([v // (n // k) for v in range(n)], k)
-    off = Fraction(1, k * (k - 1))
-    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
-    G = graphs.sample_planted(sigma.assignment, k, d, mu, rng.stream(seed, 0))
-    return G, sigma
+    return experiments.sample_flat_planted(n, d, k, rng.stream(seed, 0))
 
 
 def members(mask):

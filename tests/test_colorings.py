@@ -420,10 +420,7 @@ def test_star_cluster_contains_cluster():
 
 def test_is_nice_report():
     n, k, d = 996, 4, 12
-    sigma = colorings.coloring([v // (n // k) for v in range(n)], k)
-    off = Fraction(1, k * (k - 1))
-    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
-    G = graphs.sample_planted(sigma.assignment, k, d, mu, rng.stream(11, 0))
+    G, sigma = experiments.sample_flat_planted(n, d, k, rng.stream(11, 0))
     rep = colorings.is_nice(G, sigma)
     assert rep.condition1 and rep.condition2
     assert rep.rho_deviation == 0.0
@@ -442,10 +439,7 @@ def test_is_nice_check_cluster_small():
 
 def test_rainbow_and_vacant_consistency():
     n, k, d = 60, 3, 5
-    sigma = colorings.coloring([v // (n // k) for v in range(n)], k)
-    off = Fraction(1, k * (k - 1))
-    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
-    G = graphs.sample_planted(sigma.assignment, k, d, mu, rng.stream(3, 0))
+    G, sigma = experiments.sample_flat_planted(n, d, k, rng.stream(3, 0))
     rainbow = colorings.rainbow_vertices(G, sigma)
     vacant = colorings.vacant_table(G, sigma)
     # a vertex is rainbow exactly when it is not j-vacant for any other j

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regcolor import experiments, moments, rng, threshold
+from regcolor import experiments, graphs, moments, rng, threshold
 from regcolor.errors import GuardError, ValidationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,8 +48,11 @@ def test_spec_hash_stable():
 def test_flat_planted_helpers():
     sigma = experiments.flat_planted_coloring(12, 3)
     assert sigma.class_sizes() == [4, 4, 4]
-    mu = experiments.flat_planted_mu(3)
-    assert mu[0][0] == 0 and float(mu[0][1]) == 1 / 6
+    G, sigma = experiments.sample_flat_planted(12, 4, 3, rng.stream(0, 0))
+    assert graphs.class_edge_matrix(G, sigma.assignment, 3).tolist() == [
+        [0, 8, 8], [8, 0, 8], [8, 8, 0]]
+    with pytest.raises(ValidationError, match=r"k\(k-1\) \| dn"):
+        experiments.sample_flat_planted(4, 1, 4, rng.stream(0, 0))
     with pytest.raises(ValidationError):
         experiments.flat_planted_coloring(10, 3)
 

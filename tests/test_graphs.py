@@ -21,6 +21,12 @@ def edge_tuple(G):
     return tuple(map(tuple, G.edges.tolist()))
 
 
+def flat_counts(n, d, k):
+    """The class edge counts of the flat planted model: dn / (k(k - 1))
+    off the diagonal."""
+    return d * n // (k * (k - 1)) * (1 - np.eye(k, dtype=np.int64))
+
+
 def test_double_factorial_odd():
     assert graphs.double_factorial_odd(-1) == 1
     assert graphs.double_factorial_odd(1) == 1
@@ -249,11 +255,11 @@ def test_is_simple():
 
 def test_edges_read_only():
     planted = experiments.flat_planted_coloring(6, 3).assignment
-    mu = experiments.flat_planted_mu(3)
     for G in (graphs.multigraph(2, 2, [(0, 1), (1, 0)]),
               graphs.contract(graphs.configuration(2, 1, (1, 0))),
               graphs.sample_uniform(10, 3, rng.stream(1, 0)),
-              graphs.sample_planted(planted, 3, 2, mu, rng.stream(1, 0)),
+              graphs.sample_planted(planted, 2, flat_counts(6, 2, 3),
+                                    rng.stream(1, 0)),
               next(graphs.enumerate_multigraphs(4, 2))[0]):
         assert G.edges.dtype == np.int64
         assert G.edges.shape == (G.n * G.d // 2, 2)
@@ -548,10 +554,9 @@ def test_planted_samples_have_sorted_rows(k, blocks, c, seed):
     n, d = k * blocks, (k - 1) * c
     if n * d % 2:
         d *= 2
-    off = Fraction(1, k * (k - 1))
-    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
     assert_sorted_rows(graphs.sample_planted(
-        [v % k for v in range(n)], k, d, mu, rng.stream(seed, 0)))
+        [v % k for v in range(n)], d, flat_counts(n, d, k),
+        rng.stream(seed, 0)))
 
 
 @pytest.mark.parametrize("n, d", [nd for nd in _ENUMERABLE
@@ -607,16 +612,13 @@ def test_seeded_sample_pinned(seed, idx, digest, counts):
 def test_sample_planted_exact_profile():
     n, k, d = 12, 3, 4
     assignment = [v % k for v in range(n)]
-    off = Fraction(1, k * (k - 1))
-    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
+    counts = flat_counts(n, d, k)
+    assert counts.tolist() == [[0, 8, 8], [8, 0, 8], [8, 8, 0]]
     r = rng.stream(5, 0)
     for _ in range(5):
-        G = graphs.sample_planted(assignment, k, d, mu, r)
-        M = graphs.class_edge_matrix(G, assignment, k)
-        dn = d * n
-        for i in range(k):
-            for j in range(k):
-                assert M[i][j] == (0 if i == j else int(off * dn))
+        G = graphs.sample_planted(assignment, d, counts, r)
+        assert np.array_equal(graphs.class_edge_matrix(G, assignment, k),
+                              counts)
         # no monochromatic edge: the planted coloring is proper
         assert all(assignment[u] != assignment[v] for u, v in G.edges)
 
@@ -625,23 +627,22 @@ def test_sample_planted_exact_profile():
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 4),
        st.integers(0, 10 ** 6))
 def test_sample_planted_is_regular(k, blocks, c, seed):
-    # flat profile: d a multiple of k - 1 makes mu_ij * dn integral; the
-    # graph is built without a degree check, so check it here
+    # flat profile: d a multiple of k - 1 makes dn / (k(k - 1)) integral;
+    # the graph is built without a degree check, so check it here
     n, d = k * blocks, (k - 1) * c
     if n * d % 2:
         d *= 2
     assignment = [v % k for v in range(n)]
-    off = Fraction(1, k * (k - 1))
-    mu = [[Fraction(0) if i == j else off for j in range(k)] for i in range(k)]
-    G = graphs.sample_planted(assignment, k, d, mu, rng.stream(seed, 0))
+    G = graphs.sample_planted(assignment, d, flat_counts(n, d, k),
+                              rng.stream(seed, 0))
     assert graphs.degrees(G).tolist() == [d] * n
 
 
 def test_sample_planted_deterministic():
     assignment = [0, 0, 1, 1]
-    mu = [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]]
-    a = graphs.sample_planted(assignment, 2, 2, mu, rng.stream(9, 0))
-    b = graphs.sample_planted(assignment, 2, 2, mu, rng.stream(9, 0))
+    counts = [[0, 4], [4, 0]]
+    a = graphs.sample_planted(assignment, 2, counts, rng.stream(9, 0))
+    b = graphs.sample_planted(assignment, 2, counts, rng.stream(9, 0))
     assert np.array_equal(a.edges, b.edges)
 
 
@@ -651,7 +652,7 @@ def test_sample_planted_uniform():
     # sampler's multigraph law against that reference by chi-square
     assignment = [0, 0, 1, 1]
     d = 2
-    mu = [[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), Fraction(0)]]
+    counts = [[0, 4], [4, 0]]
     ref = Counter()
     clones0 = [0, 1, 2, 3]
     clones1 = [4, 5, 6, 7]
@@ -665,47 +666,47 @@ def test_sample_planted_uniform():
     total_ref = sum(ref.values())
     draws = 5000
     r = rng.stream(31, 0)
-    counts = Counter()
+    seen = Counter()
     for _ in range(draws):
-        counts[edge_tuple(graphs.sample_planted(assignment, 2, d, mu, r))] += 1
-    assert set(counts) <= set(ref)
+        seen[edge_tuple(graphs.sample_planted(assignment, d, counts, r))] += 1
+    assert set(seen) <= set(ref)
     keys = sorted(ref)
-    obs = np.array([counts.get(key, 0) for key in keys], dtype=float)
+    obs = np.array([seen.get(key, 0) for key in keys], dtype=float)
     exp = np.array([ref[key] * draws / total_ref for key in keys])
     stat = ((obs - exp) ** 2 / exp).sum()
     assert scipy.stats.chi2.sf(stat, len(keys) - 1) > 1e-3
 
 
-def test_sample_planted_rejects_diagonal_mass():
-    mu = [[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]]
-    with pytest.raises(ValidationError):
-        graphs.sample_planted([0, 0, 1, 1], 2, 2, mu, rng.stream(0, 0))
-
-
-def test_sample_planted_refuses_a_mu_row_off_its_class():
-    # rows of mu summing to 1/4, not rho_i = 1/2: refused as inadmissible
-    # before any randomness is drawn
-    mu = [[Fraction(0), Fraction(1, 4)], [Fraction(1, 4), Fraction(0)]]
+@pytest.mark.parametrize("counts, needle", [
+    ([[0, 4, 0], [4, 0, 0]], r"counts must be a square matrix, got shape "
+                             r"\(2, 3\)"),
+    ([[0, Fraction(4)], [4, 0]],
+     r"counts\[0, 1\] = 4 is a Fraction, not an integer"),
+    ([[0.0, 4.0], [4.0, 0.0]],
+     r"counts\[0, 0\] = 0.0 is a float64, not an integer"),
+    ([[0]], "color out of range"),
+    ([[0, -4], [-4, 0]], r"counts\[0, 1\] = -4 is negative"),
+    ([[0, 4], [3, 0]], r"counts\[0, 1\] = 4 differs from counts\[1, 0\]"),
+    ([[2, 2], [2, 2]], r"counts\[0, 0\] = 2 is on the diagonal"),
+    ([[0, 2], [2, 0]], r"counts row 0 sums to 2, not d \|V_0\| = 4"),
+], ids=["not-square", "fraction", "float", "few-classes", "negative",
+        "asymmetric", "diagonal", "row-sum"])
+def test_sample_planted_refusals(counts, needle):
+    # refused before any randomness is drawn
     gen = rng.stream(0, 0)
     state = gen.bit_generator.state
-    with pytest.raises(ValidationError, match="marginal row 1; marginal row 2"):
-        graphs.sample_planted([0, 0, 1, 1], 2, 2, mu, gen)
+    with pytest.raises(ValidationError, match="^%s$" % needle):
+        graphs.sample_planted([0, 0, 1, 1], 2, counts, gen)
     assert gen.bit_generator.state == state
 
 
-def reference_sample_planted(assignment, k, d, mu, rng):
+def reference_sample_planted(assignment, d, counts, rng):
     """sample_planted clone by clone: the same permutation of each class's
-    clone list, the segments matched position by position into a checked
-    involution, then contracted."""
-    from regcolor import moments
-
+    clone list, cut into segments of the counts' row, the segments matched
+    position by position into a checked involution, then contracted."""
     assignment = [int(c) for c in assignment]
-    n = len(assignment)
-    sizes = [assignment.count(i) for i in range(k)]
-    pair = moments.validate_admissible([Fraction(s, n) for s in sizes], mu,
-                                       n, d)
+    n, k = len(assignment), len(counts)
     dn = d * n
-    m = [[int(pair.mu[i][j] * dn) for j in range(k)] for i in range(k)]
     match = np.empty(dn, dtype=np.int64)
     segments = {}
     for i in range(k):
@@ -714,11 +715,9 @@ def reference_sample_planted(assignment, k, d, mu, rng):
         perm = rng.permutation(len(clones))
         pos = 0
         for j in range(k):
-            if j == i:
-                continue
             segments[(i, j)] = [clones[perm[t]]
-                                for t in range(pos, pos + m[i][j])]
-            pos += m[i][j]
+                                for t in range(pos, pos + counts[i][j])]
+            pos += counts[i][j]
         assert pos == len(clones)
     for i in range(k):
         for j in range(i + 1, k):
@@ -730,11 +729,12 @@ def reference_sample_planted(assignment, k, d, mu, rng):
 
 @st.composite
 def planted_profiles(draw):
-    """(assignment, k, d, mu) accepted by sample_planted: classes in shuffled
-    vertex order, flat or non-flat mu, and some empty (i, j) segments."""
+    """(assignment, d, counts) accepted by sample_planted: classes in
+    shuffled vertex order, flat or non-flat counts, some empty (i, j)
+    segments and some empty classes."""
     k = draw(st.integers(2, 5))
     if draw(st.booleans()):
-        # flat: d a multiple of k - 1 makes mu_ij * dn integral
+        # flat: d a multiple of k - 1 makes dn / (k(k - 1)) integral
         blocks, d = draw(st.integers(1, 5)), (k - 1) * draw(st.integers(1, 3))
         sizes = [blocks] * k
         M = [[0 if i == j else d * blocks // (k - 1) for j in range(k)]
@@ -762,9 +762,7 @@ def planted_profiles(draw):
                         M[y][x] += step
     assignment = draw(st.permutations([i for i in range(k)
                                        for _ in range(sizes[i])]))
-    dn = d * len(assignment)
-    mu = [[Fraction(M[i][j], dn) for j in range(k)] for i in range(k)]
-    return assignment, k, d, mu
+    return assignment, d, M
 
 
 @settings(max_examples=300, deadline=None)
@@ -772,9 +770,12 @@ def planted_profiles(draw):
 def test_sample_planted_matches_clone_reference(profile, seed):
     # the same edges from the same draws, and the same randomness consumed
     fast, slow = rng.stream(seed, 0), rng.stream(seed, 0)
-    assert (graphs.sample_planted(*profile, fast)
-            == reference_sample_planted(*profile, slow))
+    G = graphs.sample_planted(*profile, fast)
+    assert G == reference_sample_planted(*profile, slow)
     assert fast.integers(2 ** 62) == slow.integers(2 ** 62)
+    assignment, _, counts = profile
+    assert np.array_equal(
+        graphs.class_edge_matrix(G, assignment, len(counts)), counts)
 
 
 def test_graph_file_roundtrip(tmp_path):

@@ -53,7 +53,7 @@ CASES = [
     ("MAX_SAMPLE_CLONES", 12, lambda: graphs.sample_uniform(
         4, 3, rng.stream(1))),
     ("MAX_SAMPLE_CLONES", 8, lambda: graphs.sample_planted(
-        [0, 0, 1, 1], 2, 2, experiments.flat_planted_mu(2), rng.stream(1))),
+        [0, 0, 1, 1], 2, [[0, 4], [4, 0]], rng.stream(1))),
     ("MAX_SAMPLE_CLONES", 6, lambda: experiments.flat_planted_coloring(6, 2)),
     ("MAX_ENUM_CLONES", 6, lambda: list(graphs.enumerate_configurations(2, 3))),
     ("MAX_ENUM_CLONES", 6, lambda: list(graphs.enumerate_multigraphs(2, 3))),
@@ -73,6 +73,8 @@ CASES = [
     ("MAX_CLASS_ENTRIES", 5 * 5, lambda: _load_coloring(5)),
     # vertex 0 pairs its two forward rows (0, 1), (0, 3); the others have one
     ("MAX_CENSUS_WEDGES", 1, lambda: graphs.cycle_census(_cycle4(), 3)),
+    ("MAX_EXPERIMENT_SAMPLES", 3, lambda: experiments.parse_spec(
+        "kind = cycle-census\nn = 4\nd = 2\nsamples = 3\n")),
 ]
 
 
