@@ -194,10 +194,9 @@ def test_flat_second_moment_identity():
 @pytest.mark.parametrize("k,n,d", [(4, 1000, 12), (6, 996, 15), (8, 1000, 14)])
 def test_core_inclusion_planted(k, n, d):
     sigma = experiments.flat_planted_coloring(n, k)
-    counts = d * n // (k * (k - 1)) * (1 - np.eye(k, dtype=np.int64))
     for idx in range(100):
-        G = graphs.sample_planted(sigma.assignment, d, counts,
-                                  rng.stream(900 + k, idx))
+        G, _ = experiments.sample_flat_planted(
+            n, d, k, rng.stream(900 + k, idx))
         for ell in (1, 2, 3):
             ok, witness = clustergeo.check_core_inclusion(G, sigma, ell)
             assert ok, (k, ell, idx, witness)
@@ -212,10 +211,9 @@ def test_cluster_size_bound(k, n, d):
     # parallel cross edges can swap colors, giving a second cluster member
     # while every vertex is classified complete (bound 1)
     sigma = experiments.flat_planted_coloring(n, k)
-    counts = d * n // (k * (k - 1)) * (1 - np.eye(k, dtype=np.int64))
     for idx in range(10):
-        G = graphs.sample_planted(sigma.assignment, d, counts,
-                                  rng.stream(700 + 10 * k + d, idx))
+        G, _ = experiments.sample_flat_planted(
+            n, d, k, rng.stream(700 + 10 * k + d, idx))
         cluster = colorings.cluster_of(G, sigma)
         for ell in (1, 2):
             rep = clustergeo.freedom_report(G, sigma, ell)
@@ -231,7 +229,6 @@ def test_cluster_size_bound(k, n, d):
 def test_vacant_fraction_matches_binomial():
     k, d, n = 5, 16, 1000
     sigma = experiments.flat_planted_coloring(n, k)
-    counts = d * n // (k * (k - 1)) * (1 - np.eye(k, dtype=np.int64))
     p = (1 - (1 / (k * (k - 1))) / (1 / k)) ** d  # (1 - 1/(k-1))^d
     size = n // k
     three_sigma = 3 * math.sqrt(p * (1 - p) / size)
@@ -239,8 +236,8 @@ def test_vacant_fraction_matches_binomial():
     inside = 0
     cells = 0
     for idx in range(100):
-        G = graphs.sample_planted(sigma.assignment, d, counts,
-                                  rng.stream(808, idx))
+        G, _ = experiments.sample_flat_planted(
+            n, d, k, rng.stream(808, idx))
         vacant = colorings.vacant_table(G, sigma)
         for i, j in itertools.permutations(range(k), 2):
             cells += 1
