@@ -468,18 +468,19 @@ def sample_planted(assignment, d, counts, rng):
     color = np.asarray(assignment, dtype=np.int64)
     _check_even(color.size, d)
     M = _check_counts(counts, color, d)
-    clones = (np.argsort(color, kind="stable")[:, None] * d
-              + np.arange(d)).ravel()
-    # the segments lie in row-major order: (i, j) starts at first[i, j]
+    # the clones in class blocks, each held as its vertex (a shuffle of the
+    # clones moves their vertices alike); segment (i, j) starts at
+    # first[i, j], the segments in row-major order of M
+    verts = np.repeat(np.argsort(color, kind="stable"), d)
     first = (np.cumsum(M) - M.ravel()).reshape(M.shape)
     for start, size in zip(first[:, 0].tolist(), M.sum(axis=1).tolist()):
-        block = clones[start:start + size]  # the d |V_i| clones of class i
+        block = verts[start:start + size]
         block[:] = block[rng.permutation(size)]
     i, j = np.triu_indices(len(M), 1)
     size = M[i, j]
     step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    a = clones[np.repeat(first[i, j], size) + step] // d
-    b = clones[np.repeat(first[j, i], size) + step] // d
+    a = verts[np.repeat(first[i, j], size) + step]
+    b = verts[np.repeat(first[j, i], size) + step]
     return _from_pairs(color.size, d, a, b)
 
 
