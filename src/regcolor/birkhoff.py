@@ -26,9 +26,11 @@ from .moments import DS_TOL, ds_residuals, f_entries
 ARMIJO = 1e-4
 
 
-def project_doubly_stochastic(M, tol=1e-12, max_iters=10000):
+def project_doubly_stochastic(M, tol=1e-13, max_iters=10000):
     """Alternating row/column normalization until both residuals < tol.
-    Returns (matrix, iterations)."""
+    Returns (matrix, iterations).  The default tol sits a decade under 1e-12:
+    each _ascend step rounds the line sums by a few ulps, and a start that
+    Sinkhorn left at 9.99e-13 once drifted past 1e-12 in 150 steps."""
     A = np.asarray(M, dtype=float).copy()
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError("need a square matrix")

@@ -77,7 +77,6 @@ def parse_spec(text):
     samples, seed = int(samples), int(seed)
     if samples < 1:
         raise ValidationError("samples >= 1 required")
-    guards.check(samples, "MAX_EXPERIMENT_SAMPLES", "samples", "sample")
     params = {key: _scalar(val) for key, val in fields.items()}
     declared = SPEC_TABLE[kind].params
     for key, (type_, default) in declared.items():
@@ -229,6 +228,9 @@ KINDS = tuple(SPEC_TABLE)
 
 
 def run_experiment(spec):
+    # checked before the first sample; parse_spec refuses only by
+    # ValidationError, as the graph and coloring parsers do
+    guards.check(spec.samples, "MAX_EXPERIMENT_SAMPLES", "samples", "sample")
     start = time.monotonic()
     rng.check_seed(spec.seed)  # a table kind draws no stream to check it
     kind = SPEC_TABLE[spec.kind]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcolor import (cli, clustergeo, colorings, experiments, graphs,
@@ -747,6 +747,8 @@ _spec_lines = st.lists(st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(("graph", "spec", "coloring")),
        st.text() | st.text("0123456789 -\n\r\t+") | _spec_lines.map("\n".join))
+# past the sample bound, which run_experiment checks, not the parser
+@example("spec", "kind = cycle-census\nsamples = 1000001")
 def test_parsers_refuse_only_with_validation_error(parser, text):
     try:
         if parser == "graph":

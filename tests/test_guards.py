@@ -73,8 +73,9 @@ CASES = [
     ("MAX_CLASS_ENTRIES", 5 * 5, lambda: _load_coloring(5)),
     # vertex 0 pairs its two forward rows (0, 1), (0, 3); the others have one
     ("MAX_CENSUS_WEDGES", 1, lambda: graphs.cycle_census(_cycle4(), 3)),
-    ("MAX_EXPERIMENT_SAMPLES", 3, lambda: experiments.parse_spec(
-        "kind = cycle-census\nn = 4\nd = 2\nsamples = 3\n")),
+    ("MAX_EXPERIMENT_SAMPLES", 3, lambda: experiments.run_experiment(
+        experiments.parse_spec(
+            "kind = cycle-census\nn = 4\nd = 2\nsamples = 3\n"))),
 ]
 
 
