@@ -46,9 +46,12 @@ def _read(path):
 
 def _write(args, payload):
     """Write a JSON document, bytes, a str or str blocks (each as it is made)
-    to --out or stdout; refuse before it, or the output is left partial."""
+    to --out or stdout; refuse before it, or the output is left partial.  A
+    document is encoded piece by piece, so its whole text is never held."""
     if isinstance(payload, dict):
-        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload = itertools.chain(
+            json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload),
+            ("\n",))
     with (_open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if isinstance(payload, bytes):

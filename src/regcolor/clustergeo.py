@@ -6,7 +6,7 @@ The (sigma, ell)-core is the largest induced subgraph in which every vertex
 has at least ell edges into each other color class inside the subgraph.  It
 and the closure Y are order-free, so each is computed in rounds that move
 every qualifying vertex at once and update its neighbours' counts through
-the CSR rows of `graphs.neighbors`.
+the rows of the graph's CSR `adjacency`.
 
 Every vertex set in a result is a read-only boolean mask: an (n,) mask, or
 an (n, k) mask whose entry [v, j] belongs to the pair (sigma(v), j).  Count
@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import (count_marked, degrees, neighbor_rows, neighbors,
-                     read_only, vertex_class_degrees)
+from .graphs import (count_marked, degrees, neighbor_rows, read_only,
+                     vertex_class_degrees)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,11 +47,9 @@ def sigma_ell_core(G, sigma, ell):
     alive = np.ones(G.n, dtype=bool)
     evict = np.flatnonzero((other & (cnt < ell)).any(axis=1))
     rounds = [evict]
-    if evict.size:  # often empty: then nothing peels and needs no adjacency
-        csr = neighbors(G)
     while evict.size:
         alive[evict] = False
-        src, nbr, mult = neighbor_rows(csr, evict)
+        src, nbr, mult = neighbor_rows(G.adjacency, evict)
         keep = alive[nbr] & (color[nbr] != color[src])
         nbr, col = nbr[keep], color[src[keep]]
         np.subtract.at(cnt, (nbr, col), mult[keep])
@@ -92,11 +90,9 @@ def build_WUY(G, sigma, ell):
     in_y = (U | U_prime).any(axis=1)
     into_y = vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
     join = np.flatnonzero(~in_y & (into_y > ell))
-    if join.size:  # often empty: then Y cannot grow and needs no adjacency
-        csr = neighbors(G)
     while join.size:
         in_y[join] = True
-        _, nbr, mult = neighbor_rows(csr, join)
+        _, nbr, mult = neighbor_rows(G.adjacency, join)
         np.add.at(into_y, nbr, mult)  # a loop at v: into_y[v] is not read
         join = np.unique(nbr[~in_y[nbr] & (into_y[nbr] > ell)])
     return WUYSets(*map(read_only, (W, in_w, U, U_prime, in_y)),
@@ -182,7 +178,7 @@ def density_predicate(G, bound_c=5, size_cap=None, k=None):
         size_cap = k ** (-4 / 3) * n if k else n
     violations = []
 
-    ptr, nbr, mult = (a.tolist() for a in neighbors(G))
+    ptr, nbr, mult = (a.tolist() for a in G.adjacency)
     degs = degrees(G).tolist()
     alive = set(range(n))
     m_cur = len(G.edges)

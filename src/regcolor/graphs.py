@@ -8,9 +8,9 @@ A graph is one read-only (m, 2) int64 array of its edges, sorted, and every
 query counts from that array.  The samplers write it straight from their
 clone pairs (`_from_pairs`); the planted one takes the k x k integer matrix
 of class edge counts its sample must have, its `class_edge_matrix`.  The one
-per-vertex view is the CSR adjacency of `neighbors`, int64 arrays built from
-the edge array on each call, whose rows `neighbor_rows` gathers for a whole
-vertex array at once.
+per-vertex view is a graph's CSR `adjacency`, int64 arrays built from the
+edge array on first use and kept on the graph, whose rows `neighbor_rows`
+gathers for a whole vertex array at once.
 
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
@@ -19,6 +19,7 @@ contributes 2 to the degree of its endpoint.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, isqrt
 
 import numpy as np
@@ -118,8 +119,8 @@ class MultiGraph:
     loops appear as (u, u).  Nothing is checked or copied here:
     `multigraph` is the checked builder, and the samplers, `contract` and
     `enumerate_multigraphs` are d-regular by construction and hand over
-    read-only arrays.  Graphs compare by value and, like their arrays, are
-    not hashable."""
+    read-only arrays.  `adjacency` is derived from `edges` when first read.
+    Graphs compare by value and, like their arrays, are not hashable."""
     n: int
     d: int
     edges: np.ndarray
@@ -129,6 +130,22 @@ class MultiGraph:
             return NotImplemented
         return (self.n == other.n and self.d == other.d
                 and np.array_equal(self.edges, other.edges))
+
+    @cached_property
+    def adjacency(self):
+        """CSR adjacency (ptr, nbr, mult) as read-only int64 arrays, built
+        on first use and kept: v's distinct neighbours are
+        nbr[ptr[v]:ptr[v + 1]], ascending, with the edge multiplicities at
+        the same positions of mult.  A loop at v appears once in v's row,
+        with the number of loops at v."""
+        u, v = self.edges.T
+        off = u != v
+        n = self.n
+        key, mult = np.unique(np.concatenate((u * n + v, v[off] * n + u[off])),
+                              return_counts=True)
+        src, nbr = np.divmod(key, n)
+        return tuple(map(read_only, (np.searchsorted(src, np.arange(n + 1)),
+                                     nbr, mult)))
 
 
 # the largest n whose edge keys u*n + v (u, v < n) fit in an int64
@@ -143,20 +160,6 @@ def _from_pairs(n, d, a, b):
     edges = np.empty((key.size, 2), dtype=np.int64)
     np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
     return MultiGraph(n, d, read_only(edges))
-
-
-def neighbors(G):
-    """CSR adjacency (ptr, nbr, mult) as int64 arrays: v's distinct
-    neighbours are nbr[ptr[v]:ptr[v + 1]], ascending, with the edge
-    multiplicities at the same positions of mult.  A loop at v appears once
-    in v's row, with the number of loops at v."""
-    u, v = G.edges.T
-    off = u != v
-    n = G.n
-    key, mult = np.unique(np.concatenate((u * n + v, v[off] * n + u[off])),
-                          return_counts=True)
-    src, nbr = np.divmod(key, n)
-    return np.searchsorted(src, np.arange(n + 1)), nbr, mult
 
 
 def neighbor_rows(csr, vs):
@@ -286,9 +289,14 @@ def is_simple(G):
 
 
 def vertex_mask(n, S):
-    """Boolean array of length n marking the vertices in S."""
+    """Boolean array of length n marking the vertices in S; a vertex outside
+    range(n) is refused, the smallest one named."""
+    S = list(S)
+    bad = [v for v in S if not 0 <= v < n]
+    if bad:
+        raise ValidationError("vertex %d is not in range(%d)" % (min(bad), n))
     mask = np.zeros(n, dtype=bool)
-    mask[list(S)] = True
+    mask[S] = True
     return mask
 
 
@@ -386,7 +394,7 @@ def cycle_census(G, L):
 
     j <= 3 are counted in passes over the sorted edge array (parallel edges
     are runs of equal rows, triangles by `_weighted_triangles`); j >= 4 by a
-    depth-first search over the rows of `neighbors`."""
+    depth-first search over the rows of `G.adjacency`."""
     if L < 1:
         raise ValidationError("L must be >= 1")
     guards.check(L, "MAX_CYCLE_LENGTH", "L", "edge")
@@ -407,7 +415,7 @@ def cycle_census(G, L):
         del key, mult
     if L < 4:
         return CycleCensus(tuple(counts))
-    ptr, nbr, mult = (a.tolist() for a in neighbors(G))
+    ptr, nbr, mult = (a.tolist() for a in G.adjacency)
 
     def extend(start, path, weight, length):
         v = path[-1]
@@ -431,7 +439,11 @@ def _check_counts(counts, color, d):
     """`counts` as int64 once checked: square, of integers (a float or
     Fraction is refused, not truncated), nonnegative, symmetric, zero on the
     diagonal, row i summing to d |V_i|; a refusal names the first bad one."""
-    M = np.asarray(counts)
+    try:
+        M = np.asarray(counts)
+    except ValueError:  # numpy refuses ragged rows
+        raise ValidationError("counts must be a square matrix, got ragged "
+                              "rows") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("counts must be a square matrix, got shape %s"
                               % (M.shape,))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -736,6 +737,24 @@ class _ClosedPipe:
 def test_broken_pipe_exits_zero(monkeypatch):
     monkeypatch.setattr(cli.sys, "stdout", _ClosedPipe())
     assert run(["rates", "--k", "3", "--d", "5"]) == 0
+
+
+def test_write_streams_a_document(tmp_path):
+    # a document of several MB of JSON is written piece by piece: neither
+    # its text nor the list of its pieces is held
+    doc = {"value": 1, "witnesses": {"0,1": list(range(300000))}}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert len(text) > 3 * 10 ** 6
+    tracemalloc.start()
+    try:
+        cli._write(argparse.Namespace(out=os.devnull), doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 4
+    out = tmp_path / "doc.json"
+    cli._write(argparse.Namespace(out=str(out)), doc)
+    assert out.read_text() == text
 
 
 _spec_lines = st.lists(st.tuples(

@@ -216,7 +216,7 @@ def test_edges_into_classes_brute_force(n, d, k, seed):
             == graphs.vertex_class_degrees(G, assign, k)).all()
 
 
-# --- references over a Counter adjacency, for the CSR rows of neighbors, the
+# --- references over a Counter adjacency, for the CSR rows of adjacency, the
 # peel, and the array code of build_WUY and _freedom ---
 
 def counter_adjacency(G):
@@ -245,7 +245,7 @@ def small_multigraphs(draw):
 @example(graphs.multigraph(1, 0, [(0, 0)] * 3))
 @example(graphs.multigraph(4, 0, [(1, 1), (1, 3), (3, 1), (1, 3)]))
 def test_neighbors_match_counter_adjacency(G):
-    csr = graphs.neighbors(G)
+    csr = G.adjacency
     assert all(a.dtype == np.int64 for a in csr)
     ptr, nbr, mult = (a.tolist() for a in csr)
     assert len(ptr) == G.n + 1 and ptr[0] == 0 and ptr[-1] == len(nbr)
@@ -266,7 +266,7 @@ def multigraphs_and_vertices(draw):
 @given(multigraphs_and_vertices())
 def test_neighbor_rows_match_csr_slices(instance):
     G, vs = instance
-    csr = graphs.neighbors(G)
+    csr = G.adjacency
     ptr, nbr, mult = (a.tolist() for a in csr)
     src, got_nbr, got_mult = graphs.neighbor_rows(
         csr, np.array(vs, dtype=np.int64))
@@ -275,6 +275,32 @@ def test_neighbor_rows_match_csr_slices(instance):
     assert got_nbr.tolist() == [w for v in vs for w in nbr[ptr[v]:ptr[v + 1]]]
     assert got_mult.tolist() == [m for v in vs
                                  for m in mult[ptr[v]:ptr[v + 1]]]
+
+
+def test_one_graph_builds_its_adjacency_once(monkeypatch):
+    # count the calls of the property's builder, its caching left as it is
+    built = []
+    prop = graphs.MultiGraph.__dict__["adjacency"]
+    build = prop.func
+
+    def counted(G):
+        built.append(G)
+        return build(G)
+    monkeypatch.setattr(prop, "func", counted)
+    # ell = 2 on this planted instance: the peel and Y's growth both run
+    G, sigma = planted(60, 4, 12, 1)
+    res = clustergeo.core_analysis(G, sigma, 2)
+    wuy = res.wuy
+    assert res.core.peel_order.size
+    assert members(wuy.Y) > members((wuy.U | wuy.U_prime).any(axis=1))
+    graphs.cycle_census(G, 4)
+    clustergeo.density_predicate(G)
+    assert len(built) == 1 and built[0] is G
+    # at ell = 1 nothing peels and Y is all of V from the start: no build
+    G, sigma = planted(60, 4, 12, 1)
+    res = clustergeo.core_analysis(G, sigma, 1)
+    assert not res.core.peel_order.size and res.wuy.Y.all()
+    assert len(built) == 1
 
 
 def _random_order_core(G, sigma, ell, gen):
@@ -353,7 +379,7 @@ def _reference_y(G, sigma, ell, U, U_prime):
     # ascending, so already a heap
     heap = np.flatnonzero(~in_y & (into_y > ell)).tolist()
     if heap:  # often empty: then Y cannot grow and needs no adjacency
-        ptr, nbr, mult = (a.tolist() for a in graphs.neighbors(G))
+        ptr, nbr, mult = (a.tolist() for a in G.adjacency)
     while heap:
         v = heapq.heappop(heap)
         if v in Y or into_y[v] <= ell:
@@ -484,7 +510,7 @@ def lazy_deletion_peel(G, sigma, ell):
     deficient, and stale entries are skipped when popped."""
     k, assign = sigma.k, sigma.assignment
     cnt = graphs.vertex_class_degrees(G, assign, k)
-    ptr, nbr, mult = (a.tolist() for a in graphs.neighbors(G))
+    ptr, nbr, mult = (a.tolist() for a in G.adjacency)
     alive = [True] * G.n
 
     def deficient_color(v):

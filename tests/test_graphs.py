@@ -243,8 +243,17 @@ def test_multigraph_validation():
 
 def test_adjacency_loop_counts():
     G = graphs.multigraph(2, 2, [(0, 0), (1, 1)])
-    assert [a.tolist() for a in graphs.neighbors(G)] == \
+    assert [a.tolist() for a in G.adjacency] == \
         [[0, 1, 2], [0, 1], [1, 1]]
+
+
+def test_adjacency_is_read_only_and_kept():
+    G = graphs.multigraph(4, 0, [(1, 1), (1, 3), (3, 1), (0, 2)])
+    assert G.adjacency is G.adjacency  # built once, then kept on the graph
+    for a in G.adjacency:
+        assert a.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 def test_is_simple():
@@ -309,6 +318,20 @@ def test_edge_count_between():
     assert graphs.edge_count_between(G, {0}, {0}) == 2
     assert graphs.edge_count_between(G, {2}, {3}) == 1
     assert graphs.edge_count_between(G, {0, 2}, {1, 3}) == 2
+
+
+def test_edge_count_between_refuses_vertices_out_of_range():
+    G = graphs.sample_uniform(6, 3, rng.stream(1, 0))
+    V = range(6)
+    # -1 would index vertex 5 from the end, 6 past it: both are refused
+    with pytest.raises(ValidationError, match=r"^vertex -1 is not in "
+                                              r"range\(6\)$"):
+        graphs.edge_count_between(G, {-1}, V)
+    with pytest.raises(ValidationError, match=r"^vertex 6 is not in "
+                                              r"range\(6\)$"):
+        graphs.edge_count_between(G, V, {6, 7})
+    with pytest.raises(ValidationError, match="vertex -2 "):
+        graphs.vertex_mask(6, [8, -1, 3, -2])
 
 
 def test_class_edge_matrix():
@@ -680,6 +703,7 @@ def test_sample_planted_uniform():
 @pytest.mark.parametrize("counts, needle", [
     ([[0, 4, 0], [4, 0, 0]], r"counts must be a square matrix, got shape "
                              r"\(2, 3\)"),
+    ([[0, 4], [4]], "counts must be a square matrix, got ragged rows"),
     ([[0, Fraction(4)], [4, 0]],
      r"counts\[0, 1\] = 4 is a Fraction, not an integer"),
     ([[0.0, 4.0], [4.0, 0.0]],
@@ -689,7 +713,7 @@ def test_sample_planted_uniform():
     ([[0, 4], [3, 0]], r"counts\[0, 1\] = 4 differs from counts\[1, 0\]"),
     ([[2, 2], [2, 2]], r"counts\[0, 0\] = 2 is on the diagonal"),
     ([[0, 2], [2, 0]], r"counts row 0 sums to 2, not d \|V_0\| = 4"),
-], ids=["not-square", "fraction", "float", "few-classes", "negative",
+], ids=["not-square", "ragged", "fraction", "float", "few-classes", "negative",
         "asymmetric", "diagonal", "row-sum"])
 def test_sample_planted_refusals(counts, needle):
     # refused before any randomness is drawn
