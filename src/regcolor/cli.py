@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -44,18 +45,19 @@ def _read(path):
                                      exc.start)) from None
 
 
-def _write(args, payload):
-    """Write a JSON document, bytes, a str or str blocks (each as it is made)
-    to --out or stdout; refuse before it, or the output is left partial.  A
-    document is encoded piece by piece, so its whole text is never held."""
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2,
+                            default=operator.methodcaller("tolist"))
+
+
+def _write(path, payload):
+    """Write a JSON document, a str or str blocks (each as it is made) to
+    `path`, or to stdout if it is None; refuse before it, or the output is
+    left partial.  A document is encoded piece by piece, so its whole text is
+    never held, and a numpy array or scalar as its Python value (`tolist`)."""
     if isinstance(payload, dict):
-        payload = itertools.chain(
-            json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload),
-            ("\n",))
-    with (_open(args.out, "w") if args.out
+        payload = itertools.chain(_ENCODER.iterencode(payload), ("\n",))
+    with (_open(path, "w") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
-        if isinstance(payload, bytes):
-            return fh.buffer.write(payload)
         for block in (payload,) if isinstance(payload, str) else payload:
             fh.write(block)
 
@@ -100,11 +102,10 @@ def cmd_sample(args):
         G, sigma = experiments.sample_flat_planted(args.n, args.d, args.k,
                                                    generator)
         if args.coloring_out:
-            with _open(args.coloring_out, "w") as fh:
-                fh.write(colorings.format_coloring(sigma))
+            _write(args.coloring_out, colorings.format_coloring(sigma))
     else:
         G = graphs.sample_uniform(args.n, args.d, generator)
-    _write(args, graphs.graph_blocks(G))
+    _write(args.out, graphs.graph_blocks(G))
 
 
 def cmd_count(args):
@@ -112,8 +113,8 @@ def cmd_count(args):
     name = args.predicate
     if name is None:
         count = colorings.count_colorings(G, args.k, args.filter, args.profile)
-        return _write(args, {"n": G.n, "d": G.d, "k": args.k,
-                             "filter": args.filter, "count": str(count)})
+        return _write(args.out, {"n": G.n, "d": G.d, "k": args.k,
+                                 "filter": args.filter, "count": str(count)})
     sigma = _load_coloring(args.coloring, G, args.k)
     witnesses = None
     if name == "proper":
@@ -129,19 +130,21 @@ def cmd_count(args):
         value = bool(rep) if rep.condition3 is not None else None
         witnesses = dict(vars(rep))  # its five fields
     elif name == "rainbow":
-        witnesses = np.flatnonzero(
-            colorings.rainbow_vertices(G, sigma)).tolist()
-        value = len(witnesses)
-    else:  # vacant
+        witnesses = np.flatnonzero(colorings.rainbow_vertices(G, sigma))
+        value = witnesses.size
+    else:  # vacant: at most n k entries, in at most k^2 "i,j" groups
+        guards.check(G.n * args.k + 3 * args.k ** 2, "MAX_CLASS_ENTRIES",
+                     "nk_plus_3kk", "entry")
         vacant = colorings.vacant_table(G, sigma)
-        value, witnesses = graphs.count_marked(vacant), {}
+        value, witnesses = np.count_nonzero(vacant), {}
+        color = sigma.assignment.tolist()
         for v, j in zip(*(a.tolist() for a in np.nonzero(vacant))):
-            witnesses.setdefault("%d,%d" % (sigma.assignment[v], j),
+            witnesses.setdefault("%d,%d" % (color[v], j),
                                  []).append(v)  # v ascending
     doc = {"predicate": name, "value": value}
     if witnesses is not None:
         doc["witnesses"] = witnesses
-    _write(args, doc)
+    _write(args.out, doc)
 
 
 def _rates_blocks(k_lo, k_hi, d_lo, d_hi):
@@ -171,7 +174,8 @@ def cmd_rates(args):
         blocks = _rates_blocks(k_lo, k_hi, d_lo, d_hi)
         # the header and k_lo's rows, made before the output opens: they take
         # every d, so they meet every refusal of the sweep's cells
-        _write(args, itertools.chain([next(blocks), next(blocks)], blocks))
+        _write(args.out,
+               itertools.chain([next(blocks), next(blocks)], blocks))
         return
     k, d = args.k, args.d
     if k is None or d is None:
@@ -182,7 +186,7 @@ def cmd_rates(args):
     if 2 * k > sys.float_info.max:
         raise ValidationError("--k: 2k overflows a float")
     rate = moments.first_moment_rate(k, d)
-    _write(args, {
+    _write(args.out, {
         "k": k, "d": d, "first_moment_rate": rate,
         "components": {"entropy": math.log(k),
                        "edge_penalty": rate - math.log(k)},
@@ -208,11 +212,11 @@ def cmd_optimize(args):
     res = birkhoff.maximize_f(args.k, args.d, region=region,
                               restarts=args.restarts, rng=rng.stream(seed, 0),
                               kappa=args.kappa)
-    _write(args, {
+    _write(args.out, {
         "k": args.k, "d": args.d, "region": args.region or "unconstrained",
         "best_value": res.value, "f_flat": res.f_flat,
         "exceeded_flat": res.exceeded_flat,
-        "argmax": [[float(x) for x in row] for row in res.best],
+        "argmax": res.best,
         "restarts": args.restarts, "seed": seed,
     })
 
@@ -221,8 +225,8 @@ def cmd_core(args):
     G = graphs.parse_graph(_read(args.graph))
     sigma = _load_coloring(args.coloring, G, args.k)
     res = clustergeo.core_analysis(G, sigma, args.ell, mode=args.mode)
-    wuy, rep, size = res.wuy, res.freedom, graphs.count_marked
-    _write(args, {
+    wuy, rep, size = res.wuy, res.freedom, np.count_nonzero
+    _write(args.out, {
         "core_size": size(res.core.core), "W": size(wuy.W_union),
         "U": size(wuy.U.any(axis=1)), "U_prime": size(wuy.U_prime.any(axis=1)),
         "Y": size(wuy.Y), "F1": size(rep.free_1), "F2": size(rep.free_2),
@@ -232,8 +236,8 @@ def cmd_core(args):
 
 
 def cmd_threshold(args):
-    _write(args, threshold.format_csv(*args.k_range, args.eps_mode,
-                                      args.eps_value))
+    _write(args.out, threshold.format_csv(*args.k_range, args.eps_mode,
+                                          args.eps_value))
 
 
 def cmd_experiment(args):
@@ -241,7 +245,7 @@ def cmd_experiment(args):
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     report = experiments.run_experiment(spec)
-    _write(args, experiments.emit(report, args.format or "json"))
+    _write(args.out, experiments.emit(report, args.format or "json"))
 
 
 _PLANTED = (lambda a: a.planted, "needs --planted")

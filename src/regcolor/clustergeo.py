@@ -10,8 +10,8 @@ the rows of the graph's CSR `adjacency`.
 
 Every vertex set in a result is a read-only boolean mask: an (n,) mask, or
 an (n, k) mask whose entry [v, j] belongs to the pair (sigma(v), j).  Count
-one with `np.count_nonzero` (or `graphs.count_marked`); `len()` of a mask
-is n, not the size of the set.
+one with `np.count_nonzero`; `len()` of a mask is n, not the size of the
+set.
 """
 
 import itertools
@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import (count_marked, degrees, neighbor_rows, read_only,
-                     vertex_class_degrees)
+from .graphs import degrees, neighbor_rows, read_only, vertex_class_degrees
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +132,8 @@ def _freedom(G, sigma, core, mode):
     else:
         n_vacant -= 1  # all k colors, a-free needs a + 1 of them
     free_1, free_2 = n_vacant >= 1, n_vacant >= 2
-    bound = (count_marked(free_1 & ~free_2)
-             + count_marked(free_2) * math.log2(k))
+    bound = (np.count_nonzero(free_1 & ~free_2)
+             + np.count_nonzero(free_2) * math.log2(k))
     return FreedomReport(*map(read_only, (free_1, free_2, ~free_1)), bound,
                          mode)
 

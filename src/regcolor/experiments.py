@@ -1,6 +1,6 @@
 """Experiment harness: flat key=value experiment specs, seeded Monte Carlo
 sweeps with per-sample RNG streams, summary statistics with normal 95%
-confidence intervals, and JSON/CSV emission.  `SPEC_TABLE` declares each kind
+confidence intervals, and JSON/CSV reports.  `SPEC_TABLE` declares each kind
 once: its runner and its parameters, each typed and with a default or
 REQUIRED.  Defaults are filled in at run time and never enter the spec.
 
@@ -10,7 +10,6 @@ order.
 """
 
 import hashlib
-import json
 import math
 import time
 from dataclasses import astuple, dataclass
@@ -166,7 +165,7 @@ def _run_vacant(p, generator):
 def _run_core_profile(p, generator):
     G, sigma = sample_flat_planted(p["n"], p["d"], p["k"], generator)
     res = clustergeo.core_analysis(G, sigma, p["ell"])
-    wuy, rep, size = res.wuy, res.freedom, graphs.count_marked
+    wuy, rep, size = res.wuy, res.freedom, np.count_nonzero
     return {"core_size": size(res.core.core), "w_size": size(wuy.W_union),
             "y_size": size(wuy.Y), "f1_size": size(rep.free_1),
             "f2_size": size(rep.free_2), "complete_size": size(rep.complete),
@@ -249,9 +248,9 @@ def run_experiment(spec):
 
 
 def emit(report, format="json"):
-    """Serialize a report; stable field order.  CSV: one row per metric with
-    header metric,mean,var,ci_lo,ci_hi,n_samples (table experiments emit
-    their own table)."""
+    """A report as a JSON document (a dict) or CSV text; stable field order.
+    CSV: one row per metric with header metric,mean,var,ci_lo,ci_hi,n_samples
+    (table experiments emit their own table)."""
     if format == "json":
         doc = {
             "schema": 1,
@@ -262,11 +261,11 @@ def emit(report, format="json"):
         }
         if report.table is not None:
             doc["table"] = report.table
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        return doc
     if format == "csv":
         if report.table is not None:
-            return report.table.encode()
+            return report.table
         return "".join(["metric,mean,var,ci_lo,ci_hi,n_samples\n"] + [
             "%s,%.12g,%.12g,%.12g,%.12g,%d\n" % (name, *astuple(ms))
-            for name, ms in report.metrics.items()]).encode()
+            for name, ms in report.metrics.items()])
     raise ValidationError("unknown format %r" % (format,))

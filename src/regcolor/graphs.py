@@ -306,11 +306,6 @@ def read_only(a):
     return a
 
 
-def count_marked(mask):
-    """The entries set in a mask, as a Python int, which `json` accepts."""
-    return int(np.count_nonzero(mask))
-
-
 def edge_count_between(G, A, B):
     """e(A, B) counted clone-wise: each edge {u,v} contributes
     [u in A][v in B] + [v in A][u in B]; a loop inside A counts 2 toward
@@ -592,13 +587,3 @@ def parse_graph(text):
                 if d == 0 or (degrees(G) == d).all():
                     return G
     return _parse_lines(text)
-
-
-def write_graph(G, path):
-    with open(path, "w") as fh:
-        fh.writelines(graph_blocks(G))
-
-
-def read_graph(path):
-    with open(path) as fh:
-        return parse_graph(fh.read())

@@ -20,7 +20,9 @@ MAX_TABLE_ROWS = 4 * 10 ** 6
 MAX_START_ENTRIES = 10 ** 7
 
 # a coloring file refuses more n k class-degree or k^2 class-edge entries:
-# `core` and `nice` take about 20 B per entry, `vacant` 56 B per vacant one
+# `core` and `nice` take about 20 B per entry.  `vacant` also refuses more
+# n k + 3 k^2 (its n k entries in k^2 "i,j" groups): 57-66 B per unit, that
+# is 66 B per vacant entry at k << n and 260 B at k ~ n
 MAX_CLASS_ENTRIES = 10 ** 7
 
 # experiment specs refuse more samples: the cheapest kind takes 50 us a

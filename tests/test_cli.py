@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import itertools
 import json
@@ -29,7 +28,7 @@ def test_sample_and_count(tmp_path):
     gpath = tmp_path / "g.txt"
     assert run(["--seed", "1", "--out", str(gpath),
                 "sample", "--n", "10", "--d", "3"]) == 0
-    G = graphs.read_graph(gpath)
+    G = graphs.parse_graph(gpath.read_text())
     assert G.n == 10 and G.d == 3
     assert graphs.degrees(G).tolist() == [3] * 10
 
@@ -467,6 +466,28 @@ def test_class_tables_refuse_past_the_entry_bound(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+def test_vacant_refuses_past_its_entry_bound(tmp_path, capsys):
+    # the vacant witness lists hold up to n k entries in up to k^2 groups:
+    # n k + 3 k^2 one past the bound is refused before the vacant table,
+    # at a k that the class-table checks admit
+    bound = guards.MAX_CLASS_ENTRIES
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert run(["--out", str(gpath), "sample", "--n", "12", "--d", "4"]) == 0
+    cpath.write_text("0 1 2 " * 4)
+    k = next(k for k in itertools.count(1) if 12 * k + 3 * k * k > bound)
+    assert 12 * k <= bound and k * k <= bound
+    tracemalloc.start()
+    try:
+        refused(["count", "--predicate", "vacant", "--graph", str(gpath),
+                 "--coloring", str(cpath), "--k", str(k)], capsys,
+                "nk_plus_3kk=%d exceeds the %d-entry bound "
+                "(guards.MAX_CLASS_ENTRIES)" % (12 * k + 3 * k * k, bound))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_start_entry_bound_allocates_nothing(tmp_path, capsys):
     # one past guards.MAX_START_ENTRIES, by restarts at k = 3 and by k with
     # no random starts, is refused before any start exists
@@ -719,7 +740,7 @@ def test_parser_shared_across_calls(tmp_path, capsys):
     assert run(["--out", str(out), *core, "--ell", "1", "--mode",
                 "strict"]) == 0
     assert run(["--out", str(out), *core]) == 0
-    G = graphs.read_graph(gpath)
+    G = graphs.parse_graph(gpath.read_text())
     sigma = colorings.parse_coloring(cpath.read_text(), 3)
     assert json.loads(out.read_text())["core_size"] == np.count_nonzero(
         clustergeo.sigma_ell_core(G, sigma, 3).core)
@@ -747,14 +768,29 @@ def test_write_streams_a_document(tmp_path):
     assert len(text) > 3 * 10 ** 6
     tracemalloc.start()
     try:
-        cli._write(argparse.Namespace(out=os.devnull), doc)
+        cli._write(os.devnull, doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < len(text) / 4
     out = tmp_path / "doc.json"
-    cli._write(argparse.Namespace(out=str(out)), doc)
+    cli._write(str(out), doc)
     assert out.read_text() == text
+
+
+def test_write_encodes_numpy_values(tmp_path):
+    # numpy scalars and arrays are written as their Python values
+    values = {"int": np.int64(7), "bool": np.bool_(True),
+              "float": np.float64(0.1), "ints": np.arange(4),
+              "empty": np.array([], dtype=np.int64),
+              "floats": np.linspace(0, 1, 6).reshape(2, 3)}
+    doc = {"values": values, "list": [np.int64(-1), np.arange(2)]}
+    python = {"values": {key: value.tolist() for key, value in values.items()},
+              "list": [-1, [0, 1]]}
+    out = tmp_path / "doc.json"
+    cli._write(str(out), doc)
+    assert out.read_text() == json.dumps(python, sort_keys=True,
+                                         indent=2) + "\n"
 
 
 _spec_lines = st.lists(st.tuples(

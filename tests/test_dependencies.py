@@ -7,11 +7,9 @@ import regcolor
 SRC = Path(regcolor.__file__).parent
 
 
-def test_runtime_imports_are_stdlib_or_numpy():
-    # numpy is the one runtime dependency pyproject.toml declares; an import
-    # at any depth (in a function, under try) counts, relative ones are ours
-    allowed = sys.stdlib_module_names | {"numpy"}
-    found = []
+def _imports():
+    """(file name, line, module) of every absolute import under src/regcolor/,
+    at any depth (in a function, under try); relative ones are ours."""
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -20,7 +18,20 @@ def test_runtime_imports_are_stdlib_or_numpy():
                 names = [node.module]
             else:
                 continue
-            found += [(path.name, node.lineno, name) for name in names
-                      if name.partition(".")[0] not in allowed]
+            yield from ((path.name, node.lineno, name) for name in names)
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # numpy is the one runtime dependency pyproject.toml declares
+    allowed = sys.stdlib_module_names | {"numpy"}
+    found = [imp for imp in _imports()
+             if imp[2].partition(".")[0] not in allowed]
     assert not found
     assert len(list(SRC.rglob("*.py"))) > 10  # the walk saw the package
+
+
+def test_only_cli_imports_json():
+    # cli._write is the one encoder of every output document
+    importers = {name for name, _, module in _imports()
+                 if module.partition(".")[0] == "json"}
+    assert importers == {"cli.py"}

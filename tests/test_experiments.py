@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regcolor import experiments, graphs, moments, rng, threshold
+from regcolor import cli, experiments, graphs, moments, rng, threshold
 from regcolor.errors import GuardError, ValidationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,10 +63,17 @@ def run(text):
     return experiments.run_experiment(experiments.parse_spec(text))
 
 
+def emitted(rep, format="json"):
+    """The bytes `regcolor experiment` writes for `rep` in `format`."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._write(None, experiments.emit(rep, format))
+    return out.getvalue().encode()
+
+
 def test_run_deterministic():
     text = "kind = cycle-census\nn = 200\nd = 3\nL = 3\nsamples = 10\nseed = 3"
-    a = experiments.emit(run(text), "json")
-    b = experiments.emit(run(text), "json")
+    a = emitted(run(text), "json")
+    b = emitted(run(text), "json")
     assert a == b  # byte-identical, wall time excluded
 
 
@@ -118,7 +127,7 @@ def test_moment_vs_oracle_pinned(n, d, k, value, digest):
     # E[#colorings] over all (dn-1)!! configurations, as a float of the
     # exact rational; the digest is of the whole emitted JSON
     rep = run("kind = moment-vs-oracle\nn = %d\nd = %d\nk = %d\n" % (n, d, k))
-    out = experiments.emit(rep)
+    out = emitted(rep)
     assert json.loads(out)["metrics"]["log_exact_over_n"]["mean"] == value
     assert hashlib.sha256(out).hexdigest() == digest
 
@@ -180,7 +189,7 @@ def test_every_kind_pinned(name):
     rep = run(text)
     assert rep.spec_hash == spec_hash
     for format, digest in (("json", json_digest), ("csv", csv_digest)):
-        out = experiments.emit(rep, format)
+        out = emitted(rep, format)
         assert hashlib.sha256(out).hexdigest() == digest
 
 
@@ -256,19 +265,19 @@ def test_optimize_sweep():
 def test_threshold_table_delegates():
     rep = run("kind = threshold-table\nk_lo = 3\nk_hi = 6\nsamples = 1\nseed = 0")
     assert rep.table == threshold.format_csv(3, 6)
-    assert experiments.emit(rep, "csv").decode() == rep.table
-    doc = json.loads(experiments.emit(rep, "json"))
+    assert emitted(rep, "csv").decode() == rep.table
+    doc = json.loads(emitted(rep, "json"))
     assert doc["table"].startswith("k,lo,hi")
 
 
 def test_emit_formats():
     rep = run("kind = cycle-census\nn = 100\nd = 3\nL = 1\nsamples = 3\nseed = 9")
-    doc = json.loads(experiments.emit(rep, "json"))
+    doc = json.loads(emitted(rep, "json"))
     assert doc["schema"] == 1
     assert doc["spec"]["kind"] == "cycle-census"
     assert "wall_time" not in doc
     assert "xi_1" in doc["metrics"]
-    csv = experiments.emit(rep, "csv").decode()
+    csv = emitted(rep, "csv").decode()
     lines = csv.strip().split("\n")
     assert lines[0] == "metric,mean,var,ci_lo,ci_hi,n_samples"
     assert lines[1].startswith("xi_1,")

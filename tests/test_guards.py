@@ -2,6 +2,7 @@
 the constant, and admits the bound itself; only `guards.check` raises it."""
 
 import ast
+import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,17 @@ def _load_coloring(k):
         return cli._load_coloring(str(path), _cycle4(), k)
 
 
+def _count_vacant(k):
+    # `count --predicate vacant` on the 4-cycle: n k + 3 k^2 = 4k + 3k^2
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath, cpath = Path(tmp) / "g.txt", Path(tmp) / "c.txt"
+        gpath.write_text(graphs.format_graph(_cycle4()))
+        cpath.write_text("0 1 0 1\n")
+        cli.cmd_count(cli.build_parser().parse_args([
+            "--out", os.devnull, "count", "--graph", str(gpath), "--k",
+            str(k), "--predicate", "vacant", "--coloring", str(cpath)]))
+
+
 # (constant, the value each call checks against it, entry point)
 CASES = [
     ("MAX_SAMPLE_CLONES", 12, lambda: graphs.sample_uniform(
@@ -76,6 +88,7 @@ CASES = [
     ("MAX_EXPERIMENT_SAMPLES", 3, lambda: experiments.run_experiment(
         experiments.parse_spec(
             "kind = cycle-census\nn = 4\nd = 2\nsamples = 3\n"))),
+    ("MAX_CLASS_ENTRIES", 4 * 2 + 3 * 2 * 2, lambda: _count_vacant(2)),
 ]
 
 
