@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 from fractions import Fraction
 
@@ -35,8 +36,11 @@ def _open(path, mode="r"):
 
 
 def _read(path):
-    """Text of a file the user named; undecodable bytes are a refusal."""
+    """Text of a file the user named; a file past guards.MAX_INPUT_BYTES is
+    refused before it is read, and undecodable bytes are a refusal."""
     with _open(path) as fh:
+        guards.check(os.fstat(fh.fileno()).st_size, "MAX_INPUT_BYTES",
+                     "bytes", "byte")
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

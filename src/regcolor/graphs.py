@@ -178,18 +178,22 @@ def degrees(G):
 
 
 def multigraph(n, d, edge_list):
-    """The checked builder: endpoints must lie in range(n) and, when d > 0,
-    every vertex must have degree d.  d = 0 accepts any multigraph."""
+    """The checked builder, from an (m, 2) int64 array as it is or from a
+    sequence of pairs: endpoints must lie in range(n) and, when d > 0, every
+    vertex must have degree d.  d = 0 accepts any multigraph."""
     if n > MAX_VERTICES:
         raise ValidationError("n=%d exceeds %d, the most vertices a graph "
                               "can have" % (n, MAX_VERTICES))
-    edge_list = list(edge_list)
-    bad = [(min(e), max(e)) for e in edge_list
-           if not (0 <= e[0] < n and 0 <= e[1] < n)]
-    if bad:
+    try:
+        ends = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # past int64, so out of range
+        ends = np.array(edge_list, dtype=object).reshape(-1, 2)
+    lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
+    bad = (lo < 0) | (hi >= n)
+    if bad.any():
+        u = lo[bad].min()
         raise ValidationError("edge endpoint out of range: (%d,%d)"
-                              % min(bad))
-    ends = np.array(edge_list, dtype=np.int64).reshape(-1, 2)
+                              % (u, hi[bad & (lo == u)].min()))
     G = _from_pairs(n, d, ends[:, 0], ends[:, 1])
     if d > 0:
         degs = degrees(G)
@@ -528,7 +532,7 @@ def _int_tokens(text):
     brk = (b == 10) | (b == 13)
     if not (digit | brk | (b == 32) | (b == 9)).all():
         return None
-    step = np.diff(digit.view(np.int8), prepend=0, append=0)
+    step = np.diff(np.pad(digit.view(np.int8), 1))  # stays int8
     start, end = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
     width = int((end - start).max(initial=0))
     if width > 18:
@@ -553,37 +557,32 @@ def _int_pair(line):
     return a, b
 
 
+def _check_header(n, d, m):
+    """The header refusals for m edge lines: n*d = 2m bounds n by the file."""
+    if n < 1 or d < 0:
+        raise ValidationError("graph header needs n, d >= 0 and n >= 1, "
+                              "got %d %d" % (n, d))
+    if d > 0 and n * d != 2 * m:
+        raise ValidationError("header %d %d needs n*d/2 edges, the file "
+                              "lists %d" % (n, d, m))
+
+
 def _parse_lines(text):
-    """parse_graph line by line; it words every refusal."""
+    """parse_graph line by line; it words a line that is not two integers."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError("empty graph file")
     n, d = _int_pair(lines[0])
-    if n < 1 or d < 0:
-        raise ValidationError("graph header needs n, d >= 0 and n >= 1, "
-                              "got %d %d" % (n, d))
-    # checked before the degree count, which allocates n counters
-    if d > 0 and n * d != 2 * (len(lines) - 1):
-        raise ValidationError("header %d %d needs n*d/2 edges, the file "
-                              "lists %d" % (n, d, len(lines) - 1))
+    _check_header(n, d, len(lines) - 1)
     return multigraph(n, d, [_int_pair(ln) for ln in lines[1:]])
 
 
 def parse_graph(text):
-    """Header `n d`, then one `u v` line per edge.  A file that
-    `_int_tokens` reads and that passes every check of `_parse_lines` is
-    parsed as arrays; any other goes to `_parse_lines`, which words the
-    refusal."""
+    """Header `n d`, then one `u v` line per edge.  A file whose lines are two
+    `_int_tokens` each is checked as arrays, any other by `_parse_lines`."""
     tokens = _int_tokens(text)
-    if tokens is not None:
-        value, per_line = tokens
-        if per_line.size and (per_line == 2).all():
-            n, d = int(value[0]), int(value[1])  # no sign: d >= 0
-            ends = value[2:].reshape(-1, 2)
-            # n*d = 2m bounds n by the file size before degrees counts n
-            if (1 <= n <= MAX_VERTICES and (d == 0 or n * d == ends.size)
-                    and (ends < n).all()):
-                G = _from_pairs(n, d, ends[:, 0], ends[:, 1])
-                if d == 0 or (degrees(G) == d).all():
-                    return G
-    return _parse_lines(text)
+    if tokens is None or not tokens[1].size or (tokens[1] != 2).any():
+        return _parse_lines(text)
+    n, d = tokens[0][:2].tolist()
+    _check_header(n, d, tokens[1].size - 1)
+    return multigraph(n, d, tokens[0][2:].reshape(-1, 2))

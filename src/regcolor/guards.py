@@ -25,6 +25,12 @@ MAX_START_ENTRIES = 10 ** 7
 # is 66 B per vacant entry at k << n and 260 B at k ~ n
 MAX_CLASS_ENTRIES = 10 ** 7
 
+# a graph, coloring or spec file refuses more bytes before it is read: reading
+# and parsing a graph file peaks at 13.1 B per byte traced, so about 1.05 GB
+# at the bound, which admits every graph file `sample` writes (the longest,
+# n = 10^7 and d = 1, has 78,888,901 bytes)
+MAX_INPUT_BYTES = 8 * 10 ** 7
+
 # experiment specs refuse more samples: the cheapest kind takes 50 us a
 # sample (cycle-census, n = 2, d = 1, L = 1) and the metric lists 32 B per
 # metric per sample, 50 s and near 370 MiB (12 metrics at L = 12) at the bound

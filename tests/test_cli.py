@@ -488,6 +488,35 @@ def test_vacant_refuses_past_its_entry_bound(tmp_path, capsys):
     assert peak < 2 ** 20
 
 
+def test_input_files_refuse_past_the_byte_bound(monkeypatch, tmp_path,
+                                                capsys):
+    # a graph, coloring or spec file one byte past the bound is refused
+    # before it is read; the coloring is padded past the graph's size
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    spec = tmp_path / "spec.txt"
+    assert run(["--out", str(gpath), "sample", "--n", "12", "--d", "4"]) == 0
+    cpath.write_text("0 1 2 " * 4 + " " * gpath.stat().st_size)
+    spec.write_text("kind = cycle-census\nn = 4\nd = 2\n")
+    count = ["count", "--graph", str(gpath), "--k", "3"]
+    tracemalloc.start()
+    try:
+        for path, argv in (
+                (gpath, count),
+                (gpath, ["core", "--graph", str(gpath), "--k", "3",
+                         "--coloring", str(cpath)]),
+                (cpath, count + ["--predicate", "proper", "--coloring",
+                                 str(cpath)]),
+                (spec, ["experiment", "--spec", str(spec)])):
+            size = path.stat().st_size
+            monkeypatch.setattr(guards, "MAX_INPUT_BYTES", size - 1)
+            refused(argv, capsys, "bytes=%d exceeds the %d-byte bound "
+                    "(guards.MAX_INPUT_BYTES)" % (size, size - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_start_entry_bound_allocates_nothing(tmp_path, capsys):
     # one past guards.MAX_START_ENTRIES, by restarts at k = 3 and by k with
     # no random starts, is refused before any start exists

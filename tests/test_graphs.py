@@ -9,11 +9,12 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regcolor import cli, experiments, graphs, guards, rng
 from regcolor.errors import GuardError, ValidationError
+from test_file_formats import _refuse, outcome, reference_parse_graph
 
 
 def edge_tuple(G):
@@ -811,3 +812,85 @@ def test_graph_file_roundtrip(tmp_path):
     assert graphs.parse_graph(graphs.format_graph(G)) == G
     with pytest.raises(ValidationError):
         graphs.parse_graph("")
+
+
+def test_clean_defects_are_refused_from_the_arrays(monkeypatch):
+    # a file of clean characters and two tokens a line is refused by the
+    # array path, with the per-line parser's message
+    monkeypatch.setattr(graphs, "_int_pair", _refuse)
+    text = graphs.format_graph(graphs.sample_uniform(6, 3, rng.stream(1, 0)))
+    head, *edges = text.splitlines(keepends=True)
+    u = edges[-1].split()[0]
+    for defect in ("0 3\n" + "".join(edges),              # header n = 0
+                   text + "0 1\n",                        # one edge too many
+                   head + "".join(edges[:-1]) + u + " 6\n",  # endpoint n
+                   head + "".join(edges[:-1]) + "0 0\n"):    # degrees
+        expected = outcome(reference_parse_graph, defect)
+        assert expected[0] == "refused"
+        assert outcome(graphs.parse_graph, defect) == expected, defect
+
+
+def reference_multigraph(n, d, pairs):
+    """multigraph's checks on a list of pairs, one pair at a time, and its
+    graph as n, d and the sorted (min, max) pairs."""
+    if n > graphs.MAX_VERTICES:
+        raise ValidationError("n=%d exceeds %d, the most vertices a graph "
+                              "can have" % (n, graphs.MAX_VERTICES))
+    bad = [(min(e), max(e)) for e in pairs
+           if not (0 <= e[0] < n and 0 <= e[1] < n)]
+    if bad:
+        raise ValidationError("edge endpoint out of range: (%d,%d)"
+                              % min(bad))
+    degree = Counter(v for e in pairs for v in e)
+    wrong = [v for v in range(n) if degree[v] != d] if d else []
+    if wrong:
+        raise ValidationError("vertex %d has degree %d, expected %d"
+                              % (wrong[0], degree[wrong[0]], d))
+    return n, d, sorted((min(e), max(e)) for e in pairs)
+
+
+def built(n, d, edge_list):
+    G = graphs.multigraph(n, d, edge_list)
+    return G.n, G.d, list(map(tuple, G.edges.tolist()))
+
+
+PAST_INT64 = (2 ** 63, 2 ** 63 + 1, 2 ** 64, -2 ** 63 - 1, 2 ** 70)
+
+
+@st.composite
+def endpoint_lists(draw):
+    """(n, d, pairs): a d-regular sample's edges, or pairs on n vertices at
+    d = 0 for any n, with endpoints out of range; in a list, sometimes one
+    value past int64."""
+    big = graphs.MAX_VERTICES
+    if draw(st.booleans()):
+        n, d = draw(st.sampled_from([(2, 1), (2, 3), (4, 2), (6, 3)]))
+        G = graphs.sample_uniform(n, d, rng.stream(draw(st.integers(0, 9))))
+        pairs = [draw(st.permutations(e)) for e in G.edges.tolist()]
+    else:
+        n, d = draw(st.sampled_from([1, 2, 5, big, big + 1])), 0
+        pairs = []
+    vertex = st.one_of(st.integers(0, min(n, 6) - 1),
+                       st.sampled_from([-1, n - 1, n, big, big + 1]))
+    for _ in range(draw(st.integers(0, 3))):
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     draw(st.tuples(vertex, vertex)))
+    if pairs and draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(st.sampled_from(PAST_INT64)))
+    return n, d, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(endpoint_lists())
+@example((3, 0, []))
+@example((3, 2, []))
+def test_multigraph_takes_arrays_as_lists(case):
+    # a list of pairs and the same pairs as an int64 array give the graph
+    # or the refusal the pair-by-pair checks give
+    n, d, pairs = case
+    expected = outcome(reference_multigraph, n, d, pairs)
+    assert outcome(built, n, d, pairs) == expected
+    if not any(v in PAST_INT64 for e in pairs for v in e):
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        assert outcome(built, n, d, ends) == expected

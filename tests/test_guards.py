@@ -4,6 +4,7 @@ the constant, and admits the bound itself; only `guards.check` raises it."""
 import ast
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,6 +61,14 @@ def _count_vacant(k):
             str(k), "--predicate", "vacant", "--coloring", str(cpath)]))
 
 
+def _read_graph_file():
+    # an 8-byte graph file, read through the CLI's reader
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.txt"
+        path.write_text("2 1\n0 1\n")
+        return graphs.parse_graph(cli._read(str(path)))
+
+
 # (constant, the value each call checks against it, entry point)
 CASES = [
     ("MAX_SAMPLE_CLONES", 12, lambda: graphs.sample_uniform(
@@ -89,6 +98,7 @@ CASES = [
         experiments.parse_spec(
             "kind = cycle-census\nn = 4\nd = 2\nsamples = 3\n"))),
     ("MAX_CLASS_ENTRIES", 4 * 2 + 3 * 2 * 2, lambda: _count_vacant(2)),
+    ("MAX_INPUT_BYTES", 8, _read_graph_file),
 ]
 
 
@@ -102,6 +112,20 @@ def test_bound_admits_itself_and_refuses_one_past(monkeypatch, name, value,
     with pytest.raises(GuardError, match=r"^\w+=%d exceeds the %d-\w+ bound "
                        r"\(guards\.%s\)$" % (value, value - 1, name)):
         call()
+
+
+def test_parse_memory_per_character():
+    # the cost behind guards.MAX_INPUT_BYTES: parsing a graph file peaks
+    # near 13 B per character traced
+    text = graphs.format_graph(graphs.sample_uniform(10 ** 5, 3,
+                                                     rng.stream(1, 0)))
+    tracemalloc.start()
+    try:
+        graphs.parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("k, restarts", [(3, 0), (3, 5), (7, 2)])
