@@ -24,9 +24,11 @@ from . import guards
 from .moments import DS_TOL, ds_residuals, f_entries
 
 ARMIJO = 1e-4
+SINKHORN_CAP = 10000  # sweeps before project_doubly_stochastic refuses
+ASCENT_CAP = 150      # steps of one start's ascent
 
 
-def project_doubly_stochastic(M, tol=1e-13, max_iters=10000):
+def project_doubly_stochastic(M, tol=1e-13):
     """Alternating row/column normalization until both residuals < tol.
     Returns (matrix, iterations).  The default tol sits a decade under 1e-12:
     each _ascend step rounds the line sums by a few ulps, and a start that
@@ -39,17 +41,17 @@ def project_doubly_stochastic(M, tol=1e-13, max_iters=10000):
     res = max(ds_residuals(A))
     if res < tol:
         return A, 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, SINKHORN_CAP + 1):
         A /= A.sum(axis=1, keepdims=True)
         A /= A.sum(axis=0, keepdims=True)
         # the residual check costs as much as the sweep; amortize it
-        if it % 8 == 0 or it == max_iters:
+        if it % 8 == 0 or it == SINKHORN_CAP:
             res = max(ds_residuals(A))
             if res < tol:
                 return A, it
     raise ValidationError(
         "Sinkhorn did not converge in %d iterations (residual %.3g)"
-        % (max_iters, res))
+        % (SINKHORN_CAP, res))
 
 
 @dataclass(frozen=True)
@@ -140,18 +142,7 @@ class OptResult:
     trace: tuple
 
 
-def _in_region(rho, region, kappa):
-    if region is None or region == "unconstrained":
-        return True
-    if callable(region):
-        return bool(region(rho))
-    if isinstance(region, tuple) and region[0] == "stable":
-        rep = classify_stability(rho, kappa)
-        return rep.separable and rep.s == region[1]
-    raise ValidationError("unknown region %r" % (region,))
-
-
-def _ascend(R, k, d, max_iters=150):
+def _ascend(R, k, d):
     """Projected-gradient ascent inside the polytope.  Sinkhorn puts the
     start on the polytope once; each step then moves along the gradient
     projected onto the tangent space {X : X 1 = 0, 1^T X = 0}, so row and
@@ -159,7 +150,7 @@ def _ascend(R, k, d, max_iters=150):
     from min(1, 0.9 x the largest step that keeps every entry positive)."""
     R = project_doubly_stochastic(R)[0]
     val = f_entries(R, k, d)
-    for it in range(max_iters):
+    for it in range(ASCENT_CAP):
         # the chart gradient is the full gradient minus its (k,k) entry; the
         # projection removes that constant along with the row/column means
         G = np.append(grad_f(R, d), 0.0).reshape(k, k)
@@ -200,11 +191,12 @@ def _starts(k, restarts, rng):
     return out
 
 
-def maximize_f(k, d, region=None, restarts=20, rng=None, kappa=0.1):
+def maximize_f(k, d, stable=None, restarts=20, rng=None, kappa=0.1):
     """Multi-start maximization of f over the Birkhoff polytope.  Starts:
     the flat matrix, `restarts` random interior matrices, and permutation
-    corner mixtures.  Candidates outside the region are discarded (rejection,
-    not barrier).  Deterministic merge by (value, start index)."""
+    corner mixtures.  With `stable` = s, a candidate is kept only if it is
+    s-stable at `kappa` (rejection, not barrier).  Deterministic merge by
+    (value, start index)."""
     if k < 3:
         raise ValidationError("k >= 3 required")
     if not 0 < d < math.inf:
@@ -225,7 +217,8 @@ def maximize_f(k, d, region=None, restarts=20, rng=None, kappa=0.1):
     best_key = None
     for idx, s in enumerate(_starts(k, restarts, rng)):
         R, val, iters = _ascend(s, k, d)
-        ok = bool(_in_region(R, region, kappa))
+        rep = None if stable is None else classify_stability(R, kappa)
+        ok = rep is None or (rep.separable and rep.s == stable)
         trace.append({"start": idx, "value": float(val), "iters": iters,
                       "in_region": ok})
         if ok:

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import math
@@ -35,18 +36,33 @@ def _open(path, mode="r"):
                               % (path, exc.strerror or exc)) from None
 
 
+def _read_bounded(fh, size):
+    """At most guards.MAX_INPUT_BYTES + 1 bytes of fh.  A file of `size`
+    bytes is read in one block; a pipe, whose size reads 0, in 64 KiB ones,
+    so that no read allocates the whole bound."""
+    blocks, room = [], guards.MAX_INPUT_BYTES + 1
+    while room and (block := fh.read(min(room, max(size + 1, 1 << 16)))):
+        blocks.append(block)
+        room -= len(block)
+    return b"".join(blocks)
+
+
 def _read(path):
-    """Text of a file the user named; a file past guards.MAX_INPUT_BYTES is
-    refused before it is read, and undecodable bytes are a refusal."""
-    with _open(path) as fh:
-        guards.check(os.fstat(fh.fileno()).st_size, "MAX_INPUT_BYTES",
-                     "bytes", "byte")
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError("%s is not %s text: %s at byte %d"
-                                  % (path, exc.encoding, exc.reason,
-                                     exc.start)) from None
+    """Text of a file the user named, decoded as open() in text mode would.
+    A file whose size is past guards.MAX_INPUT_BYTES is refused before it is
+    read; a pipe, FIFO or device, whose size reads 0, is read to one byte
+    past the bound and refused there.  Undecodable bytes are a refusal."""
+    with _open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        guards.check(size, "MAX_INPUT_BYTES", "bytes", "byte")
+        data = _read_bounded(fh, size)
+    guards.check(len(data), "MAX_INPUT_BYTES", "bytes", "byte")
+    try:
+        return io.TextIOWrapper(io.BytesIO(data)).read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError("%s is not %s text: %s at byte %d"
+                              % (path, exc.encoding, exc.reason,
+                                 exc.start)) from None
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2,
@@ -201,19 +217,19 @@ def cmd_rates(args):
 
 
 def _parse_region(text):
-    """None for no constraint, ("stable", s) for `<s>-stable`."""
+    """None for no constraint, the integer s for `<s>-stable`."""
     if text is None or text == "unconstrained":
         return None
     s, sep, rest = text.partition("-")
     if not (s.isdecimal() and sep and rest == "stable"):
         raise ValidationError("--region must be 'unconstrained' or "
                               "'<s>-stable', got %r" % text)
-    return ("stable", int(s))
+    return int(s)
 
 
 def cmd_optimize(args):
-    region, seed = _parse_region(args.region), args.seed or 0
-    res = birkhoff.maximize_f(args.k, args.d, region=region,
+    stable, seed = _parse_region(args.region), args.seed or 0
+    res = birkhoff.maximize_f(args.k, args.d, stable=stable,
                               restarts=args.restarts, rng=rng.stream(seed, 0),
                               kappa=args.kappa)
     _write(args.out, {
@@ -301,7 +317,8 @@ OPTIONS = {
         "--k": (_REQUIRED_INT, None), "--d": ({**_FLOAT, **_REQUIRED}, None),
         "--restarts": ({**_INT, "default": 20}, None), "--region": ({}, None),
         "--kappa": ({**_FLOAT, "default": 0.1}, (
-            lambda a: _parse_region(a.region), "needs --region <s>-stable"))}),
+            lambda a: _parse_region(a.region) is not None,
+            "needs --region <s>-stable"))}),
     "core": (cmd_core, "core peeling and freedom report", {
         "--graph": (_REQUIRED, None), "--coloring": (_REQUIRED, None),
         "--k": (_REQUIRED_INT, None), "--ell": ({**_INT, "default": 3}, None),

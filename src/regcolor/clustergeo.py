@@ -29,7 +29,7 @@ from .graphs import degrees, neighbor_rows, read_only, vertex_class_degrees
 @dataclass(frozen=True, eq=False)
 class CoreResult:
     core: np.ndarray        # (n,) mask of the core
-    peel_order: np.ndarray  # evicted, round by round, ascending in each
+    peel_order: np.ndarray  # the evicted vertices, ascending
 
 
 def sigma_ell_core(G, sigma, ell):
@@ -45,7 +45,6 @@ def sigma_ell_core(G, sigma, ell):
     other = np.arange(sigma.k) != color[:, None]  # none needed into own class
     alive = np.ones(G.n, dtype=bool)
     evict = np.flatnonzero((other & (cnt < ell)).any(axis=1))
-    rounds = [evict]
     while evict.size:
         alive[evict] = False
         src, nbr, mult = neighbor_rows(G.adjacency, evict)
@@ -53,8 +52,7 @@ def sigma_ell_core(G, sigma, ell):
         nbr, col = nbr[keep], color[src[keep]]
         np.subtract.at(cnt, (nbr, col), mult[keep])
         evict = np.unique(nbr[cnt[nbr, col] < ell])
-        rounds.append(evict)
-    return CoreResult(read_only(alive), read_only(np.concatenate(rounds)))
+    return CoreResult(read_only(alive), read_only(np.flatnonzero(~alive)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +142,8 @@ def freedom_report(G, sigma, ell, mode="prose"):
     mode="prose": count colors other than sigma(v); a-free iff at least a
     such colors are core-vacant.  mode="strict": count over all k colors and
     require at least a+1, the displayed-formula reading.  The two differ only
-    for vertices whose own class has no core neighbor.
+    for vertices with a core neighbor of their own color, where strict
+    counts one vacant color fewer; a proper coloring has none.
     """
     return _freedom(G, sigma, sigma_ell_core(G, sigma, ell).core, mode)
 

@@ -352,10 +352,10 @@ def count_colorings(G, k, filter="none", profile=None):
             raise ValidationError("profile entries must be >= 0, got %s"
                                   % ",".join(map(str, fracs)))
         sizes = [x * n for x in fracs]
-        if any(s.denominator != 1 for s in sizes):
-            return 0
         if sum(sizes) != n or len(sizes) != k:
             raise ValidationError("profile must have k entries summing to 1")
+        if any(s.denominator != 1 for s in sizes):
+            return 0
         return _search(G, k, "count", [int(s) for s in sizes])
     if filter == "skewed":
         return sum(is_skewed(G, tau) for tau in

@@ -304,7 +304,7 @@ def validate_compatible(rho, mu, n, d):
                 for t in range(k):
                     v = mu[i][j][s][t]
                     row_sum += v
-                    if v != mu[s][t][i][j]:
+                    if v != mu[s][t][i][j] and (i, j) < (s, t):
                         violations.append(
                             "symmetry (%d,%d,%d,%d)" % (i + 1, j + 1, s + 1, t + 1))
                     if (i == s or j == t) and v != 0:

@@ -7,8 +7,9 @@ weakened; see the repository notes for the analysis:
 - the flat-point Hessian eigenvalue bound (< -1/2) holds only for k >= 10 at
   d = ceil((2k-2) ln(k-1)); the exact top eigenvalue is d/(k-1)^2 - 1;
 - the cluster-size bound 2^|F1 minus F2| * k^|F2| is violated on tiny planted
-  instances where a pair of vertices joined by parallel cross edges can swap
-  colors while every vertex is classified complete.
+  instances where a Kempe swap (two colors exchanged on a small set of
+  vertices, on simple graphs too) gives a second cluster member while every
+  vertex is classified complete.
 """
 
 import itertools
@@ -207,8 +208,8 @@ def test_core_inclusion_planted(k, n, d):
 @pytest.mark.parametrize("k,n,d", [(2, 8, 2), (2, 8, 3), (2, 12, 2),
                                    (3, 12, 2), (3, 12, 4)])
 def test_cluster_size_bound(k, n, d):
-    # known to fail on these tiny instances: two vertices joined only by
-    # parallel cross edges can swap colors, giving a second cluster member
+    # known to fail on these tiny instances: a Kempe swap, such as a 4-cycle
+    # component exchanging its two colors, gives a second cluster member
     # while every vertex is classified complete (bound 1)
     sigma = experiments.flat_planted_coloring(n, k)
     for idx in range(10):

@@ -16,6 +16,14 @@ def random_ds(k, seed):
     return M
 
 
+def test_sinkhorn_refuses_past_its_cap(monkeypatch):
+    monkeypatch.setattr(birkhoff, "SINKHORN_CAP", 3)
+    A = np.exp(np.random.default_rng(0).standard_normal((4, 4)))
+    with pytest.raises(ValidationError,
+                       match="Sinkhorn did not converge in 3 iterations"):
+        birkhoff.project_doubly_stochastic(A)
+
+
 def test_project_doubly_stochastic():
     k = 4
     M, iters = birkhoff.project_doubly_stochastic(np.full((k, k), 1 / k))
@@ -145,19 +153,13 @@ def test_maximize_f_above_threshold():
 
 def test_maximize_f_region():
     k, d = 3, 20
-    res = birkhoff.maximize_f(k, d, region=("stable", k), restarts=2,
+    res = birkhoff.maximize_f(k, d, stable=k, restarts=2,
                               rng=rng.stream(3, 0))
     rep = birkhoff.classify_stability(res.best)
     assert rep.separable and rep.s == k
     with pytest.raises(ValidationError):
-        birkhoff.maximize_f(3, 5, region=("stable", 99), restarts=2,
+        birkhoff.maximize_f(3, 5, stable=99, restarts=2,
                             rng=rng.stream(4, 0))
-
-
-def test_maximize_f_callable_region():
-    res = birkhoff.maximize_f(3, 6, region=lambda R: True, restarts=3,
-                              rng=rng.stream(5, 0))
-    assert res.value >= res.f_flat - 1e-9
     with pytest.raises(ValidationError):
         birkhoff.maximize_f(2, 5)
 

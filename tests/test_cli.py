@@ -101,6 +101,15 @@ def test_count_profile(tmp_path):
     assert json.loads(out.read_text())["count"] == "6"
 
 
+@pytest.mark.parametrize("profile", ["1/3,1/3", "1/4,1/4"])
+def test_count_profile_of_wrong_shape_refused(profile, tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("4 2\n0 1\n1 2\n2 3\n0 3\n")
+    refused(["count", "--graph", str(gpath), "--k", "3", "--filter",
+             "profile", "--profile", profile], capsys,
+            "profile must have k entries summing to 1")
+
+
 def test_python_dash_m(tmp_path):
     src = Path(colorings.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -517,6 +526,26 @@ def test_input_files_refuse_past_the_byte_bound(monkeypatch, tmp_path,
     assert peak < 2 ** 20
 
 
+def test_pipe_input_refuses_past_the_byte_bound(monkeypatch, capsys):
+    # a pipe's size reads 0, so it is bounded by what is read from it
+    text = b"2 1\n0 1\n"
+    for bound in (len(text), len(text) - 1):
+        monkeypatch.setattr(guards, "MAX_INPUT_BYTES", bound)
+        r, w = os.pipe()
+        os.write(w, text)
+        os.close(w)
+        try:
+            argv = ["count", "--graph", "/dev/fd/%d" % r, "--k", "2"]
+            if bound == len(text):
+                assert run(argv) == 0
+                assert json.loads(capsys.readouterr().out)["count"] == "2"
+            else:
+                refused(argv, capsys, "bytes=%d exceeds the %d-byte bound"
+                        % (len(text), bound))
+        finally:
+            os.close(r)
+
+
 def test_start_entry_bound_allocates_nothing(tmp_path, capsys):
     # one past guards.MAX_START_ENTRIES, by restarts at k = 3 and by k with
     # no random starts, is refused before any start exists
@@ -613,6 +642,11 @@ def test_optimize_region(tmp_path):
     assert run(["--out", str(out), "optimize", "--k", "3", "--d", "20",
                 "--restarts", "1", "--region", "3-stable"]) == 0
     assert json.loads(out.read_text())["region"] == "3-stable"
+    # s = 0 is a region too, so --kappa is read with it
+    assert run(["--out", str(out), "optimize", "--k", "3", "--d", "5",
+                "--restarts", "0", "--region", "0-stable",
+                "--kappa", "0.3"]) == 0
+    assert json.loads(out.read_text())["region"] == "0-stable"
 
 
 def test_spec_refusals(tmp_path, capsys):

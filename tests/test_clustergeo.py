@@ -154,6 +154,31 @@ def test_freedom_report_modes():
         clustergeo.freedom_report(G, sigma, 1, mode="loose")
 
 
+def test_freedom_modes_differ_at_an_own_color_core_neighbor():
+    # K4 on 0..3 plus the edge (0, 4); vertex 4 shares its color with its
+    # only core neighbor 0, so strict counts one vacant color fewer
+    G = graphs.multigraph(5, 0, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                 (2, 3), (0, 4)])
+    sigma = colorings.coloring([0, 0, 1, 2, 0], 3)
+    prose = clustergeo.freedom_report(G, sigma, 1, mode="prose")
+    strict = clustergeo.freedom_report(G, sigma, 1, mode="strict")
+    assert members(clustergeo.sigma_ell_core(G, sigma, 1).core) == \
+        frozenset(range(4))
+    assert members(prose.free_2) == members(prose.free_1) == {4}
+    assert members(strict.free_1) == {4} and not strict.free_2.any()
+    assert prose.cluster_log2_upper == math.log2(3)
+    assert strict.cluster_log2_upper == 1.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_freedom_modes_agree_on_proper_colorings(seed):
+    G, sigma = planted(60, 3, 4, 900 + seed)
+    for ell in (1, 2):
+        assert_same(clustergeo.freedom_report(G, sigma, ell, mode="prose"),
+                    dataclasses.replace(clustergeo.freedom_report(
+                        G, sigma, ell, mode="strict"), mode="prose"))
+
+
 def test_freedom_report_complete_on_dense_planted():
     G, sigma = planted(60, 3, 9, 77)
     rep = clustergeo.freedom_report(G, sigma, 1)

@@ -364,6 +364,19 @@ def test_count_profile_filter():
                                   profile=[Fraction(3, 2), Fraction(-1, 2)])
 
 
+@pytest.mark.parametrize("profile", [["1/3", "1/3"], ["1/4", "1/4"],
+                                     ["1/3", "1/3", "1/2"]])
+def test_count_profile_refuses_bad_shape_before_sizes(profile):
+    # at n = 4, 1/3 gives a non-integral class size; the length and the sum
+    # are refused first
+    G = cycle_graph(4)
+    with pytest.raises(ValidationError, match="k entries summing to 1"):
+        colorings.count_colorings(G, 3, filter="profile",
+                                  profile=[Fraction(x) for x in profile])
+    assert colorings.count_colorings(
+        G, 3, filter="profile", profile=[Fraction(1, 3)] * 3) == 0
+
+
 def test_count_guard():
     G = graphs.multigraph(31, 0, [])
     with pytest.raises(GuardError):

@@ -93,6 +93,74 @@ def test_validate_admissible_names_violations():
     assert any("integrality" in v for v in e.value.violations)
 
 
+def test_as_fraction_forms_give_the_same_pair():
+    half, zero = Fraction(1, 2), Fraction(0)
+    pairs = [moments.validate_admissible(rho, mu, 4, 2) for rho, mu in (
+        ([half, half], [[zero, half], [half, zero]]),
+        (["1/2", "1/2"], [[0, "1/2"], ["1/2", 0]]),
+        ([0.5, np.float64(0.5)], [[np.int64(0), 0.5], [0.5, 0]]))]
+    assert pairs[0] == pairs[1] == pairs[2]
+    assert pairs[0].rho == (half, half)
+    assert all(type(x) is Fraction for row in pairs[2].mu for x in row)
+    assert moments._as_fraction(np.int64(3)) == moments._as_fraction(3) == 3
+    with pytest.raises(ValidationError, match="cannot interpret None"):
+        moments._as_fraction(None)
+
+
+@pytest.mark.parametrize("rho, mu, violation", [
+    (["3/2", "-1/2"], [[1, "1/2"], ["1/2", -1]], "negativity"),
+    (["1/4", "1/2"], [["-1/4", "1/2"], ["1/2", 0]], "negativity"),
+    (["1/4", "1/2"], [[0, "1/4"], ["1/4", "1/4"]], "rho sums to 3/4, not 1"),
+])
+def test_validate_admissible_refusals(rho, mu, violation):
+    with pytest.raises(ValidationError) as e:
+        moments.validate_admissible(rho, mu, 4, 2)
+    assert violation in e.value.violations
+
+
+def test_validate_admissible_refuses_a_mu_of_the_wrong_shape():
+    for mu in ([[0, "1/2"]], [[0, "1/2"], ["1/2"]]):
+        with pytest.raises(ValidationError, match="^mu must be 2x2$"):
+            moments.validate_admissible(["1/2", "1/2"], mu, 4, 2)
+
+
+def _compatible_mu(a, b):
+    """The pair-edge distribution over [2]^4 whose only nonzero entries are
+    mu_1122 = a and mu_2211 = b."""
+    mu = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    mu[0][0][1][1], mu[1][1][0][0] = a, b
+    return mu
+
+
+def test_validate_compatible_names_each_asymmetric_pair_once():
+    identity = [[1, 0], [0, 1]]
+    assert moments.validate_compatible(
+        identity, _compatible_mu("1/2", "1/2"), 4, 1).k == 2
+    with pytest.raises(ValidationError) as e:
+        moments.validate_compatible(identity, _compatible_mu("1/4", "3/4"),
+                                    4, 1)
+    assert e.value.violations == ["symmetry (1,1,2,2)", "marginal (1,1)",
+                                  "marginal (2,2)"]
+
+
+@pytest.mark.parametrize("rho, change, n, violation", [
+    ([[1, "1/2"], [0, "1/2"]], None, 4, "rho row 1"),
+    ([[1, 0], ["1/2", "1/2"]], None, 4, "rho col 1"),
+    ([[1, 0], [0, 1]], None, 3, "integrality rho_11"),
+    ([[1, 0], [0, 1]], None, 3, "integrality mu_1122"),
+    ([[1, 0], [0, 1]], (0, 0, 0, 1), 4, "forbidden (1,1,1,2)"),
+    ([[1, 0], [0, 1]], (0, 0, 0, 1), 4, "symmetry (1,1,1,2)"),
+])
+def test_validate_compatible_refusals(rho, change, n, violation):
+    mu = _compatible_mu("1/2", "1/2")
+    if change:
+        i, j, s, t = change
+        mu[i][j][s][t] = "1/4"
+    with pytest.raises(ValidationError) as e:
+        moments.validate_compatible(rho, mu, n, 1)
+    assert violation in e.value.violations
+
+
 def test_exact_partition_probability_frozen():
     # n=4, d=2, two classes of size 2, all 8 clone-edges crossing:
     # 4! * 4!? no: N = 8!/(4!4!) per class pair ... frozen against direct
