@@ -250,7 +250,7 @@ def cmd_core(args):
         "core_size": size(res.core.core), "W": size(wuy.W_union),
         "U": size(wuy.U.any(axis=1)), "U_prime": size(wuy.U_prime.any(axis=1)),
         "Y": size(wuy.Y), "F1": size(rep.free_1), "F2": size(rep.free_2),
-        "complete": size(rep.complete), "inclusion_ok": res.inclusion_ok,
+        "complete": size(rep.complete), "inclusion_ok": res.witness is None,
         "cluster_log2_upper": rep.cluster_log2_upper,
     })
 

@@ -1,6 +1,8 @@
-"""Deterministic cluster geometry on a colored multigraph: core peeling, the
-W/U/U'/Y screening construction, free/complete vertex classification with the
-resulting cluster-size bound, a density falsifier, and the cluster-size rate.
+"""Deterministic cluster geometry on a colored multigraph.  `core_analysis`
+runs core peeling, the W/U/U'/Y screening construction, the free/complete
+vertex split with its cluster-size bound and the core-inclusion witness, in
+that order; `freedom_report` and `check_core_inclusion` are views of it.
+Also a density falsifier and the cluster-size rate.
 
 The (sigma, ell)-core is the largest induced subgraph in which every vertex
 has at least ell edges into each other color class inside the subgraph.  It
@@ -62,7 +64,6 @@ class WUYSets:
     U: np.ndarray        # (n, k)
     U_prime: np.ndarray  # (n, k)
     Y: np.ndarray        # (n,)
-    thresholds: dict
 
 
 def build_WUY(G, sigma, ell):
@@ -92,21 +93,12 @@ def build_WUY(G, sigma, ell):
         _, nbr, mult = neighbor_rows(G.adjacency, join)
         np.add.at(into_y, nbr, mult)  # a loop at v: into_y[v] is not read
         join = np.unique(nbr[~in_y[nbr] & (into_y[nbr] > ell)])
-    return WUYSets(*map(read_only, (W, in_w, U, U_prime, in_y)),
-                   {"w_low": 3 * ell, "degree_high": hi, "ell": ell})
-
-
-def _inclusion_witness(wuy, core):
-    """Smallest vertex of V minus (W cup Y) outside the core, or None."""
-    outside = np.flatnonzero(~(wuy.W_union | wuy.Y | core))
-    return int(outside[0]) if outside.size else None
+    return WUYSets(*map(read_only, (W, in_w, U, U_prime, in_y)))
 
 
 def check_core_inclusion(G, sigma, ell):
-    """Verify V minus (W cup Y) is contained in the (sigma, ell)-core.
-    Returns (ok, offending vertex or None)."""
-    witness = _inclusion_witness(build_WUY(G, sigma, ell),
-                                 sigma_ell_core(G, sigma, ell).core)
+    """(ok, witness): is V minus (W cup Y) inside the (sigma, ell)-core?"""
+    witness = core_analysis(G, sigma, ell).witness
     return witness is None, witness
 
 
@@ -119,11 +111,36 @@ class FreedomReport:
     mode: str
 
 
-def _freedom(G, sigma, core, mode):
+def freedom_report(G, sigma, ell, mode="prose"):
+    """The freedom report of `core_analysis`."""
+    return core_analysis(G, sigma, ell, mode).freedom
+
+
+@dataclass(frozen=True, eq=False)
+class CoreAnalysis:
+    core: CoreResult
+    wuy: WUYSets
+    freedom: FreedomReport
+    witness: int | None  # smallest vertex of V minus (W cup Y) off the core
+
+
+def core_analysis(G, sigma, ell, mode="prose"):
+    """The (sigma, ell)-core, the W/U/U'/Y sets, the freedom report and the
+    core-inclusion witness, from one peel and one W/U/Y construction.
+
+    The freedom report classifies vertices by how many colors have no
+    neighbor inside the core.  mode="prose": count colors other than
+    sigma(v); a-free iff at least a such colors are core-vacant.
+    mode="strict": count over all k colors and require at least a+1, the
+    displayed-formula reading.  The two differ only for vertices with a core
+    neighbor of their own color, where strict counts one vacant color fewer;
+    a proper coloring has none."""
+    core = sigma_ell_core(G, sigma, ell)
+    wuy = build_WUY(G, sigma, ell)
     if mode not in ("prose", "strict"):
         raise ValidationError("mode must be prose or strict")
     k, color = sigma.k, sigma.assignment
-    vacant = vertex_class_degrees(G, color, k, within=core) == 0
+    vacant = vertex_class_degrees(G, color, k, within=core.core) == 0
     n_vacant = vacant.sum(axis=1)
     if mode == "prose":
         n_vacant -= vacant[np.arange(G.n), color]  # only colors != sigma(v)
@@ -132,37 +149,10 @@ def _freedom(G, sigma, core, mode):
     free_1, free_2 = n_vacant >= 1, n_vacant >= 2
     bound = (np.count_nonzero(free_1 & ~free_2)
              + np.count_nonzero(free_2) * math.log2(k))
-    return FreedomReport(*map(read_only, (free_1, free_2, ~free_1)), bound,
-                         mode)
-
-
-def freedom_report(G, sigma, ell, mode="prose"):
-    """Classify vertices by how many colors have no neighbor inside the core.
-
-    mode="prose": count colors other than sigma(v); a-free iff at least a
-    such colors are core-vacant.  mode="strict": count over all k colors and
-    require at least a+1, the displayed-formula reading.  The two differ only
-    for vertices with a core neighbor of their own color, where strict
-    counts one vacant color fewer; a proper coloring has none.
-    """
-    return _freedom(G, sigma, sigma_ell_core(G, sigma, ell).core, mode)
-
-
-@dataclass(frozen=True, eq=False)
-class CoreAnalysis:
-    core: CoreResult
-    wuy: WUYSets
-    freedom: FreedomReport
-    inclusion_ok: bool
-
-
-def core_analysis(G, sigma, ell, mode="prose"):
-    """The (sigma, ell)-core, the W/U/U'/Y sets, the freedom report and the
-    core-inclusion check, from one peel and one W/U/Y construction."""
-    core = sigma_ell_core(G, sigma, ell)
-    wuy = build_WUY(G, sigma, ell)
-    return CoreAnalysis(core, wuy, _freedom(G, sigma, core.core, mode),
-                        _inclusion_witness(wuy, core.core) is None)
+    outside = np.flatnonzero(~(wuy.W_union | wuy.Y | core.core))
+    return CoreAnalysis(core, wuy, FreedomReport(
+        *map(read_only, (free_1, free_2, ~free_1)), bound, mode),
+        int(outside[0]) if outside.size else None)
 
 
 def density_predicate(G, bound_c=5, size_cap=None, k=None):

@@ -170,7 +170,7 @@ def _run_core_profile(p, generator):
             "y_size": size(wuy.Y), "f1_size": size(rep.free_1),
             "f2_size": size(rep.free_2), "complete_size": size(rep.complete),
             "cluster_log2_upper": rep.cluster_log2_upper,
-            "inclusion_ok": 1.0 if res.inclusion_ok else 0.0}
+            "inclusion_ok": 1.0 if res.witness is None else 0.0}
 
 
 def _run_moment_vs_oracle(p, generator):

@@ -3,7 +3,8 @@ one refusal past any of them."""
 
 from .errors import GuardError
 
-# enumerate_configurations: (17)!! > 3e8 items, refuse beyond this
+# enumerate_configurations and enumerate_multigraphs refuse more clones dn:
+# the next even dn, 18, has (17)!! = 34,459,425 (3.4e7) configurations
 MAX_ENUM_CLONES = 16
 
 # samplers refuse more clones dn: at the bound `sample` peaks near 230 MiB

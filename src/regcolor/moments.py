@@ -95,11 +95,14 @@ def _as_fraction(x):
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (float, np.floating)):
-        # floats arrive from CLI/JSON; snap to the nearest simple rational
-        return Fraction(float(x)).limit_denominator(10 ** 12)
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, (float, np.floating)):
+            # floats arrive from CLI/JSON; snap to the nearest simple rational
+            return Fraction(float(x)).limit_denominator(10 ** 12)
+    except (ValueError, ZeroDivisionError, OverflowError):  # "1/0", nan, inf
+        pass
     raise ValidationError("cannot interpret %r as a rational" % (x,))
 
 

@@ -98,8 +98,6 @@ def test_wuy_hand_instance():
     assert not w.U.any()
     assert pair_sets(w.U_prime, sigma) == {(0, 1): {2}, (1, 0): {5}}
     assert members(w.Y) == frozenset({2, 5})
-    assert w.thresholds["ell"] == 1
-    assert abs(w.thresholds["degree_high"] - 2 * math.log(2)) < 1e-12
     ok, witness = clustergeo.check_core_inclusion(G, sigma, 1)
     assert ok and witness is None
 
@@ -212,8 +210,8 @@ def test_core_analysis_matches_separate_calls(instance, mode):
     assert_same(res.wuy, clustergeo.build_WUY(G, sigma, ell))
     assert_same(res.freedom,
                 clustergeo.freedom_report(G, sigma, ell, mode=mode))
-    assert res.inclusion_ok == clustergeo.check_core_inclusion(G, sigma,
-                                                               ell)[0]
+    assert clustergeo.check_core_inclusion(G, sigma, ell) == \
+        (res.witness is None, res.witness)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,7 +240,7 @@ def test_edges_into_classes_brute_force(n, d, k, seed):
 
 
 # --- references over a Counter adjacency, for the CSR rows of adjacency, the
-# peel, and the array code of build_WUY and _freedom ---
+# peel, and the array code of build_WUY and core_analysis's freedom step ---
 
 def counter_adjacency(G):
     """adj[v] = Counter of neighbors with edge multiplicities (a loop at v
@@ -506,7 +504,7 @@ def test_results_are_read_only_masks(instance):
                - members(res.core.core))
     assert clustergeo.check_core_inclusion(G, sigma, ell) == \
         (not outside, min(outside, default=None))
-    assert res.inclusion_ok == (not outside)
+    assert res.witness == min(outside, default=None)
 
 
 def cascade_path(n, extra=()):

@@ -128,6 +128,42 @@ def test_parse_memory_per_character():
     assert peak <= 15 * len(text), peak / len(text)
 
 
+def _census_wedges():
+    # a d = 12 graph: units are sum_u C(fdeg(u), 2) over the distinct
+    # non-loop edges (u, v), u < v, which cycle_census checks at L >= 3
+    G = graphs.sample_uniform(10 ** 4, 12, rng.stream(1, 0))
+    edges = np.unique(np.sort(G.edges, axis=1), axis=0)
+    fdeg = np.bincount(edges[edges[:, 0] != edges[:, 1], 0], minlength=G.n)
+    return (lambda: graphs.cycle_census(G, 3),
+            int((fdeg * (fdeg - 1) // 2).sum()))
+
+
+# (constant, bytes per unit in its comment, the unit, a set-up returning
+# the traced call and its number of units)
+COSTS = [
+    ("MAX_CENSUS_WEDGES", 42, "wedge", _census_wedges),
+    ("MAX_TABLE_ROWS", 165, "row",
+     lambda: (lambda: threshold.format_csv(3, 10 ** 4 + 2), 10 ** 4)),
+]
+
+
+@pytest.mark.parametrize("name, per_unit, unit, setup", COSTS,
+                         ids=[c[0] for c in COSTS])
+def test_guard_cost_matches_its_comment(name, per_unit, unit, setup):
+    # the comment's figure is the traced peak per unit, within 25%, and the
+    # bound admits at most 1 GiB at that figure
+    assert "%d B per %s" % (per_unit, unit) in (SRC / "guards.py").read_text()
+    assert per_unit * getattr(guards, name) < 2 ** 30
+    call, units = setup()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * per_unit * units, peak / units
+
+
 @pytest.mark.parametrize("k, restarts", [(3, 0), (3, 5), (7, 2)])
 def test_start_entries_count_the_starts(k, restarts):
     # maximize_f checks (restarts + 7) k^2 entries against the bound

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,23 @@ def test_as_fraction_forms_give_the_same_pair():
     assert moments._as_fraction(np.int64(3)) == moments._as_fraction(3) == 3
     with pytest.raises(ValidationError, match="cannot interpret None"):
         moments._as_fraction(None)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), np.float64("nan"),
+                                 float("inf")],
+                         ids=["text", "zero-denominator", "nan", "np-nan",
+                              "inf"])
+def test_as_fraction_refuses_malformed_values(bad):
+    # each is refused with the one wording, not escaped as a ValueError,
+    # ZeroDivisionError or OverflowError
+    half, zero = Fraction(1, 2), Fraction(0)
+    refusal = re.escape("cannot interpret %r as a rational" % (bad,))
+    with pytest.raises(ValidationError, match=refusal):
+        moments.validate_admissible([bad, half], [[zero, half], [half, zero]],
+                                    4, 2)
+    quads = [[[[zero] * 2] * 2] * 2] * 2
+    with pytest.raises(ValidationError, match=refusal):
+        moments.validate_compatible([[bad, half], [half, half]], quads, 4, 2)
 
 
 @pytest.mark.parametrize("rho, mu, violation", [
