@@ -153,9 +153,10 @@ def _ascend(R, k, d):
     for it in range(ASCENT_CAP):
         # the chart gradient is the full gradient minus its (k,k) entry; the
         # projection removes that constant along with the row/column means
+        # (sum / count is G.mean's own arithmetic, bit for bit, called faster)
         G = np.append(grad_f(R, d), 0.0).reshape(k, k)
-        G = (G - G.mean(axis=1, keepdims=True) - G.mean(axis=0, keepdims=True)
-             + G.mean())
+        G = (G - G.sum(axis=1, keepdims=True) / k
+             - G.sum(axis=0, keepdims=True) / k + G.sum() / (k * k))
         gnorm2 = (G ** 2).sum()
         if gnorm2 < 1e-20:
             break

@@ -15,7 +15,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -65,17 +64,38 @@ def _read(path):
                                  exc.start)) from None
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2,
-                            default=operator.methodcaller("tolist"))
+def _encode(doc):
+    """The JSON text of `doc` in pieces, a numpy array or scalar as its
+    Python value (`tolist`) and a `threshold.TextBlocks` value as one JSON
+    string, escaped block by block.  `default` queues such a value and
+    stands "" in for it, so the encoder's next piece is that placeholder."""
+    queued = []
+
+    def default(value):
+        if isinstance(value, threshold.TextBlocks):
+            queued.append(value)
+            return ""
+        return value.tolist()
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
+    for piece in encoder.iterencode(doc):
+        if queued:
+            yield '"'
+            for block in queued.pop():
+                yield json.encoder.encode_basestring_ascii(block)[1:-1]
+            yield '"'
+        else:
+            yield piece
+    yield "\n"
 
 
 def _write(path, payload):
     """Write a JSON document, a str or str blocks (each as it is made) to
     `path`, or to stdout if it is None; refuse before it, or the output is
-    left partial.  A document is encoded piece by piece, so its whole text is
-    never held, and a numpy array or scalar as its Python value (`tolist`)."""
+    left partial.  A document is encoded piece by piece (`_encode`), so its
+    whole text is never held."""
     if isinstance(payload, dict):
-        payload = itertools.chain(_ENCODER.iterencode(payload), ("\n",))
+        payload = _encode(payload)
     with (_open(path, "w") if path
           else contextlib.nullcontext(sys.stdout)) as fh:
         for block in (payload,) if isinstance(payload, str) else payload:

@@ -105,7 +105,8 @@ class MetricStats:
 class RunReport:
     spec: ExperimentSpec
     metrics: dict          # name -> MetricStats
-    table: str | None      # CSV payload for table-style experiments
+    # a table kind's CSV as threshold.TextBlocks, made as it is written
+    table: threshold.TextBlocks | None
     wall_time: float
     spec_hash: str
 
@@ -249,8 +250,9 @@ def run_experiment(spec):
 
 def emit(report, format="json"):
     """A report as a JSON document (a dict) or CSV text; stable field order.
-    CSV: one row per metric with header metric,mean,var,ci_lo,ci_hi,n_samples
-    (table experiments emit their own table)."""
+    CSV: one row per metric with header metric,mean,var,ci_lo,ci_hi,n_samples.
+    A table experiment's table is its TextBlocks, in either format: the JSON
+    document's "table" string or the CSV itself, written block by block."""
     if format == "json":
         doc = {
             "schema": 1,

@@ -12,7 +12,8 @@ MAX_ENUM_CLONES = 16
 MAX_SAMPLE_CLONES = 10 ** 7
 
 # threshold scans and tables and the rates sweep refuse more rows: a
-# threshold table peaks at about 165 B per row (186 MiB at 10^6 rows)
+# threshold_scan peaks at about 89 B per row traced (340 MiB at the bound);
+# a table holds one block's scan at a time, so its peak does not grow
 MAX_TABLE_ROWS = 4 * 10 ** 6
 
 # birkhoff.maximize_f refuses starts holding more k x k entries: it keeps

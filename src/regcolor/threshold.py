@@ -2,7 +2,8 @@
 threshold, the canonical degree d_col(k), the inverse map F(d), and the
 older comparison intervals.
 
-Every interval comes from the vectorized `threshold_scan`.  The endpoints
+Every interval comes from the vectorized `threshold_scan`; a table scans
+one block of k at a time, as it is written (`format_csv`).  The endpoints
 share the large common term (2k-1) ln k, so the interval length is taken
 from the O(1) offsets and keeps full precision even when that term is ~1e7.
 """
@@ -79,23 +80,16 @@ def threshold_record(k, eps=None):
     return ThresholdRecord(k, eps, lo, hi, length, d_col, None, "midpoint")
 
 
-def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
-    """Vectorized records for k in [k_lo, k_hi]: returns a dict of arrays
-    (k, lo, hi, length, n_integers, d_col).  eps_mode: pow09 | zero | value."""
+def _check_scan(k_lo, k_hi, eps_mode, eps_value):
+    """Refuse a scan of k in [k_lo, k_hi] before any array exists."""
     if k_lo < 3 or k_hi < k_lo:
         raise ValidationError("need 3 <= k_lo <= k_hi")
-    # checked before any array exists
     guards.check(k_hi - k_lo + 1, "MAX_TABLE_ROWS", "rows", "row")
     if k_hi > MAX_EPS or (2 * k_hi - 1) * math.log(k_hi) > MAX_EPS:
         raise ValidationError("k_hi=%d puts (2k-1) ln k past 2^52" % k_hi)
     if eps_value is not None and eps_mode != "value":
         raise ValidationError("eps_value needs eps_mode=value")
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    if eps_mode == "pow09":
-        eps = ks ** -0.9
-    elif eps_mode == "zero":
-        eps = np.zeros_like(ks)
-    elif eps_mode == "value":
+    if eps_mode == "value":
         if eps_value is None or not 0 <= eps_value < math.inf:
             raise ValidationError("eps_mode=value needs a finite eps_value "
                                   ">= 0, got %r" % (eps_value,))
@@ -103,9 +97,21 @@ def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
             raise ValidationError("eps_value must be at most 2^52, where the "
                                   "interval's integers can still be counted, "
                                   "got %r" % (eps_value,))
-        eps = np.full_like(ks, float(eps_value))
-    else:
+    elif eps_mode not in ("pow09", "zero"):
         raise ValidationError("unknown eps_mode %r" % (eps_mode,))
+
+
+def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
+    """Vectorized records for k in [k_lo, k_hi]: returns a dict of arrays
+    (k, lo, hi, length, n_integers, d_col).  eps_mode: pow09 | zero | value."""
+    _check_scan(k_lo, k_hi, eps_mode, eps_value)
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+    if eps_mode == "pow09":
+        eps = ks ** -0.9
+    elif eps_mode == "zero":
+        eps = np.zeros_like(ks)
+    else:
+        eps = np.full_like(ks, float(eps_value))
     base = (2 * ks - 1) * np.log(ks)
     lo_off = -2 * math.log(2) - eps
     hi_off = -1 + eps
@@ -146,24 +152,46 @@ def kpgw_intervals(k):
                                                 (2 * k - 1) * math.log(k))
 
 
-_CSV_BLOCK = 4096  # rows per joined string; one list of all rows costs more
+_CSV_BLOCK = 4096  # rows per block, each from its own threshold_scan
+
+
+class TextBlocks:
+    """Text as str blocks, made anew by each iteration from `make()`, an
+    iterator of them: a lazy value that can be written more than once."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
 
 
 def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
-    """CSV table `k,lo,hi,d_col,method` for k in [k_lo, k_hi], from one
-    threshold_scan.  An interval with several integers is refused."""
-    scan = threshold_scan(k_lo, k_hi, eps_mode, eps_value)
-    _refuse_several_integers(scan)
-    cols = (scan["k"], scan["lo"], scan["hi"], scan["d_col"],
-            scan["n_integers"])
-    blocks = ["k,lo,hi,d_col,method\n"]
-    for start in range(0, cols[0].size, _CSV_BLOCK):
-        rows = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))
-        blocks.append("".join(
-            "%d,%.12g,%.12g,%.12g,%s\n"
-            % (k, lo, hi, d_col, "integer" if n == 1 else "midpoint")
-            for k, lo, hi, d_col, n in rows))
-    return "".join(blocks)
+    """CSV table `k,lo,hi,d_col,method` for k in [k_lo, k_hi] as TextBlocks:
+    the header, then one block of _CSV_BLOCK rows per threshold_scan, made as
+    it is iterated, so no whole-range array or string exists.  Every refusal
+    comes at the call: a first pass over the blocks' scans refuses the first
+    interval with several integers."""
+    _check_scan(k_lo, k_hi, eps_mode, eps_value)
+
+    def scans():
+        for start in range(k_lo, k_hi + 1, _CSV_BLOCK):
+            yield threshold_scan(start, min(start + _CSV_BLOCK - 1, k_hi),
+                                 eps_mode, eps_value)
+
+    for scan in scans():
+        _refuse_several_integers(scan)
+
+    def blocks():
+        yield "k,lo,hi,d_col,method\n"
+        for scan in scans():
+            rows = zip(*(scan[key].tolist() for key in (
+                "k", "lo", "hi", "d_col", "n_integers")))
+            yield "".join(
+                "%d,%.12g,%.12g,%.12g,%s\n"
+                % (k, lo, hi, d_col, "integer" if n == 1 else "midpoint")
+                for k, lo, hi, d_col, n in rows)
+    return TextBlocks(blocks)
 
 
 def smallest_reliable_k(k_max=10 ** 6, eps_mode="pow09", eps_value=None):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -224,11 +226,11 @@ def test_core(tmp_path):
 def test_threshold(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["--out", str(out), "threshold", "--k-range", "3..6"]) == 0
-    assert out.read_text() == threshold.format_csv(3, 6)
+    assert out.read_text() == "".join(threshold.format_csv(3, 6))
     out2 = tmp_path / "t0.csv"
     assert run(["--out", str(out2), "threshold", "--k-range", "3..6",
                 "--eps-mode", "zero"]) == 0
-    assert out2.read_text() == threshold.format_csv(3, 6, "zero")
+    assert out2.read_text() == "".join(threshold.format_csv(3, 6, "zero"))
 
 
 def test_experiment(tmp_path):
@@ -854,6 +856,67 @@ def test_write_encodes_numpy_values(tmp_path):
     cli._write(str(out), doc)
     assert out.read_text() == json.dumps(python, sort_keys=True,
                                          indent=2) + "\n"
+
+
+# every character json escapes, and some it does not
+_tricky = st.sampled_from('"\\/\x00\x1f\n\t\x7f\xe9\u2028\U0001f600\udfff')
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(_tricky | st.characters())),
+       st.dictionaries(st.text(), st.integers() | st.text(), max_size=3),
+       st.sampled_from(("top", "list", "nested")))
+def test_write_escapes_text_blocks_as_one_string(blocks, rest, place):
+    # a TextBlocks value is written as the JSON string of its joined text
+    def where(value):
+        return {"top": value, "list": [1, value, None],
+                "nested": {"z": value, "a": 0}}[place]
+    doc = {**rest, "table": where(threshold.TextBlocks(lambda: iter(blocks)))}
+    joined = {**rest, "table": where("".join(blocks))}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._write(None, doc)
+    assert out.getvalue() == json.dumps(joined, sort_keys=True,
+                                        indent=2) + "\n"
+
+
+def test_write_streams_a_table():
+    # a table is written block by block, as CSV and as the JSON string of
+    # a threshold-table document: the traced peak is one block's, whatever
+    # the number of rows
+    rows = 2 * 10 ** 5
+    spec = experiments.parse_spec("kind = threshold-table\nk_lo = 3\n"
+                                  "k_hi = %d\n" % (rows + 2))
+    peaks = []
+    tracemalloc.start()
+    try:
+        cli._write(os.devnull, threshold.format_csv(3, rows + 2))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        report = experiments.run_experiment(spec)
+        cli._write(os.devnull, experiments.emit(report, "json"))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 4 * 2 ** 20, peaks
+
+
+def test_table_refusals_come_before_the_output(tmp_path, capsys):
+    # at eps 0.307 the first interval of 110738..128000 holding two integers
+    # is k = 127121, several blocks in: it is refused before the output opens
+    assert 127121 - 110738 > 3 * threshold._CSV_BLOCK
+    out = tmp_path / "F"
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = threshold-table\nk_lo = 110738\nk_hi = 128000\n"
+                    "eps_mode = value\neps_value = 0.307\n")
+    for argv in (["threshold", "--k-range", "110738..128000", "--eps-mode",
+                  "value", "--eps-value", "0.307"],
+                 ["experiment", "--spec", str(spec)],
+                 ["--format", "csv", "experiment", "--spec", str(spec)]):
+        assert run(["--out", str(out)] + argv) == 2
+        assert capsys.readouterr().err == (
+            "refused: interval for k=127121 contains 2 integers: "
+            "[2988066, 2988067]\n")
+        assert not out.exists()
 
 
 _spec_lines = st.lists(st.tuples(

@@ -264,10 +264,20 @@ def test_optimize_sweep():
 
 def test_threshold_table_delegates():
     rep = run("kind = threshold-table\nk_lo = 3\nk_hi = 6\nsamples = 1\nseed = 0")
-    assert rep.table == threshold.format_csv(3, 6)
-    assert emitted(rep, "csv").decode() == rep.table
+    assert "".join(rep.table) == "".join(threshold.format_csv(3, 6))
+    assert emitted(rep, "csv").decode() == "".join(rep.table)
     doc = json.loads(emitted(rep, "json"))
     assert doc["table"].startswith("k,lo,hi")
+
+
+def test_table_report_emits_the_same_bytes_twice():
+    # the table is made as it is written, anew for every emit
+    rep = run("kind = threshold-table\nk_lo = 3\nk_hi = %d\n"
+              % (2 * threshold._CSV_BLOCK + 5))
+    for format in ("json", "csv"):
+        first = emitted(rep, format)
+        assert emitted(rep, format) == first
+    assert len(emitted(rep, "csv").splitlines()) == 2 * threshold._CSV_BLOCK + 4
 
 
 def test_emit_formats():

@@ -142,8 +142,10 @@ def _census_wedges():
 # the traced call and its number of units)
 COSTS = [
     ("MAX_CENSUS_WEDGES", 42, "wedge", _census_wedges),
-    ("MAX_TABLE_ROWS", 165, "row",
-     lambda: (lambda: threshold.format_csv(3, 10 ** 4 + 2), 10 ** 4)),
+    # a table holds one block's scan at a time: the whole-range holder is
+    # threshold_scan itself (coloring_number, smallest_reliable_k)
+    ("MAX_TABLE_ROWS", 89, "row",
+     lambda: (lambda: threshold.threshold_scan(3, 10 ** 4 + 2), 10 ** 4)),
 ]
 
 

@@ -139,7 +139,7 @@ def test_kpgw_intervals():
 
 
 def test_format_csv():
-    csv = threshold.format_csv(3, 5)
+    csv = "".join(threshold.format_csv(3, 5))
     lines = csv.strip().split("\n")
     assert lines[0] == "k,lo,hi,d_col,method"
     assert len(lines) == 4
@@ -206,7 +206,7 @@ def record_csv(k_lo, k_hi, eps=None):
     (3, 3 + threshold._CSV_BLOCK), (10, 10 + 2 * threshold._CSV_BLOCK),
     (9990, 10010)])
 def test_format_csv_matches_records(eps_mode, eps_value, eps, k_lo, k_hi):
-    assert (threshold.format_csv(k_lo, k_hi, eps_mode, eps_value)
+    assert ("".join(threshold.format_csv(k_lo, k_hi, eps_mode, eps_value))
             == record_csv(k_lo, k_hi, eps))
 
 
@@ -215,7 +215,7 @@ def test_format_csv_integer_endpoint():
     eps = 6.0 - 5 * math.log(3)
     assert reference_record(3, eps).hi == 5.0
     assert threshold.threshold_record(3, eps).hi == 5.0
-    assert (threshold.format_csv(3, 3, "value", eps)
+    assert ("".join(threshold.format_csv(3, 3, "value", eps))
             == record_csv(3, 3, eps))
 
 
@@ -300,7 +300,7 @@ def test_scan_refuses_k_past_2_52():
     scan = threshold.threshold_scan(k - 2, k - 1)
     assert scan["k"].tolist() == [k - 2, k - 1]
     assert [row.split(",")[0] for row in
-            threshold.format_csv(k - 2, k - 1).splitlines()[1:]] == \
+            "".join(threshold.format_csv(k - 2, k - 1)).splitlines()[1:]] == \
         [str(k - 2), str(k - 1)]
     assert (scan["lo"] < scan["hi"]).all()
 
