@@ -8,12 +8,15 @@ from .errors import GuardError
 MAX_ENUM_CLONES = 16
 
 # samplers refuse more clones dn: at the bound `sample` peaks near 230 MiB
-# and a core-profile sample (d = 12, k = 4) near 800 MiB
+# (`sample_uniform` at 20 B per clone traced), and a core-profile sample (a
+# d = 12, k = 4 planted sample and its core_analysis) at 53 B per clone
+# traced (53.4, so 509 MiB)
 MAX_SAMPLE_CLONES = 10 ** 7
 
 # threshold scans and tables and the rates sweep refuse more rows: a
 # threshold_scan peaks at about 89 B per row traced (340 MiB at the bound);
-# a table holds one block's scan at a time, so its peak does not grow
+# a table holds one block's scan and byte matrix at a time, so its peak
+# (about 1.7 MB traced) does not grow
 MAX_TABLE_ROWS = 4 * 10 ** 6
 
 # birkhoff.maximize_f refuses starts holding more k x k entries: it keeps

@@ -3,7 +3,9 @@ threshold, the canonical degree d_col(k), the inverse map F(d), and the
 older comparison intervals.
 
 Every interval comes from the vectorized `threshold_scan`; a table scans
-one block of k at a time, as it is written (`format_csv`).  The endpoints
+one block of k at a time, as it is written (`format_csv`), and writes each
+block from one byte matrix (`_csv_rows`) with the bytes of '%.12g', or of
+the row expression itself where a value leaves 1 <= x < 1e11.  The endpoints
 share the large common term (2k-1) ln k, so the interval length is taken
 from the O(1) offsets and keeps full precision even when that term is ~1e7.
 """
@@ -154,6 +156,120 @@ def kpgw_intervals(k):
 
 _CSV_BLOCK = 4096  # rows per block, each from its own threshold_scan
 
+# The byte-matrix writer lays a row out as 19 little-endian 4-byte words:
+# k as 16 ASCII digits; lo, hi and d_col each as ',' and 15 digit places; then
+# ',' and the method with its newline.  NUL bytes mark what a row drops
+# (leading zeros, a fraction's trailing zeros, a '.' with no fraction after
+# it, padding), and one `translate` deletes them from the whole block.
+_POW10 = (10 ** np.arange(13)).astype(np.float64)     # exact: 1 .. 1e12
+_ROW_WORDS = 19
+
+
+def _digit_words():
+    """[v + 10^4 mode]: the 4 ASCII digits of v < 10^4 as one word, most
+    significant byte first; mode 1 drops its leading zeros, mode 2 its
+    trailing zeros, and mode 3 is mode 1 led by ','."""
+    digits = (np.arange(10 ** 4, dtype=np.int16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.int16) % 10)
+    zero = digits == 0
+    words = np.empty((4, 10 ** 4, 4), dtype=np.uint8)
+    words[:] = digits + ord("0")
+    words[1][np.logical_and.accumulate(zero, axis=1)] = 0
+    words[2][np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]] = 0
+    words[3] = words[1]
+    words[3, :, 0] = ord(",")
+    return words.view("<u4").ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+_METHOD_WORDS = (np.array([b",midpoint\n", b",integer\n"], dtype="S12")
+                 .view("<u4").reshape(2, 3))
+
+
+def _csv_row(k, lo, hi, d_col, n_integers):
+    """One table row by '%.12g': the rows outside `_significant`'s domain."""
+    return ("%d,%.12g,%.12g,%.12g,%s\n"
+            % (k, lo, hi, d_col, "integer" if n_integers == 1 else "midpoint"))
+
+
+def _significant(x):
+    """The 12 significant digits of %.12g for each x with 1 <= x < 1e11, with
+    a 1 inserted after the integer ones where the '.' goes (so that dropping
+    trailing zeros stops there): (those 13 digits as exact doubles, the
+    number e of integer digits, whether a fraction is left).
+
+    e comes from searchsorted on exact powers of ten; y = x 10^(12-e) < 2^40
+    is off by at most 6.2e-5, so rounding it is exact unless y is within
+    2.5e-4 of a half, where '%.11e' gives the digits."""
+    e = np.searchsorted(_POW10[:12], x, side="right")
+    y = x * _POW10[12 - e]
+    digits = np.floor(y)
+    y -= digits
+    near = np.flatnonzero(np.abs(y - 0.5) <= 2.5e-4)
+    digits += y > 0.5
+    for i in near.tolist():
+        text = "%.11e" % x.flat[i]
+        digits.flat[i] = float(text[0] + text[2:13])
+        e.flat[i] = int(text[14:]) + 1
+    carry = digits == 1e12          # rounded up to one more integer digit
+    digits[carry] = 1e11
+    e += carry
+    point = _POW10[12 - e]
+    whole = np.floor(digits / point)
+    fraction = digits != whole * point
+    digits += (9 * whole + 1) * point
+    return digits, e, fraction
+
+
+def _csv_rows(scan):
+    """The rows of a threshold_scan, as `_csv_row` writes each one: a row
+    holding a value outside the domain of `_significant` is `_csv_row`
+    itself, spliced in at its offset."""
+    n = scan["k"].size
+    values = np.stack([scan["lo"], scan["hi"], scan["d_col"]], axis=1)
+    inside = (values >= 1) & (values < 1e11)
+    outside = np.flatnonzero(~inside.all(axis=1))
+    rows = zip(*(scan[key][outside].tolist()
+                 for key in ("k", "lo", "hi", "d_col", "n_integers")))
+    if outside.size == n:           # every row from k ~ 2.3e9 on
+        return "".join(_csv_row(*row) for row in rows)
+    numbers = np.empty((n, 4))
+    numbers[:, 0] = scan["k"]
+    numbers[:, 1:], e, fraction = _significant(np.where(inside, values, 1.0))
+    del values
+    # word j of each number is its j-th group of 4 digits, from the lowest:
+    # k drops its leading zeros, a value its trailing zeros, and a value's
+    # first word is ',' and its first digit.  A bytearray holds the words, so
+    # that `translate` reads them uncopied
+    buffer = bytearray(4 * _ROW_WORDS * n)
+    words = np.frombuffer(buffer, dtype="<u4").reshape(n, _ROW_WORDS)
+    mode = np.empty((n, 4))
+    lower_zero = np.ones((n, 3), dtype=bool)
+    for j in (3, 2, 1, 0):
+        high = np.floor(numbers / 1e4)
+        numbers -= 1e4 * high               # now group j
+        mode[:, 0] = high[:, 0] == 0
+        mode[:, 1:] = 3 if j == 0 else 2 * lower_zero
+        lower_zero &= numbers[:, 1:] == 0
+        numbers += 1e4 * mode
+        words[:, j:16:4] = _DIGIT_WORDS[numbers.astype(np.intp)]
+        numbers = high
+    words[:, 16:] = _METHOD_WORDS[(scan["n_integers"] == 1).astype(np.intp)]
+    text = words.view(np.uint8)
+    np.put_along_axis(text, np.array([19, 35, 51]) + e,
+                      np.where(fraction, ord("."), 0), axis=1)
+    words[outside] = 0
+    out = buffer.translate(None, b"\0").decode("ascii")
+    if not outside.size:
+        return out
+    ends = np.cumsum(np.count_nonzero(text, axis=1)).tolist()
+    parts, start = [], 0
+    for i, row in zip(outside.tolist(), rows):
+        parts += [out[start:ends[i]], _csv_row(*row)]
+        start = ends[i]
+    parts.append(out[start:])
+    return "".join(parts)
+
 
 class TextBlocks:
     """Text as str blocks, made anew by each iteration from `make()`, an
@@ -171,7 +287,12 @@ def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     the header, then one block of _CSV_BLOCK rows per threshold_scan, made as
     it is iterated, so no whole-range array or string exists.  Every refusal
     comes at the call: a first pass over the blocks' scans refuses the first
-    interval with several integers."""
+    interval with several integers.
+
+    A block is one byte matrix (`_csv_rows`) that holds each value's 12
+    significant digits exactly as '%.12g' rounds them, decoded once; a row
+    with a value outside 1 <= x < 1e11 (every row past k ~ 2.3e9, where the
+    ends reach 1e11) is the per-row expression `_csv_row`, spliced in."""
     _check_scan(k_lo, k_hi, eps_mode, eps_value)
 
     def scans():
@@ -185,12 +306,7 @@ def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     def blocks():
         yield "k,lo,hi,d_col,method\n"
         for scan in scans():
-            rows = zip(*(scan[key].tolist() for key in (
-                "k", "lo", "hi", "d_col", "n_integers")))
-            yield "".join(
-                "%d,%.12g,%.12g,%.12g,%s\n"
-                % (k, lo, hi, d_col, "integer" if n == 1 else "midpoint")
-                for k, lo, hi, d_col, n in rows)
+            yield _csv_rows(scan)
     return TextBlocks(blocks)
 
 

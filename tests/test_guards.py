@@ -12,8 +12,8 @@ import pytest
 
 import numpy as np
 
-from regcolor import (birkhoff, cli, colorings, experiments, graphs, guards,
-                      moments, rng, threshold)
+from regcolor import (birkhoff, cli, clustergeo, colorings, experiments,
+                      graphs, guards, moments, rng, threshold)
 from regcolor.errors import GuardError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "regcolor"
@@ -138,10 +138,21 @@ def _census_wedges():
             int((fdeg * (fdeg - 1) // 2).sum()))
 
 
+def _planted_core():
+    # the costliest sampler use, a core-profile sample: a d = 12 planted
+    # sample at k = 4 and its (sigma, ell)-core analysis, per clone dn
+    def call():
+        G, sigma = experiments.sample_flat_planted(6000, 12, 4,
+                                                   rng.stream(1, 0))
+        clustergeo.core_analysis(G, sigma, 2)
+    return call, 6000 * 12
+
+
 # (constant, bytes per unit in its comment, the unit, a set-up returning
 # the traced call and its number of units)
 COSTS = [
     ("MAX_CENSUS_WEDGES", 42, "wedge", _census_wedges),
+    ("MAX_SAMPLE_CLONES", 53, "clone", _planted_core),
     # a table holds one block's scan at a time: the whole-range holder is
     # threshold_scan itself (coloring_number, smallest_reliable_k)
     ("MAX_TABLE_ROWS", 89, "row",

@@ -1,9 +1,12 @@
 import math
 import re
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcolor import threshold
 from regcolor.errors import GuardError, ValidationError
@@ -198,16 +201,100 @@ def record_csv(k_lo, k_hi, eps=None):
     return "\n".join(lines) + "\n"
 
 
+# the first k whose lo, hi and d_col reach 1e11, past which the table writer
+# falls back to the row expression, and 1e12, where %.12g turns to exponent
+# notation; and the largest k a scan accepts
+K_1E11, K_1E12, K_LAST = 2318652196, 21035385334, 70615306259284
+
+
 @pytest.mark.parametrize("eps_mode,eps_value,eps", [
     ("pow09", None, None), ("zero", None, 0.0), ("value", 0.05, 0.05),
     ("value", 0.0, 0.0)])
 @pytest.mark.parametrize("k_lo,k_hi", [
     (3, 3), (3, 200), (3, 2 + threshold._CSV_BLOCK),
     (3, 3 + threshold._CSV_BLOCK), (10, 10 + 2 * threshold._CSV_BLOCK),
-    (9990, 10010)])
+    (9990, 10010), (K_1E11 - 20, K_1E11 + 20), (K_1E12 - 20, K_1E12 + 20),
+    (K_LAST - 20, K_LAST)])
 def test_format_csv_matches_records(eps_mode, eps_value, eps, k_lo, k_hi):
     assert ("".join(threshold.format_csv(k_lo, k_hi, eps_mode, eps_value))
             == record_csv(k_lo, k_hi, eps))
+
+
+def test_domain_edges_are_where_the_values_cross():
+    for k, bound in ((K_1E11, 1e11), (K_1E12, 1e12)):
+        scan = threshold.threshold_scan(k - 1, k)
+        for key in ("lo", "hi", "d_col"):
+            assert scan[key][0] < bound <= scan[key][1]
+    with pytest.raises(ValidationError):
+        threshold.threshold_scan(K_LAST + 1, K_LAST + 1)
+
+
+def percent_g_rows(k, values, n_integers):
+    """The per-row '%.12g' reference for table rows of arbitrary values."""
+    return "".join("%d,%.12g,%.12g,%.12g,%s\n"
+                   % (k[i], *values[3 * i:3 * i + 3],
+                      "integer" if n_integers[i] == 1 else "midpoint")
+                   for i in range(len(k)))
+
+
+def _exact_tie(j, q):
+    # q / 2^(j+1) with q odd has 12 - j integer and j + 1 fraction digits,
+    # the last a 5: exactly half way between two 12-digit decimals
+    return (q | 1) / 2 ** (j + 1)
+
+
+_ties = st.integers(1, 11).flatmap(lambda j: st.builds(
+    _exact_tie, st.just(j), st.integers(2 ** (j + 1) * 10 ** (11 - j),
+                                        2 ** (j + 1) * 10 ** (12 - j) - 2)))
+# 13-digit decimals ending in 5, the nearest double to each
+_decimal_ties = st.builds(
+    lambda n, e: float(Decimal(10 * n + 5).scaleb(e - 13)),
+    st.integers(10 ** 11, 10 ** 12 - 1), st.integers(1, 12))
+_edges = st.sampled_from([1.0, 1e11, 1e12, 9.999999999995, 99999999999.95,
+                          999999999999.5])
+
+
+def _nudge(x, step):
+    """x moved by `step` (-1, 0 or 1) ulps."""
+    return float(np.nextafter(x, step * math.inf)) if step else x
+
+
+_values = st.one_of(st.floats(), st.floats(0.5, 2e12), st.builds(
+    _nudge, st.one_of(_ties, _decimal_ties, _edges), st.integers(-1, 1)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(3, K_LAST), _values, _values, _values,
+                          st.integers(0, 2)), min_size=1, max_size=8),
+       st.integers(1, 3))
+def test_csv_rows_match_percent_g(rows, block):
+    # random doubles, decimal ties and their neighbours, and the values either
+    # side of 1, 1e11 and 1e12, written in blocks of 1-3 rows so that block
+    # edges and rows outside the writer's domain meet
+    k = [row[0] for row in rows]
+    values = [v for row in rows for v in row[1:4]]
+    n_integers = [row[4] for row in rows]
+    want = percent_g_rows(k, values, n_integers)
+    got = ""
+    for start in range(0, len(rows), block):
+        stop = start + block
+        lo, hi, d_col = np.array(values[3 * start:3 * stop]).reshape(-1, 3).T
+        got += threshold._csv_rows({
+            "k": np.array(k[start:stop], dtype=np.int64), "lo": lo, "hi": hi,
+            "d_col": d_col, "n_integers": np.array(n_integers[start:stop])})
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([K_1E11, K_1E12]), st.integers(-8, 4),
+       st.integers(0, 8), st.integers(1, 3))
+def test_small_blocks_meet_fallback_rows(edge, shift, length, block):
+    # with _CSV_BLOCK at 1-3 rows, tables across the edges of the writer's
+    # domain match the per-k records
+    k_lo = edge + shift
+    with mock.patch.object(threshold, "_CSV_BLOCK", block):
+        assert ("".join(threshold.format_csv(k_lo, k_lo + length))
+                == record_csv(k_lo, k_lo + length))
 
 
 def test_format_csv_integer_endpoint():
