@@ -11,7 +11,11 @@ derivatives meaningful.
 The maximizer runs projected-gradient ascent in the tangent space of the
 polytope.  Row and column sums are linear constraints, so a step along a
 zero-row-sum, zero-column-sum direction keeps them exact; Sinkhorn is only
-used to put each start on the polytope.
+used to put each start on the polytope.  All starts advance together as one
+(S, k, k) stack (the ascent in groups of at most STACK_ENTRIES entries):
+Sinkhorn, the rate and the chart gradient reduce over the last two axes,
+and each start keeps its own Armijo step, stop and step count, so it ends
+on the bits it would reach alone.
 """
 
 import math
@@ -26,32 +30,52 @@ from .moments import DS_TOL, ds_residuals, f_entries
 ARMIJO = 1e-4
 SINKHORN_CAP = 10000  # sweeps before project_doubly_stochastic refuses
 ASCENT_CAP = 150      # steps of one start's ascent
+ARMIJO_TRIES = 25     # step sizes, each half the last, of one Armijo search
+# entries _ascend works on at once: it ascends the starts in groups of at
+# most this many entries (or one start), and a group tries as many Armijo
+# step sizes at once as fit.  Its arrays of 125 KiB then stay under glibc's
+# 128 KiB mmap threshold; larger ones were mapped afresh and page-faulted on
+# every step, which made a (2, 100, 100) stack slower than two single starts
+STACK_ENTRIES = 16000
 
 
 def project_doubly_stochastic(M, tol=1e-13):
-    """Alternating row/column normalization until both residuals < tol.
-    Returns (matrix, iterations).  The default tol sits a decade under 1e-12:
-    each _ascend step rounds the line sums by a few ulps, and a start that
-    Sinkhorn left at 9.99e-13 once drifted past 1e-12 in 150 steps."""
+    """Alternating row/column normalization until both residuals < tol, per
+    matrix of a leading stack axis: each matrix stops at its own sweep count.
+    Returns (matrix or stack, total sweeps).  The default tol sits a decade
+    under 1e-12: each _ascend step rounds the line sums by a few ulps, and a
+    start that Sinkhorn left at 9.99e-13 once drifted past 1e-12 in 150
+    steps."""
     A = np.asarray(M, dtype=float).copy()
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValidationError("need a square matrix")
+    if not np.isfinite(A).all():
+        raise ValidationError("Sinkhorn needs finite input")
     if (A <= 0).any():
         raise ValidationError("Sinkhorn needs entrywise positive input")
-    res = max(ds_residuals(A))
-    if res < tol:
-        return A, 0
+    stack = A if A.ndim == 3 else A[None]
+    res = np.maximum(*ds_residuals(stack))
+    live = np.flatnonzero(res >= tol)
+    W, res = stack[live], res[live]
+    sweeps = 0
     for it in range(1, SINKHORN_CAP + 1):
-        A /= A.sum(axis=1, keepdims=True)
-        A /= A.sum(axis=0, keepdims=True)
+        if not live.size:
+            break
+        W /= W.sum(axis=-1, keepdims=True)
+        W /= W.sum(axis=-2, keepdims=True)
         # the residual check costs as much as the sweep; amortize it
         if it % 8 == 0 or it == SINKHORN_CAP:
-            res = max(ds_residuals(A))
-            if res < tol:
-                return A, it
-    raise ValidationError(
-        "Sinkhorn did not converge in %d iterations (residual %.3g)"
-        % (SINKHORN_CAP, res))
+            res = np.maximum(*ds_residuals(W))
+            done = res < tol
+            stack[live[done]] = W[done]
+            sweeps += it * int(done.sum())
+            live, W, res = live[~done], W[~done], res[~done]
+    if live.size:
+        raise ValidationError(
+            "Sinkhorn did not converge in %d iterations (%sresidual %.3g)"
+            % (SINKHORN_CAP, "matrix %d, " % live[0] if A.ndim == 3 else "",
+               res[0]))
+    return A, sweeps
 
 
 @dataclass(frozen=True)
@@ -93,16 +117,17 @@ def f_chart(x, k, d):
 
 def grad_f(rho, d):
     """Gradient of f composed with the chart, as a vector over the k^2-1
-    free entries (row-major, entry (k,k) dropped).  rho must be interior."""
+    free entries (row-major, entry (k,k) dropped), per matrix of a leading
+    stack axis.  rho must be interior."""
     R = np.asarray(rho, dtype=float)
-    k = R.shape[0]
+    k = R.shape[-1]
     if (R <= 0).any():
         raise ValidationError("gradient needs interior rho")
-    S = 1 - 2 / k + (R ** 2).sum() / k ** 2
-    flat = R.reshape(-1)
-    last = flat[-1]
+    S = 1 - 2 / k + (R ** 2).sum(axis=(-2, -1))[..., None] / k ** 2
+    flat = R.reshape(R.shape[:-2] + (k * k,))
+    last = flat[..., -1:]
     g = (-np.log(flat / last) / k + d * (flat - last) / (k ** 2 * S))
-    return g[:-1]
+    return g[..., :-1]
 
 
 def hessian_f(rho, d):
@@ -143,37 +168,83 @@ class OptResult:
 
 
 def _ascend(R, k, d):
-    """Projected-gradient ascent inside the polytope.  Sinkhorn puts the
-    start on the polytope once; each step then moves along the gradient
-    projected onto the tangent space {X : X 1 = 0, 1^T X = 0}, so row and
-    column sums stay 1 without re-projection.  Armijo backtracking starts
-    from min(1, 0.9 x the largest step that keeps every entry positive)."""
+    """Projected-gradient ascent inside the polytope, every start of the
+    (S, k, k) stack R at once.  Sinkhorn puts the starts on the polytope
+    once; each step then moves along the gradient projected onto the tangent
+    space {X : X 1 = 0, 1^T X = 0}, so row and column sums stay 1 without
+    re-projection.  Armijo backtracking starts from min(1, 0.9 x the largest
+    step that keeps every entry positive).  Each start keeps its own step,
+    tries and stop; a stopped start is frozen.  Returns the stack, the (S,)
+    values and the (S,) step counts."""
     R = project_doubly_stochastic(R)[0]
-    val = f_entries(R, k, d)
+    val = np.empty(len(R))
+    iters = np.zeros(len(R), dtype=int)
+    rows = max(1, STACK_ENTRIES // (k * k))
+    for lo in range(0, len(R), rows):
+        _ascend_rows(R, val, iters, np.arange(lo, min(lo + rows, len(R))),
+                     k, d)
+    return R, val, iters
+
+
+def _ascend_rows(R, val, iters, live, k, d):
+    """_ascend on the rows `live` of R, writing R, val and iters there."""
+    X = R[live]   # the rows still ascending, compacted
+    v = f_entries(X, k, d)
     for it in range(ASCENT_CAP):
+        iters[live] = it + 1
         # the chart gradient is the full gradient minus its (k,k) entry; the
         # projection removes that constant along with the row/column means
         # (sum / count is G.mean's own arithmetic, bit for bit, called faster)
-        G = np.append(grad_f(R, d), 0.0).reshape(k, k)
-        G = (G - G.sum(axis=1, keepdims=True) / k
-             - G.sum(axis=0, keepdims=True) / k + G.sum() / (k * k))
-        gnorm2 = (G ** 2).sum()
-        if gnorm2 < 1e-20:
-            break
-        down = G < 0
-        step = min(1.0, 0.9 * (R[down] / -G[down]).min())
-        improved = False
-        for _ in range(25):
-            cand = R + step * G
-            cval = f_entries(cand, k, d)
-            if cval >= val + ARMIJO * step * gnorm2:
-                improved = cval - val > 1e-11
-                R, val = cand, cval
-                break
-            step /= 2
-        if not improved:
-            break
-    return R, val, it + 1
+        G = np.concatenate((grad_f(X, d), np.zeros((len(X), 1))),
+                           axis=1).reshape(-1, k, k)
+        G = (G - G.sum(axis=2, keepdims=True) / k
+             - G.sum(axis=1, keepdims=True) / k
+             + G.sum(axis=(1, 2), keepdims=True) / (k * k))
+        gnorm2 = (G ** 2).sum(axis=(1, 2))
+        step = np.minimum(1.0, 0.9 * np.divide(
+            X, -G, out=np.full_like(G, np.inf), where=G < 0).min(axis=(1, 2)))
+        # every row tries its full step; the rows that fail try halvings
+        moving = gnorm2 >= 1e-20
+        cand = X + step[:, None, None] * G
+        cval = f_entries(cand, k, d)
+        ok = moving & (cval >= v + ARMIJO * step * gnorm2)
+        improved = ok & (cval - v > 1e-11)
+        if ok.all():   # the common case: take the candidates without a copy
+            X, v = cand, cval
+        else:
+            np.copyto(X, cand, where=ok[:, None, None])
+            v = np.where(ok, cval, v)
+            _halve(X, v, G, step, gnorm2, np.flatnonzero(moving & ~ok),
+                   improved, k, d)
+        if not improved.all():
+            stop = ~improved
+            R[live[stop]], val[live[stop]] = X[stop], v[stop]
+            live, X, v = live[improved], X[improved], v[improved]
+            if not live.size:
+                return
+    R[live], val[live] = X, v
+
+
+def _halve(X, v, G, step, gnorm2, todo, improved, k, d):
+    """The Armijo halvings of the rows `todo`, whose full step failed: the
+    next 5 step sizes at once, then the last 19, fewer where they would pass
+    STACK_ENTRIES (dividing by a power of two is exact, so step / 2**j is
+    the step halved j times).  Writes X, v and improved in place."""
+    tried = 1
+    while todo.size and tried < ARMIJO_TRIES:
+        b = min(4 * tried + 1, ARMIJO_TRIES - tried,
+                max(1, STACK_ENTRIES // (todo.size * k * k)))
+        steps = step[todo, None] / 2.0 ** np.arange(tried, tried + b)
+        cand = X[todo, None] + steps[:, :, None, None] * G[todo, None]
+        cval = f_entries(cand, k, d)
+        ok = cval >= v[todo, None] + ARMIJO * steps * gnorm2[todo, None]
+        hit = ok.any(axis=1)
+        j = ok.argmax(axis=1)[hit]
+        won, rows = cval[hit, j], todo[hit]
+        improved[rows] = won - v[rows] > 1e-11
+        X[rows], v[rows] = cand[hit, j], won
+        todo = todo[~hit]
+        tried += b
 
 
 def _starts(k, restarts, rng):
@@ -216,12 +287,12 @@ def maximize_f(k, d, stable=None, restarts=20, rng=None, kappa=0.1):
     trace = []
     best = None
     best_key = None
-    for idx, s in enumerate(_starts(k, restarts, rng)):
-        R, val, iters = _ascend(s, k, d)
+    Rs, vals, iters = _ascend(np.stack(_starts(k, restarts, rng)), k, d)
+    for idx, (R, val) in enumerate(zip(Rs, vals)):
         rep = None if stable is None else classify_stability(R, kappa)
         ok = rep is None or (rep.separable and rep.s == stable)
-        trace.append({"start": idx, "value": float(val), "iters": iters,
-                      "in_region": ok})
+        trace.append({"start": idx, "value": float(val),
+                      "iters": int(iters[idx]), "in_region": ok})
         if ok:
             key = (float(val), -idx)
             if best_key is None or key > best_key:
@@ -229,5 +300,5 @@ def maximize_f(k, d, stable=None, restarts=20, rng=None, kappa=0.1):
     if best is None:
         raise ValidationError("no candidate landed in the requested region")
     value = best_key[0]
-    return OptResult(best, value, float(f_flat), bool(value > f_flat + 1e-9),
-                     tuple(trace))
+    return OptResult(best.copy(), value, float(f_flat),
+                     bool(value > f_flat + 1e-9), tuple(trace))

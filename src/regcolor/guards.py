@@ -19,9 +19,11 @@ MAX_SAMPLE_CLONES = 10 ** 7
 # (about 1.7 MB traced) does not grow
 MAX_TABLE_ROWS = 4 * 10 ** 6
 
-# birkhoff.maximize_f refuses starts holding more k x k entries: it keeps
-# (restarts + 7) k^2 of them and peaks near 48 B per entry at k = 3 (the
-# per-start trace) and 11-17 B at k >= 10, so about 480 MiB at the bound
+# birkhoff.maximize_f refuses starts holding more k x k entries: it holds
+# its (restarts + 7) k^2 entries as one stack (Sinkhorn sweeps it whole, the
+# ascent takes groups of at most 16000 entries) and peaks near
+# 52 B per entry at k = 3 (the per-start trace) and 30-38 B at k >= 4
+# traced, so about 520 MB at the bound
 MAX_START_ENTRIES = 10 ** 7
 
 # a coloring file refuses more n k class-degree or k^2 class-edge entries:

@@ -237,8 +237,9 @@ def balanced_first_moment(n, k, d):
 
 def ds_residuals(A):
     """(row, column): the largest distance of a row sum and of a column sum
-    of the square matrix A from 1."""
-    return np.abs(A.sum(axis=1) - 1).max(), np.abs(A.sum(axis=0) - 1).max()
+    of the square matrix A from 1; per matrix on a stack (leading axes)."""
+    return (np.abs(A.sum(axis=-1) - 1).max(axis=-1),
+            np.abs(A.sum(axis=-2) - 1).max(axis=-1))
 
 
 def _check_doubly_stochastic(rho):
@@ -255,12 +256,16 @@ def _check_doubly_stochastic(rho):
 
 def f_entries(R, k, d):
     """H(R/k) + E(R) on a nonnegative k x k float matrix of total sum k, with
-    0 ln 0 = 0.  The one formula for f: `second_moment_rate` and the
-    Birkhoff ascent both call it, so they agree to the last bit."""
-    S = 1 - 2 / k + (R ** 2).sum() / k ** 2
-    logs = np.log(R, out=np.zeros_like(R), where=R > 0)
-    H = -(R / k * (logs - math.log(k))).sum()
-    return H + d / 2 * math.log(S)
+    0 ln 0 = 0; on a stack of such matrices (leading axes), one value per
+    matrix.  The one formula for f: `second_moment_rate` and the Birkhoff
+    ascent both call it, so they agree to the last bit."""
+    S = 1 - 2 / k + (R ** 2).sum(axis=(-2, -1)) / k ** 2
+    logs = np.log(R, out=np.zeros(R.shape), where=R > 0)
+    H = -(R / k * (logs - math.log(k))).sum(axis=(-2, -1))
+    # math.log, not np.log: numpy's vector log can differ from it in the
+    # last bit, and every seeded value and argmax so far used math.log
+    log_S = np.array([math.log(s) for s in np.ravel(S).tolist()])
+    return H + d / 2 * log_S.reshape(np.shape(S))
 
 
 def second_moment_rate(rho, d):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from regcolor import birkhoff, moments, rng
 from regcolor.errors import ValidationError
+
+import ascent_reference as reference
 
 
 def random_ds(k, seed):
@@ -22,6 +25,58 @@ def test_sinkhorn_refuses_past_its_cap(monkeypatch):
     with pytest.raises(ValidationError,
                        match="Sinkhorn did not converge in 3 iterations"):
         birkhoff.project_doubly_stochastic(A)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sinkhorn_refuses_non_finite_input(monkeypatch, bad):
+    # refused before the first sweep, not after SINKHORN_CAP of them
+    monkeypatch.setattr(birkhoff, "SINKHORN_CAP", 0)
+    A = np.ones((3, 3))
+    A[1, 2] = bad
+    for M in (A, np.stack([np.ones((3, 3)), A])):
+        with pytest.raises(ValidationError,
+                           match="^Sinkhorn needs finite input$"):
+            birkhoff.project_doubly_stochastic(M)
+
+
+def test_sinkhorn_stack_gives_each_matrix_its_own_sweeps(monkeypatch):
+    k = 5
+    r = np.random.default_rng(3)
+    stack = np.stack([np.full((k, k), 1 / k),
+                      np.exp(0.1 * r.standard_normal((k, k))),
+                      np.exp(3 * r.standard_normal((k, k)))])
+    P, sweeps = birkhoff.project_doubly_stochastic(stack)
+    want = [reference.project_doubly_stochastic(M) for M in stack]
+    assert [w[1] for w in want] == [0, 8, 56]
+    assert sweeps == 64 and type(sweeps) is int
+    for got, (M, _) in zip(P, want):
+        assert got.tobytes() == M.tobytes()
+    # the middle matrix converges at the cap, the last one is refused by name
+    monkeypatch.setattr(birkhoff, "SINKHORN_CAP", 8)
+    with pytest.raises(ValidationError,
+                       match=r"^Sinkhorn did not converge in 8 iterations "
+                             r"\(matrix 2, residual "):
+        birkhoff.project_doubly_stochastic(stack)
+    birkhoff.project_doubly_stochastic(stack[:2])
+
+
+@pytest.mark.parametrize("k", [3, 7, 12])
+def test_stack_axis_matches_matrix_by_matrix(k):
+    # f, the chart gradient and Sinkhorn reduce over the last two axes: a
+    # stack gives each matrix the bits it gets alone, and a (k, k) input
+    # keeps its scalar, vector and matrix returns
+    d = 9.0
+    stack = np.stack([random_ds(k, seed) for seed in range(5)])
+    vals, grads = moments.f_entries(stack, k, d), birkhoff.grad_f(stack, d)
+    assert vals.shape == (5,) and grads.shape == (5, k * k - 1)
+    for M, val, g in zip(stack, vals, grads):
+        alone = moments.f_entries(M, k, d)
+        assert type(alone) is np.float64
+        assert val == alone == reference.f_entries(M, k, d)
+        assert g.tobytes() == birkhoff.grad_f(M, d).tobytes() \
+            == reference.grad_f(M, d).tobytes()
+    M, sweeps = birkhoff.project_doubly_stochastic(stack[0])
+    assert M.shape == (k, k) and sweeps == 0
 
 
 def test_project_doubly_stochastic():
@@ -164,19 +219,28 @@ def test_maximize_f_region():
         birkhoff.maximize_f(2, 5)
 
 
+# a near-flat start where two formulas for f once differed in the last bit
+NEAR_FLAT = (8, 1.0, 1, 1e-12)
+# a start Sinkhorn leaves 9.99e-13 off in a row sum, which the steps' rounding
+# once pushed past 1e-12
+SINKHORN_EDGE = (3, 50.0, 11352, 2.4052194491458474)
+
+
+def _spread_start(k, seed, spread):
+    r = np.random.default_rng(seed)
+    return np.exp(spread * r.standard_normal((k, k))), r
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(3, 8), st.floats(0.01, 60), st.integers(0, 2 ** 32 - 1),
        st.floats(0.0, 3.0))
-# a near-flat start where two formulas for f once differed in the last bit
-@example(8, 1.0, 1, 1e-12)
-# a start Sinkhorn leaves 9.99e-13 off in a row sum, which the steps' rounding
-# once pushed past 1e-12
-@example(3, 50.0, 11352, 2.4052194491458474)
+@example(*NEAR_FLAT)
+@example(*SINKHORN_EDGE)
 def test_ascend_stays_on_polytope_and_improves(k, d, seed, spread):
-    r = np.random.default_rng(seed)
-    start = np.exp(spread * r.standard_normal((k, k)))
+    start = _spread_start(k, seed, spread)[0]
     P, _ = birkhoff.project_doubly_stochastic(start)
-    R, val, iters = birkhoff._ascend(start, k, d)
+    Rs, vals, iters = birkhoff._ascend(start[None], k, d)
+    R, val, iters = Rs[0], vals[0], iters[0]
     assert np.abs(R.sum(axis=0) - 1).max() < 1e-12
     assert np.abs(R.sum(axis=1) - 1).max() < 1e-12
     assert (R > 0).all()
@@ -185,8 +249,54 @@ def test_ascend_stays_on_polytope_and_improves(k, d, seed, spread):
     assert val >= moments.second_moment_rate(P, d)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(3, 12), st.floats(0.01, 60), st.integers(0, 30),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 3.0),
+       st.sampled_from([birkhoff.STACK_ENTRIES, 50, 300]))
+@example(NEAR_FLAT[0], NEAR_FLAT[1], 0, *NEAR_FLAT[2:], birkhoff.STACK_ENTRIES)
+@example(SINKHORN_EDGE[0], SINKHORN_EDGE[1], 0, *SINKHORN_EDGE[2:],
+         birkhoff.STACK_ENTRIES)
+# the largest k and restarts allowed, in one group and in groups of 2 starts
+@example(12, 59.0, 30, 5, 1.0, birkhoff.STACK_ENTRIES)
+@example(12, 59.0, 30, 5, 1.0, 300)
+def test_stacked_ascent_matches_the_per_start_reference(k, d, restarts, seed,
+                                                        spread, group):
+    # maximize_f's starts, drawn after one more start of the given spread,
+    # ascended in groups of at most `group` entries (or one start)
+    start, r = _spread_start(k, seed, spread)
+    starts = [start] + birkhoff._starts(k, restarts, r)
+    with mock.patch.object(birkhoff, "STACK_ENTRIES", group):
+        Rs, vals, iters = birkhoff._ascend(np.stack(starts), k, d)
+    for i, s in enumerate(starts):
+        R, val, it = reference.ascend(s, k, d)
+        assert Rs[i].tobytes() == R.tobytes(), i
+        assert vals[i] == val and iters[i] == it, i
+
+
+@pytest.mark.parametrize("last", [2.0 ** -24, 0.0])
+def test_halvings_try_each_smaller_step_once(monkeypatch, last):
+    # a stand-in rate that passes Armijo only at steps <= `last`: a row whose
+    # full step failed tries step / 2**j for j = 1..24 in order, takes the
+    # first that passes, and stops after the 25th step size
+    seen = []
+
+    def rate(cand, k, d):
+        steps = cand[..., 0, 0] - 0.5
+        seen.extend(steps.ravel())
+        return np.where(steps <= last, 1.0, -1.0)
+
+    monkeypatch.setattr(birkhoff, "f_entries", rate)
+    X, v, improved = np.full((1, 3, 3), 0.5), np.zeros(1), np.zeros(1, bool)
+    birkhoff._halve(X, v, np.ones((1, 3, 3)), np.ones(1), np.ones(1),
+                    np.array([0]), improved, 3, 1.0)
+    assert seen == [2.0 ** -j for j in range(1, 25)]
+    assert improved[0] == (last > 0) and v[0] == (1.0 if last else 0.0)
+    assert (X == 0.5 + last).all()
+
+
 @pytest.mark.parametrize("k, d, value", [
-    (3, 10, -0.915093294),   # a start stopped by the cap ends near -0.91731
+    # every start but the flat one ends here; the longest takes 105 steps
+    (3, 10, -0.915093294),
     (5, 14, 0.185939914),
     (10, 40, 0.390749560),   # the flat value: below the threshold at k = 10
 ])

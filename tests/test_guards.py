@@ -148,6 +148,16 @@ def _planted_core():
     return call, 6000 * 12
 
 
+def _optimizer_starts():
+    # k = 3, the most bytes per entry (per-start rows and the trace); a warm
+    # call first, as the first one imports parts of numpy.random
+    birkhoff.maximize_f(3, 2, restarts=2, rng=rng.stream(0, 0))
+    restarts = 3000
+    return (lambda: birkhoff.maximize_f(3, 2, restarts=restarts,
+                                        rng=rng.stream(1, 0)),
+            (restarts + 7) * 9)
+
+
 # (constant, bytes per unit in its comment, the unit, a set-up returning
 # the traced call and its number of units)
 COSTS = [
@@ -157,6 +167,7 @@ COSTS = [
     # threshold_scan itself (coloring_number, smallest_reliable_k)
     ("MAX_TABLE_ROWS", 89, "row",
      lambda: (lambda: threshold.threshold_scan(3, 10 ** 4 + 2), 10 ** 4)),
+    ("MAX_START_ENTRIES", 52, "entry", _optimizer_starts),
 ]
 
 
