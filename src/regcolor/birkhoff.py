@@ -29,6 +29,10 @@ from .moments import DS_TOL, ds_residuals, f_entries
 
 ARMIJO = 1e-4
 SINKHORN_CAP = 10000  # sweeps before project_doubly_stochastic refuses
+# both line-sum residuals under this stop Sinkhorn: a decade under 1e-12,
+# since each _ascend step rounds the line sums by a few ulps, and a start
+# that Sinkhorn left at 9.99e-13 once drifted past 1e-12 in 150 steps
+SINKHORN_TOL = 1e-13
 ASCENT_CAP = 150      # steps of one start's ascent
 ARMIJO_TRIES = 25     # step sizes, each half the last, of one Armijo search
 # entries _ascend works on at once: it ascends the starts in groups of at
@@ -39,13 +43,10 @@ ARMIJO_TRIES = 25     # step sizes, each half the last, of one Armijo search
 STACK_ENTRIES = 16000
 
 
-def project_doubly_stochastic(M, tol=1e-13):
-    """Alternating row/column normalization until both residuals < tol, per
-    matrix of a leading stack axis: each matrix stops at its own sweep count.
-    Returns (matrix or stack, total sweeps).  The default tol sits a decade
-    under 1e-12: each _ascend step rounds the line sums by a few ulps, and a
-    start that Sinkhorn left at 9.99e-13 once drifted past 1e-12 in 150
-    steps."""
+def project_doubly_stochastic(M):
+    """Alternating row/column normalization until both residuals are under
+    SINKHORN_TOL, per matrix of a leading stack axis: each matrix stops at
+    its own sweep count.  Returns (matrix or stack, total sweeps)."""
     A = np.asarray(M, dtype=float).copy()
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise ValidationError("need a square matrix")
@@ -55,7 +56,7 @@ def project_doubly_stochastic(M, tol=1e-13):
         raise ValidationError("Sinkhorn needs entrywise positive input")
     stack = A if A.ndim == 3 else A[None]
     res = np.maximum(*ds_residuals(stack))
-    live = np.flatnonzero(res >= tol)
+    live = np.flatnonzero(res >= SINKHORN_TOL)
     W, res = stack[live], res[live]
     sweeps = 0
     for it in range(1, SINKHORN_CAP + 1):
@@ -66,7 +67,7 @@ def project_doubly_stochastic(M, tol=1e-13):
         # the residual check costs as much as the sweep; amortize it
         if it % 8 == 0 or it == SINKHORN_CAP:
             res = np.maximum(*ds_residuals(W))
-            done = res < tol
+            done = res < SINKHORN_TOL
             stack[live[done]] = W[done]
             sweeps += it * int(done.sum())
             live, W, res = live[~done], W[~done], res[~done]

@@ -2,13 +2,10 @@
 clusters, separability, skewedness, niceness, rainbow and vacant vertices
 (as read-only boolean masks), plus exact counting oracles by backtracking.
 
-One search engine (`_search`) counts, decides and enumerates proper
-colorings.  All counts are over labeled colorings (color classes are
-distinguishable), but counting and deciding break the color symmetry: a
-vertex may open only the smallest unused color, and a coloring with c colors
-stands for its k!/(k-c)! relabellings.  Enumeration, and counting with
-unequal class sizes (the profile filter), visit every labeling.  Exhaustive
-cluster machinery is guarded to tiny instances.
+One search engine, `_leaves`, yields the proper colorings, and every count,
+decision and enumeration calls it directly; counts are over labeled colorings
+(`_leaves` says how its symmetry weights keep them so).  Exhaustive cluster
+machinery is guarded to tiny instances.
 """
 
 import math
@@ -117,35 +114,23 @@ def _cluster_guard(G, k):
     guards.check(k, "MAX_CLUSTER_COLORS", "k", "color")
 
 
-def _neighbor_sets(G):
-    """Distinct-neighbor lists; None if some vertex has a self-loop (then no
-    proper coloring exists)."""
-    nbrs = [set() for _ in range(G.n)]
+def _leaves(G, k, caps=None, symmetric=False):
+    """Depth-first search over the proper k-colorings of G, yielding
+    (assign, weight) at each leaf; `assign` is the live list, valid until
+    the next step.  Vertices go in descending order of distinct-neighbor
+    count (ties by index), colors in order 0..k-1, and class c holds at most
+    caps[c] vertices (caps None: no bound).  No leaf when G has a loop or
+    the caps do not sum to n.  Without symmetry every leaf weighs 1.  With
+    it (sound only when all caps are equal), a vertex may open only the
+    smallest unused color, and a leaf with c colors weighs k!/(k-c)!, its
+    relabellings.  Iterative: a leaf costs one generator step whatever n is."""
+    n = G.n
+    nbrs = [set() for _ in range(n)]
     for u, v in G.edges.tolist():
-        if u == v:
-            return None
+        if u == v:  # a loop: no proper coloring
+            return
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return nbrs
-
-
-def _leaves(nbrs, k, caps, symmetric):
-    """Depth-first search over proper assignments: vertices in
-    descending-degree order, colors tried in order 0..k-1, class c holding
-    at most caps[c] vertices (caps None: no bound).  Yields (assign, weight)
-    at each leaf; `assign` is the live list, valid until the next step.
-    There is no leaf when nbrs is None (a loop) or the caps do not sum
-    to n.
-
-    Without symmetry, every proper assignment is a leaf of weight 1.  With
-    it (sound only when all caps are equal), a vertex may open only the
-    smallest unused color, so a leaf stands for the k!/(k-c)! relabellings
-    of its c colors and weighs that much.
-
-    Iterative, so a leaf costs one generator step whatever n is."""
-    if nbrs is None:
-        return
-    n = len(nbrs)
     if caps is not None and sum(caps) != n:
         return
     caps = caps or [n] * k
@@ -186,25 +171,10 @@ def _leaves(nbrs, k, caps, symmetric):
         pos += 1
 
 
-def _search(G, k, mode, caps=None):
-    """The one exact-search engine over proper k-colorings of G.
-
-    mode "yield": every assignment as a tuple, in the search order of
-    `_leaves`; "count": their number; "exists": whether there is one.
-    count and exists break color symmetry when all caps are equal (None
-    included); counts stay over labeled colorings."""
-    symmetric = mode != "yield" and (caps is None or len(set(caps)) == 1)
-    leaves = _leaves(_neighbor_sets(G), k, caps, symmetric)
-    if mode == "yield":
-        return (tuple(assign) for assign, _ in leaves)
-    if mode == "exists":
-        return next(leaves, None) is not None
-    return sum(w for _, w in leaves)
-
-
 def enumerate_proper_colorings(G, k, balanced=False):
+    """Proper k-colorings (balanced: classes of n // k) in `_leaves` order."""
     caps = [G.n // k] * k if balanced else None
-    for assign in _search(G, k, "yield", caps):
+    for assign, _ in _leaves(G, k, caps):
         yield Coloring(read_only(np.array(assign, dtype=np.int64)), k)
 
 
@@ -235,12 +205,20 @@ def is_separable(G, sigma, kappa=0.1):
                    for row in overlap(sigma, tau) for x in row)
 
 
+def _density_check(G, k, what):
+    """Skewedness and niceness compare class-pair edges with dn/(k(k-1)):
+    undefined for k < 2 and for d = 0, which admits any multigraph."""
+    if k < 2:
+        raise ValidationError("%s needs k >= 2, got k=%d" % (what, k))
+    if G.d == 0:
+        raise ValidationError("%s needs d >= 1, got d=0" % what)
+
+
 def is_skewed(G, sigma):
     """Some inter-class edge count deviates from dn/(k(k-1)) by more than
     sqrt(n) ln n (strict)."""
     n, k = sigma.n, sigma.k
-    if k < 2:
-        raise ValidationError("skewedness needs k >= 2, got k=%d" % k)
+    _density_check(G, k, "skewedness")
     if not is_balanced(sigma):
         raise ValidationError("skewedness is defined for balanced colorings")
     target = G.d * n / (k * (k - 1))
@@ -279,8 +257,7 @@ def is_nice(G, sigma, check_cluster=False):
     >= 0.9) is exhaustive and only evaluated at oracle scale when
     check_cluster is set."""
     n, k = sigma.n, sigma.k
-    if k < 2:
-        raise ValidationError("k >= 2 required")
+    _density_check(G, k, "niceness")
     rho = np.array(sigma.class_sizes(), dtype=float) / n
     rho_dev = float(np.linalg.norm(rho - 1 / k))
     cond1 = rho_dev < 1 / (k * math.log(k) ** (1 / 3))
@@ -291,13 +268,14 @@ def is_nice(G, sigma, check_cluster=False):
     cond2 = mu_dev < 8 / (k * (k - 1) * math.log(k) ** (1 / 3))
 
     cond3 = None
-    if check_cluster:  # star_cluster is guarded
+    if check_cluster:  # each star-cluster member as the search finds it
+        _cluster_guard(G, k)
         slack = n / (k * math.log(k) ** (1 / 3))
-        cond3 = not any(
-            all(abs(s - n / k) < slack for s in tau.class_sizes())
-            and any(row[i] < NICE_DIAG for i, row in
-                    enumerate(overlap(sigma, tau)))
-            for tau in star_cluster(G, sigma))
+        cond3 = not any(  # a member whose smallest diagonal is under 0.9
+            CLUSTER_DIAG < min(row[i] for i, row in
+                               enumerate(overlap(sigma, tau))) < NICE_DIAG
+            and all(abs(s - n / k) < slack for s in tau.class_sizes())
+            for tau in enumerate_proper_colorings(G, k))
     return NiceReport(cond1, cond2, cond3, rho_dev, mu_dev)
 
 
@@ -326,42 +304,44 @@ def is_colorable(G, k):
     """Whether G has a proper k-coloring: the search stops at the first one.
     Guarded like count_colorings."""
     _count_guard(G, k)
-    return _search(G, k, "exists")
+    return next(_leaves(G, k, symmetric=True), None) is not None
 
 
 def count_colorings(G, k, filter="none", profile=None):
     """Exact number of proper k-colorings passing the filter, one of
     `FILTERS`: "none", "balanced", "profile" (class sizes = profile[i] * n,
     profile entries rationals), "skewed" (balanced and skewed), "nice12"
-    (conditions 1-2 of niceness).
-    """
+    (conditions 1-2 of niceness)."""
     if filter not in FILTERS:
         raise ValidationError("unknown filter %r (one of %s)"
                               % (filter, ", ".join(FILTERS)))
     _count_guard(G, k)
-    n = G.n
-    if filter == "none":
-        return _search(G, k, "count")
+    if filter == "skewed":
+        _density_check(G, k, "skewedness")
+        return sum(is_skewed(G, tau) for tau in
+                   enumerate_proper_colorings(G, k, balanced=True))
+    if filter == "nice12":
+        _density_check(G, k, "niceness")
+        reports = (is_nice(G, tau) for tau in enumerate_proper_colorings(G, k))
+        return sum(rep.condition1 and rep.condition2 for rep in reports)
+    caps = None
     if filter == "balanced":
-        return _search(G, k, "count", [n // k] * k)
-    if filter == "profile":
+        caps = [G.n // k] * k
+    elif filter == "profile":
         if profile is None:
             raise ValidationError("profile filter needs a profile")
         fracs = [Fraction(x) for x in profile]
         if any(x < 0 for x in fracs):
             raise ValidationError("profile entries must be >= 0, got %s"
                                   % ",".join(map(str, fracs)))
-        sizes = [x * n for x in fracs]
-        if sum(sizes) != n or len(sizes) != k:
+        sizes = [x * G.n for x in fracs]
+        if sum(sizes) != G.n or len(sizes) != k:
             raise ValidationError("profile must have k entries summing to 1")
         if any(s.denominator != 1 for s in sizes):
             return 0
-        return _search(G, k, "count", [int(s) for s in sizes])
-    if filter == "skewed":
-        return sum(is_skewed(G, tau) for tau in
-                   enumerate_proper_colorings(G, k, balanced=True))
-    reports = (is_nice(G, tau) for tau in enumerate_proper_colorings(G, k))
-    return sum(rep.condition1 and rep.condition2 for rep in reports)  # nice12
+        caps = [int(s) for s in sizes]
+    symmetric = caps is None or len(set(caps)) == 1
+    return sum(w for _, w in _leaves(G, k, caps, symmetric))
 
 
 def count_pairs_with_overlap(G, k, rho):

@@ -204,7 +204,7 @@ _ADMITS = {_INTEGER: int, _NUMBER: (int, float), _NAME: object}
 class Kind(NamedTuple):
     run: object         # (parameters, generator) -> one sample's metrics
     params: dict        # name -> (type, default), in the order checked
-    table: bool = False  # draws nothing: runs once, returns {"table": csv}
+    draws: bool = True  # False: one run, whose values count for every sample
 
 
 _INT = (_INTEGER, REQUIRED)
@@ -216,13 +216,13 @@ SPEC_TABLE = {
     "colorability-frequency": Kind(_run_colorability, _N_D_K),
     "vacant-fractions": Kind(_run_vacant, _N_D_K),
     "core-profile": Kind(_run_core_profile, {**_N_D_K, "ell": (_INTEGER, 3)}),
-    "moment-vs-oracle": Kind(_run_moment_vs_oracle, _N_D_K),
+    "moment-vs-oracle": Kind(_run_moment_vs_oracle, _N_D_K, draws=False),
     "optimize-sweep": Kind(_run_optimize, {"k": _INT, "d": _INT,
                                            "restarts": (_INTEGER, 20)}),
     "threshold-table": Kind(
         lambda p, _: {"table": threshold.format_csv(**p)},
         {"k_lo": _INT, "k_hi": _INT, "eps_mode": (_NAME, "pow09"),
-         "eps_value": (_NUMBER, None)}, table=True),
+         "eps_value": (_NUMBER, None)}, draws=False),
 }
 KINDS = tuple(SPEC_TABLE)
 
@@ -232,18 +232,20 @@ def run_experiment(spec):
     # ValidationError, as the graph and coloring parsers do
     guards.check(spec.samples, "MAX_EXPERIMENT_SAMPLES", "samples", "sample")
     start = time.monotonic()
-    rng.check_seed(spec.seed)  # a table kind draws no stream to check it
+    rng.check_seed(spec.seed)  # a kind that draws nothing checks it here
     kind = SPEC_TABLE[spec.kind]
     params = {key: spec.params.get(key, default)
               for key, (_, default) in kind.params.items()}
-    streams = ([None] if kind.table else
-               (rng.stream(spec.seed, idx) for idx in range(spec.samples)))
+    streams = ((rng.stream(spec.seed, idx) for idx in range(spec.samples))
+               if kind.draws else [None])
     out = {}
     for generator in streams:
         for name, value in kind.run(params, generator).items():
             out.setdefault(name, []).append(value)
     table = out.pop("table", [None])[0]
-    metrics = {name: _summarize(vals) for name, vals in sorted(out.items())}
+    repeat = 1 if kind.draws else spec.samples
+    metrics = {name: _summarize(vals * repeat)
+               for name, vals in sorted(out.items())}
     return RunReport(spec, metrics, table, time.monotonic() - start,
                      spec.content_hash())
 

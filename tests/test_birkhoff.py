@@ -85,7 +85,7 @@ def test_project_doubly_stochastic():
     assert iters == 0
     r = np.random.default_rng(0)
     A = np.exp(r.standard_normal((k, k)))
-    P, iters = birkhoff.project_doubly_stochastic(A, tol=1e-12)
+    P, iters = birkhoff.project_doubly_stochastic(A)
     assert iters > 0
     assert np.abs(P.sum(axis=0) - 1).max() < 1e-11
     assert np.abs(P.sum(axis=1) - 1).max() < 1e-11

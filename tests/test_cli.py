@@ -965,6 +965,41 @@ def test_skewed_refuses_one_color(tmp_path, capsys):
              "skewed", "--coloring", str(cpath)], capsys, "k >= 2")
 
 
+def _refused_quietly(argv, capsys, needle):
+    """Exit 2 with one refusal line on stderr and nothing on stdout."""
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("refused:") and needle in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--predicate", "nice"], ["--predicate", "nice", "--check-cluster"],
+    ["--predicate", "skewed"], ["--filter", "nice12"],
+    ["--filter", "skewed"]])
+def test_skewed_and_nice_refuse_d_zero(flags, tmp_path, capsys):
+    # a d = 0 header admits any multigraph, so there is no dn/(k(k-1))
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+    gpath.write_text("4 0\n0 1\n1 2\n2 3\n")
+    cpath.write_text("0 1 0 1\n")
+    reads = flags[0] == "--predicate"
+    _refused_quietly(["count", "--graph", str(gpath), "--k", "2", *flags]
+                     + ["--coloring", str(cpath)] * reads, capsys,
+                     "needs d >= 1, got d=0")
+
+
+@pytest.mark.parametrize("filter", ["skewed", "nice12"])
+@pytest.mark.parametrize("text", ["4 0\n", "2 1\n0 1\n", "1 2\n0 0\n",
+                                  "4 2\n0 1\n1 2\n2 3\n3 0\n"])
+def test_skewed_and_nice12_filters_refuse_one_color(filter, text, tmp_path,
+                                                     capsys):
+    # refused whether or not a proper 1-coloring exists
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(text)
+    _refused_quietly(["count", "--graph", str(gpath), "--k", "1", "--filter",
+                      filter], capsys, "needs k >= 2, got k=1")
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_sample_planted_refuses_few_colors(k, capsys):
     refused(["sample", "--planted", "--n", "12", "--d", "4", "--k", str(k)],

@@ -1,10 +1,11 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from regcolor import colorings, experiments, graphs, rng
@@ -546,3 +547,97 @@ def test_nice12_filter_counts_subset():
     all_count = colorings.count_colorings(G, 2)
     nice = colorings.count_colorings(G, 2, filter="nice12")
     assert 0 <= nice <= all_count
+
+
+def _brute_force_predicates(G, k, sigma, proper):
+    """The exhaustive predicates from `proper`, every proper assignment of
+    the k^n, with overlaps and class-pair edge counts by Python loops."""
+    n, d, a0 = G.n, G.d, sigma.assignment.tolist()
+    edges = G.edges.tolist()
+    balanced = [a for a in proper if all(a.count(c) * k == n
+                                         for c in range(k))]
+
+    def rho(a, b):
+        counts = Counter(zip(a, b))
+        return tuple(tuple(Fraction(k * counts[i, j], n) for j in range(k))
+                     for i in range(k))
+
+    def pair_edges(a):  # e(V_i, V_j) for i < j
+        counts = Counter(tuple(sorted((a[u], a[v]))) for u, v in edges)
+        return [counts[i, j] for i in range(k) for j in range(i + 1, k)]
+
+    def diagonal(a):
+        r = rho(a0, a)
+        return [r[i][i] for i in range(k)]
+
+    big = math.log(k) ** (1 / 3)
+    star = [a for a in proper if min(diagonal(a)) > Fraction(51, 100)]
+    target = d * n / (k * (k - 1))
+    skewed = [max(abs(e - target) for e in pair_edges(a))
+              > math.sqrt(n) * math.log(n) for a in balanced]
+    nice12 = [math.sqrt(sum((a.count(c) / n - 1 / k) ** 2 for c in range(k)))
+              < 1 / (k * big)
+              and math.sqrt(2 * sum((e / (d * n) - 1 / (k * (k - 1))) ** 2
+                                    for e in pair_edges(a)))
+              < 8 / (k * (k - 1) * big) for a in proper]
+    return {
+        "cluster": {a for a in star if a in balanced},
+        "star": set(star),
+        "separable": {kappa: not any(
+            Fraction(51, 100) < x < 1 - Fraction(str(kappa))
+            for b in balanced for row in rho(a0, b) for x in row)
+            for kappa in (0.1, 0.49, 0.5)},
+        "condition3": not any(
+            all(abs(a.count(c) - n / k) < n / (k * big) for c in range(k))
+            and min(diagonal(a)) < Fraction(9, 10) for a in star),
+        "skewed": sum(skewed),
+        "nice12": sum(nice12),
+        "pairs": Counter(rho(a, b) for a in balanced for b in balanced),
+    }
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.sampled_from([2, 3]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_exhaustive_predicates_match_brute_force(n, d, k, seed, data):
+    """Uniform d-regular multigraphs, loops and parallel edges included,
+    against a proper coloring when there is one, else any."""
+    assume(n * d % 2 == 0)
+    G = graphs.sample_uniform(n, d, np.random.default_rng(seed))
+    proper = _proper_assignments(G, k)
+    sigma = colorings.coloring(data.draw(
+        st.sampled_from(proper) if proper else
+        st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), k)
+    want = _brute_force_predicates(G, k, sigma, proper)
+
+    def assignments(taus):
+        return {tuple(tau.assignment.tolist()) for tau in taus}
+
+    assert assignments(colorings.cluster_of(G, sigma)) == want["cluster"]
+    assert assignments(colorings.star_cluster(G, sigma)) == want["star"]
+    for kappa, separable in want["separable"].items():
+        assert colorings.is_separable(G, sigma, kappa) is separable
+    rep = colorings.is_nice(G, sigma, check_cluster=True)
+    assert rep.condition3 is want["condition3"]
+    assert colorings.count_colorings(G, k, "skewed") == want["skewed"]
+    assert colorings.count_colorings(G, k, "nice12") == want["nice12"]
+    for rho, count in want["pairs"].items():
+        assert colorings.count_pairs_with_overlap(G, k, rho) == count
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, sigma: colorings.is_skewed(G, sigma),
+    lambda G, sigma: colorings.is_nice(G, sigma),
+    lambda G, sigma: colorings.is_nice(G, sigma, check_cluster=True),
+    lambda G, sigma: colorings.count_colorings(G, sigma.k, "skewed"),
+    lambda G, sigma: colorings.count_colorings(G, sigma.k, "nice12")])
+def test_skewed_and_nice_refuse_where_undefined(call, monkeypatch):
+    # d = 0 admits any multigraph, so dn/(k(k-1)) is no target; k < 2 has
+    # no class pair.  Both are refused before any enumeration.
+    monkeypatch.setattr(colorings, "_leaves", None)
+    path = graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValidationError, match="needs d >= 1, got d=0$"):
+        call(path, colorings.coloring([0, 1, 0, 1], 2))
+    for G in (path, cycle_graph(4), graphs.multigraph(2, 1, [(0, 1)])):
+        with pytest.raises(ValidationError, match="needs k >= 2, got k=1$"):
+            call(G, colorings.coloring([0] * G.n, 1))

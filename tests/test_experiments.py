@@ -117,6 +117,24 @@ def test_moment_vs_oracle():
     assert abs(log_exact - rate) <= 1.5 * math.log(4) / 4
 
 
+def test_a_kind_that_draws_nothing_runs_once(monkeypatch):
+    kind = experiments.SPEC_TABLE["moment-vs-oracle"]
+    generators = []
+
+    def runner(params, generator):
+        generators.append(generator)
+        return kind.run(params, generator)
+
+    monkeypatch.setitem(experiments.SPEC_TABLE, "moment-vs-oracle",
+                        kind._replace(run=runner))
+    rep = run("kind = moment-vs-oracle\nn = 4\nd = 3\nk = 3\nsamples = 3\n")
+    assert generators == [None]
+    # its one value counts for each of the three samples
+    for ms in rep.metrics.values():
+        assert ms.n_samples == 3 and ms.var == 0
+        assert ms.ci_lo == ms.mean == ms.ci_hi
+
+
 @pytest.mark.parametrize("n, d, k, value, digest", [
     (6, 2, 3, 0.6308949291763516,
      "d8f256e4836da82408a8141a2d17f55540fa7d630b070153f4e8137cd740e77c"),
