@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .moments import DS_TOL, ds_residuals, f_entries
+from .moments import _check_doubly_stochastic, ds_residuals, f_entries
 
 ARMIJO = 1e-4
 SINKHORN_CAP = 10000  # sweeps before project_doubly_stochastic refuses
@@ -89,9 +89,7 @@ class StabilityReport:
 def classify_stability(rho, kappa=0.1):
     """s = number of entries >= 1-kappa; separable iff every entry above 0.51
     is >= 1-kappa; label 's-stable' or 'non-separable'."""
-    r = np.asarray(rho, dtype=float)
-    if max(ds_residuals(r)) > DS_TOL:
-        raise ValidationError("not doubly stochastic")
+    r = _check_doubly_stochastic(rho)
     s = int((r >= 1 - kappa).sum())
     separable = bool(((r <= 0.51) | (r >= 1 - kappa)).all())
     return StabilityReport(s, separable, "%d-stable" % s if separable
@@ -284,7 +282,6 @@ def maximize_f(k, d, stable=None, restarts=20, rng=None, kappa=0.1):
                               % (kappa,))
     if rng is None:
         rng = np.random.default_rng(0)
-    f_flat = f_entries(np.full((k, k), 1 / k), k, d)
     trace = []
     best = None
     best_key = None
@@ -301,5 +298,6 @@ def maximize_f(k, d, stable=None, restarts=20, rng=None, kappa=0.1):
     if best is None:
         raise ValidationError("no candidate landed in the requested region")
     value = best_key[0]
-    return OptResult(best.copy(), value, float(f_flat),
-                     bool(value > f_flat + 1e-9), tuple(trace))
+    # start 0 is the flat matrix, which neither Sinkhorn nor the ascent moves
+    return OptResult(best.copy(), value, float(vals[0]),
+                     bool(value > vals[0] + 1e-9), tuple(trace))

@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -191,11 +190,11 @@ def _rates_blocks(k_lo, k_hi, d_lo, d_hi):
     """The sweep's CSV: the header, then one string per block of k's rows."""
     yield "k,d,first_moment_rate,second_moment_flat,dplus\n"
     for k in range(k_lo, k_hi + 1):
-        dplus = moments.dplus(k) if k >= 3 else float("nan")
+        dplus = "%.12g" % (moments.dplus(k) if k >= 3 else float("nan"))
         rows = []
         for d in range(d_lo, d_hi + 1):
             rate = moments.first_moment_rate(k, d)
-            rows.append("%d,%d,%.12g,%.12g,%.12g\n"
+            rows.append("%d,%d,%.12g,%.12g,%s\n"
                         % (k, d, rate, 2 * rate, dplus))
         yield "".join(rows)
 
@@ -211,11 +210,9 @@ def cmd_rates(args):
             raise ValidationError("--d-range: d/2 overflows a float") from None
         guards.check((k_hi - k_lo + 1) * (d_hi - d_lo + 1), "MAX_TABLE_ROWS",
                      "rows", "row")
-        blocks = _rates_blocks(k_lo, k_hi, d_lo, d_hi)
-        # the header and k_lo's rows, made before the output opens: they take
-        # every d, so they meet every refusal of the sweep's cells
-        _write(args.out,
-               itertools.chain([next(blocks), next(blocks)], blocks))
+        # the one refusal of a cell ("k >= 2"), met before the output opens
+        moments.first_moment_rate(k_lo, d_lo)
+        _write(args.out, _rates_blocks(k_lo, k_hi, d_lo, d_hi))
         return
     k, d = args.k, args.d
     if k is None or d is None:

@@ -346,8 +346,20 @@ def count_colorings(G, k, filter="none", profile=None):
 
 def count_pairs_with_overlap(G, k, rho):
     """Exact number of ordered pairs of balanced proper colorings whose
-    overlap matrix equals rho (k x k of rationals)."""
+    overlap matrix equals rho (k x k of rationals); a rho whose class
+    intersection counts (n/k) rho are not integers matches no pair."""
     _count_guard(G, k)
-    target = tuple(tuple(Fraction(x) for x in row) for row in rho)
-    balanced = list(enumerate_proper_colorings(G, k, balanced=True))
-    return sum(overlap(s, t) == target for s in balanced for t in balanced)
+    target = [[Fraction(x) * G.n / k for x in row] for row in rho]
+    want = [c for row in target for c in row]
+    if ([len(row) for row in target] != [k] * k
+            or not all(c.denominator == 1 and 0 <= c <= G.n for c in want)):
+        return 0
+    want = np.array(want, dtype=np.int64)
+    A = np.array([s.assignment for s in enumerate_proper_colorings(
+        G, k, balanced=True)], dtype=np.int64).reshape(-1, G.n)
+    keys = A + k * k * np.arange(len(A))[:, None]
+    total = 0
+    for a in A:  # a's k x k counts against every row of A, in one bincount
+        counts = np.bincount((keys + k * a).ravel(), minlength=len(A) * k * k)
+        total += int((counts.reshape(-1, k * k) == want).all(axis=1).sum())
+    return total

@@ -30,13 +30,11 @@ class ExperimentSpec:
     samples: int
     seed: int
 
-    def canonical_text(self):
+    def content_hash(self):
         items = {"kind": self.kind, "samples": self.samples, "seed": self.seed,
                  **self.params}
-        return "".join("%s=%s\n" % (key, items[key]) for key in sorted(items))
-
-    def content_hash(self):
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        text = "".join("%s=%s\n" % (key, items[key]) for key in sorted(items))
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _scalar(text):

@@ -40,18 +40,14 @@ def double_factorial_odd(m):
     """(m)!! for odd m >= -1; (-1)!! = 1 by convention."""
     if m < -1 or m % 2 == 0:
         raise ValidationError("double factorial defined here for odd m >= -1")
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    j = (m + 1) // 2
+    return factorial(2 * j) // (2 ** j * factorial(j))
 
 
 def count_configurations(n, d):
     """Number of pairings of the dn clones: (dn-1)!!."""
     _check_even(n, d)
-    m = n * d
-    return factorial(m) // (2 ** (m // 2) * factorial(m // 2))
+    return double_factorial_odd(n * d - 1)
 
 
 @dataclass(frozen=True)

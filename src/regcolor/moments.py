@@ -171,22 +171,18 @@ def exact_partition_probability(pair):
     return Fraction(N * M, count_configurations(n, d))
 
 
-def _rho_outer(rho):
-    r = _flat(rho)
-    return np.outer(r, r)
-
-
 def log_partition_probability(pair):
     """Leading order of (1/n) ln P[all class-pair edge counts hit mu*dn]:
     -(d/2) KL(mu || rho (x) rho)."""
-    mu = np.array([[float(x) for x in row] for row in pair.mu])
-    return -pair.d / 2 * kl_divergence(mu, _rho_outer([float(x) for x in pair.rho]))
+    rho = np.array(pair.rho, dtype=float)
+    return -pair.d / 2 * kl_divergence(np.array(pair.mu, dtype=float),
+                                       np.outer(rho, rho))
 
 
 def log_expected_partitions(pair):
     """Leading order of (1/n) ln E[#partitions with the given edge profile]."""
-    rho = [float(x) for x in pair.rho]
-    return entropy(rho) + log_partition_probability(pair)
+    return (entropy(np.array(pair.rho, dtype=float))
+            + log_partition_probability(pair))
 
 
 def rho_hat_offdiag(rho):
@@ -203,8 +199,8 @@ def log_expected_partitions_offdiag(pair):
     H(rho) + (d/2) ln(1 - ||rho||^2) - (d/2) KL(mu || rho_hat)."""
     if any(pair.mu[i][i] != 0 for i in range(pair.K)):
         raise ValidationError("off-diagonal form needs mu_ii = 0")
-    rho = np.array([float(x) for x in pair.rho])
-    mu = np.array([[float(x) for x in row] for row in pair.mu])
+    rho = np.array(pair.rho, dtype=float)
+    mu = np.array(pair.mu, dtype=float)
     y = float((rho ** 2).sum())
     return (entropy(rho) + pair.d / 2 * math.log(1 - y)
             - pair.d / 2 * kl_divergence(mu, rho_hat_offdiag(rho)))
@@ -345,12 +341,9 @@ def compatible_rate(pair):
     """(1/n) ln E[#coloring pairs of type (rho, mu)], leading order:
     f(rho) - (d/2) KL(mu || rho_hat).  Equivalently (the identity used by the
     derivation) H(rho/k) - (d/2) KL(mu || (rho/k) (x) (rho/k))."""
-    r = np.array([[float(x) for x in row] for row in pair.rho])
-    k = pair.k
-    mu = np.array([[[[float(pair.mu[i][j][s][t]) for t in range(k)]
-                     for s in range(k)] for j in range(k)] for i in range(k)])
+    r = np.array(pair.rho, dtype=float)
     return second_moment_rate(r, pair.d) - pair.d / 2 * kl_divergence(
-        mu, rho_hat_compatible(r))
+        np.array(pair.mu, dtype=float), rho_hat_compatible(r))
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,26 @@ def test_classify_stability():
         birkhoff.classify_stability(np.full((k, k), 0.5))
 
 
+@pytest.mark.parametrize("bad", [[[1.5, -0.5], [-0.5, 1.5]], [0.5, 0.5],
+                                 np.full((2, 2, 2), 0.5)])
+def test_classify_stability_refuses_what_f_refuses(bad):
+    # a negative entry, one row, a stack: none is one doubly stochastic matrix
+    for call in (birkhoff.classify_stability,
+                 lambda r: moments.second_moment_rate(r, 3)):
+        with pytest.raises(ValidationError):
+            call(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.floats(0.01, 200), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0]))
+def test_f_flat_is_f_at_the_flat_matrix(k, d, restarts, seed, stable):
+    # the flat start is 0-stable, so stable = 0 never leaves the region empty
+    res = birkhoff.maximize_f(k, d, stable, restarts,
+                              np.random.default_rng(seed))
+    assert res.f_flat == moments.f_entries(np.full((k, k), 1 / k), k, d)
+
+
 def test_chart_roundtrip():
     k = 3
     R = random_ds(k, 1)

@@ -690,6 +690,13 @@ def test_rates_sweep_pinned(capsys):
             "k >= 2 required")
 
 
+def test_rates_sweep_refuses_before_the_output_opens(tmp_path, capsys):
+    out = tmp_path / "F"
+    refused(["--out", str(out), "rates", "--k-range", "1..3", "--d-range",
+             "1..3"], capsys, "k >= 2 required")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, needle", [
     ("kind = cycle-census\nd = 3\n", "cycle-census spec needs n"),
     ("kind = cycle-census\nn = abc\nd = 3\n", "n must be an integer"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regcolor import colorings, experiments, graphs, rng
@@ -535,6 +535,50 @@ def test_count_pairs_with_overlap():
     assert flat_total == len(bal) ** 2
     ident = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     assert colorings.count_pairs_with_overlap(G, k, ident) >= len(bal)
+
+
+def test_count_pairs_with_overlap_on_a_4_regular_sample():
+    # the first simple sample_uniform(12, 4): each of its 1,704 balanced
+    # 4-colorings overlaps only itself in I (over 40 s pair by pair)
+    G = graphs.sample_uniform(12, 4, rng.stream(2, 0))
+    assert graphs.is_simple(G)
+    assert colorings.count_pairs_with_overlap(G, 4, np.eye(4, dtype=int)) \
+        == colorings.count_colorings(G, 4, "balanced") == 1704
+    # counts (n/k) rho not integers, a rho not k x k: no pair
+    assert colorings.count_pairs_with_overlap(
+        G, 4, [[Fraction(1, 4)] * 4] * 4) == 0
+    assert colorings.count_pairs_with_overlap(G, 4, np.eye(3)) == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(13, 500), st.integers(1, 40), st.integers(-4, 4),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(500, 40, 0, False, 0)   # deviation 339.67 < sqrt(n) ln n = 339.9
+@example(500, 40, 1, True, 0)    # 340.67 > 339.9
+def test_is_skewed_against_a_per_edge_count(quarter, d, offset, negative,
+                                            seed):
+    """Planted k = 4 samples whose class-pair counts deviate from
+    dn/(k(k-1)) by about sqrt(n) ln n, above or below; k = 4 is the least
+    k whose proper planted counts can deviate at all."""
+    n, k = 4 * quarter, 4
+    c = d * quarter  # each class's edges to the other three
+    slack = math.sqrt(n) * math.log(n)
+    delta = (-1) ** negative * min(max(int(slack) + offset, 0), c // 3)
+    a, b = c // 3 + delta, c // 3 - delta
+    e = c - a - b
+    r = np.random.default_rng(seed)
+    sigma = colorings.coloring(r.permutation(np.repeat(np.arange(k),
+                                                       quarter)), k)
+    G = graphs.sample_planted(
+        sigma.assignment, d,
+        [[0, a, b, e], [a, 0, e, b], [b, e, 0, a], [e, b, a, 0]], r)
+    color = sigma.assignment.tolist()
+    pairs = Counter(tuple(sorted((color[u], color[v])))
+                    for u, v in G.edges.tolist())
+    target = d * n / (k * (k - 1))
+    dev = max(abs(pairs[i, j] - target)
+              for i in range(k) for j in range(i + 1, k))
+    assert colorings.is_skewed(G, sigma) is (dev > slack)
 
 
 def test_skewed_count_zero_on_tiny():

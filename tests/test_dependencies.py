@@ -35,3 +35,22 @@ def test_only_cli_imports_json():
     importers = {name for name, _, module in _imports()
                  if module.partition(".")[0] == "json"}
     assert importers == {"cli.py"}
+
+
+def test_every_module_level_import_is_read():
+    # __init__.py is exempt: it imports to re-export
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [(path.name, node.lineno, alias.name)
+                           for alias in node.names
+                           if (alias.asname or alias.name.partition(".")[0])
+                           not in read]
+    assert not unread

@@ -28,7 +28,18 @@ def flat_counts(n, d, k):
     return d * n // (k * (k - 1)) * (1 - np.eye(k, dtype=np.int64))
 
 
+def double_factorial_loop(m):
+    """m (m - 2) ... 1 for odd m >= -1, by multiplication: the oracle."""
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
 def test_double_factorial_odd():
+    for m in range(-1, 302, 2):
+        assert graphs.double_factorial_odd(m) == double_factorial_loop(m)
     assert graphs.double_factorial_odd(-1) == 1
     assert graphs.double_factorial_odd(1) == 1
     assert graphs.double_factorial_odd(5) == 15
@@ -45,9 +56,9 @@ def test_count_configurations():
     assert graphs.count_configurations(4, 2) == 105
     assert graphs.count_configurations(4, 3) == 10395
     # matches the double factorial definition
-    for n, d in [(2, 2), (4, 2), (6, 2), (4, 3)]:
+    for n, d in [(2, 2), (4, 2), (6, 2), (4, 3), (30, 5), (50, 6)]:
         assert graphs.count_configurations(n, d) == \
-            graphs.double_factorial_odd(n * d - 1)
+            double_factorial_loop(n * d - 1)
     with pytest.raises(ValidationError):
         graphs.count_configurations(3, 3)  # dn odd
     with pytest.raises(ValidationError):
