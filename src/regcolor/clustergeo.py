@@ -135,10 +135,10 @@ def core_analysis(G, sigma, ell, mode="prose"):
     displayed-formula reading.  The two differ only for vertices with a core
     neighbor of their own color, where strict counts one vacant color fewer;
     a proper coloring has none."""
-    core = sigma_ell_core(G, sigma, ell)
-    wuy = build_WUY(G, sigma, ell)
     if mode not in ("prose", "strict"):
         raise ValidationError("mode must be prose or strict")
+    core = sigma_ell_core(G, sigma, ell)
+    wuy = build_WUY(G, sigma, ell)
     k, color = sigma.k, sigma.assignment
     vacant = vertex_class_degrees(G, color, k, within=core.core) == 0
     n_vacant = vacant.sum(axis=1)

@@ -4,8 +4,12 @@ clusters, separability, skewedness, niceness, rainbow and vacant vertices
 
 One search engine, `_leaves`, yields the proper colorings, and every count,
 decision and enumeration calls it directly; counts are over labeled colorings
-(`_leaves` says how its symmetry weights keep them so).  Exhaustive cluster
-machinery is guarded to tiny instances.
+(`_leaves` says how its symmetry weights keep them so).  A question whose
+answer no relabelling of the classes changes (colorability, separability,
+every count but a profile of unequal class sizes) searches one coloring per
+relabelling orbit; clusters, condition 3 of niceness, the overlap pair count,
+the enumeration and unequal profiles read the labels and search every
+labelling.  Exhaustive cluster machinery is guarded to tiny instances.
 """
 
 import math
@@ -93,10 +97,17 @@ def is_balanced(sigma):
     return n % k == 0 and all(s == n // k for s in sigma.class_sizes())
 
 
+def _vertex_check(n):
+    """Overlaps divide by n: refused for a graph or coloring of no vertex."""
+    if n < 1:
+        raise ValidationError("overlaps need n >= 1, got n=%d" % n)
+
+
 def overlap(sigma, tau):
     """k x k matrix of Fractions: (k/n) |sigma^{-1}(i) cap tau^{-1}(j)|."""
     if sigma.n != tau.n or sigma.k != tau.k:
         raise ValidationError("colorings must share n and k")
+    _vertex_check(sigma.n)
     n, k = sigma.n, sigma.k
     counts = np.bincount(k * sigma.assignment + tau.assignment,
                          minlength=k * k).reshape(k, k).tolist()
@@ -110,6 +121,7 @@ def in_cluster(sigma, tau):
 
 
 def _cluster_guard(G, k):
+    _vertex_check(G.n)
     guards.check(G.n, "MAX_CLUSTER_VERTICES", "n", "vertex")
     guards.check(k, "MAX_CLUSTER_COLORS", "k", "color")
 
@@ -193,16 +205,16 @@ def kappa_paper(k):
 
 
 def is_separable(G, sigma, kappa=0.1):
-    """Every overlap entry above 0.51 with any balanced proper coloring is
-    actually >= 1 - kappa.  Exhaustive; guarded."""
+    """Overlaps above 0.51 with any balanced proper coloring are >= 1 - kappa.
+    Relabellings permute columns: one per orbit is searched.  Guarded."""
     if not math.isfinite(kappa):
         raise ValidationError("kappa must be a finite number, got %r"
                               % (kappa,))
-    _cluster_guard(G, sigma.k)
+    _cluster_guard(G, k := sigma.k)
     kap = kappa if isinstance(kappa, Fraction) else Fraction(kappa).limit_denominator(10 ** 9)
-    return not any(CLUSTER_DIAG < x < 1 - kap for tau in
-                   enumerate_proper_colorings(G, sigma.k, balanced=True)
-                   for row in overlap(sigma, tau) for x in row)
+    return not any(CLUSTER_DIAG < x < 1 - kap for tau, _ in
+                   _leaves(G, k, [G.n // k] * k, symmetric=True)
+                   for row in overlap(sigma, coloring(tau, k)) for x in row)
 
 
 def _density_check(G, k, what):
@@ -309,23 +321,21 @@ def is_colorable(G, k):
 
 def count_colorings(G, k, filter="none", profile=None):
     """Exact number of proper k-colorings passing the filter, one of
-    `FILTERS`: "none", "balanced", "profile" (class sizes = profile[i] * n,
-    profile entries rationals), "skewed" (balanced and skewed), "nice12"
-    (conditions 1-2 of niceness)."""
+    `FILTERS`: "none", "balanced", "profile" (class sizes n * profile[i],
+    rationals), "skewed" (balanced and skewed), "nice12" (conditions 1-2 of
+    niceness); both tests are label-blind, so run once per symmetric leaf."""
     if filter not in FILTERS:
         raise ValidationError("unknown filter %r (one of %s)"
                               % (filter, ", ".join(FILTERS)))
     _count_guard(G, k)
+    caps = keep = None
     if filter == "skewed":
         _density_check(G, k, "skewedness")
-        return sum(is_skewed(G, tau) for tau in
-                   enumerate_proper_colorings(G, k, balanced=True))
+        keep = lambda tau: is_skewed(G, tau)
     if filter == "nice12":
         _density_check(G, k, "niceness")
-        reports = (is_nice(G, tau) for tau in enumerate_proper_colorings(G, k))
-        return sum(rep.condition1 and rep.condition2 for rep in reports)
-    caps = None
-    if filter == "balanced":
+        keep = lambda t: (r := is_nice(G, t)).condition1 and r.condition2
+    if filter in ("balanced", "skewed"):
         caps = [G.n // k] * k
     elif filter == "profile":
         if profile is None:
@@ -340,21 +350,27 @@ def count_colorings(G, k, filter="none", profile=None):
         if any(s.denominator != 1 for s in sizes):
             return 0
         caps = [int(s) for s in sizes]
-    symmetric = caps is None or len(set(caps)) == 1
-    return sum(w for _, w in _leaves(G, k, caps, symmetric))
+    leaves = _leaves(G, k, caps, caps is None or len(set(caps)) == 1)
+    if keep is None:
+        return sum(w for _, w in leaves)
+    return sum(w for a, w in leaves if keep(coloring(a, k)))
 
 
 def count_pairs_with_overlap(G, k, rho):
     """Exact number of ordered pairs of balanced proper colorings whose
     overlap matrix equals rho (k x k of rationals); a rho whose class
-    intersection counts (n/k) rho are not integers matches no pair."""
+    intersection counts (n/k) rho are not integers matches no pair.  The
+    N^2 pairs are counted, and guarded, before N colorings are built."""
     _count_guard(G, k)
+    _vertex_check(G.n)
     target = [[Fraction(x) * G.n / k for x in row] for row in rho]
     want = [c for row in target for c in row]
     if ([len(row) for row in target] != [k] * k
             or not all(c.denominator == 1 and 0 <= c <= G.n for c in want)):
         return 0
     want = np.array(want, dtype=np.int64)
+    guards.check(count_colorings(G, k, "balanced") ** 2, "MAX_OVERLAP_PAIRS",
+                 "pairs", "pair")
     A = np.array([s.assignment for s in enumerate_proper_colorings(
         G, k, balanced=True)], dtype=np.int64).reshape(-1, G.n)
     keys = A + k * k * np.arange(len(A))[:, None]

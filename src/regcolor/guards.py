@@ -54,6 +54,11 @@ MAX_COUNT_COLORS = 4
 MAX_CLUSTER_VERTICES = 14
 MAX_CLUSTER_COLORS = 4
 
+# count_pairs_with_overlap refuses more ordered pairs N^2 of the N balanced
+# colorings, counted before it enumerates them: about 75 ns per pair at
+# n = 12 and 120 ns at n = 24 (N = 1,704 and 6,504), so 7.5-12 s at the bound
+MAX_OVERLAP_PAIRS = 10 ** 8
+
 # cycle census DFS is meant for short cycles only
 MAX_CYCLE_LENGTH = 12
 

@@ -1007,6 +1007,58 @@ def test_skewed_and_nice12_filters_refuse_one_color(filter, text, tmp_path,
                       filter], capsys, "needs k >= 2, got k=1")
 
 
+def _pair_planted():
+    """k = 4, n = 12, d = 5: classes 0, 1 (and 2, 3) share all 15 edges of
+    their vertices, so the planted class pairs carry 15, 0 and 0 edges."""
+    c = 15
+    return graphs.sample_planted(
+        np.repeat(np.arange(4), 3), 5,
+        [[0, c, 0, 0], [c, 0, 0, 0], [0, 0, 0, c], [0, 0, c, 0]],
+        rng.stream(1, 0))
+
+
+def _count_doc(count, d, filter):
+    return ('{\n  "count": "%s",\n  "d": %d,\n  "filter": "%s",\n  "k": 4,\n'
+            '  "n": 12\n}\n' % (count, d, filter))
+
+
+def _separable_doc(value):
+    return '{\n  "predicate": "separable",\n  "value": %s\n}\n' % value
+
+
+# `count` at k = 4 on the 12-cycle (coloring v mod 4) and on _pair_planted()
+# (its planted coloring), as written by a search over every labeled coloring
+_LABEL_BLIND_PINS = {
+    ("cycle", "--filter", "skewed"): _count_doc(0, 2, "skewed"),
+    ("cycle", "--filter", "nice12"): _count_doc(439176, 2, "nice12"),
+    ("planted", "--filter", "skewed"): _count_doc(24, 5, "skewed"),
+    ("planted", "--filter", "nice12"): _count_doc(127320, 5, "nice12"),
+    ("cycle", "--kappa", "0.1"): _separable_doc("false"),
+    ("cycle", "--kappa", "0.49"): _separable_doc("true"),
+    ("cycle", "--kappa", "0.5"): _separable_doc("true"),
+    ("planted", "--kappa", "0.1"): _separable_doc("false"),
+    ("planted", "--kappa", "0.49"): _separable_doc("true"),
+    ("planted", "--kappa", "0.5"): _separable_doc("true"),
+}
+
+
+@pytest.mark.parametrize("graph, flag, value", sorted(_LABEL_BLIND_PINS))
+def test_label_blind_outputs_pinned(graph, flag, value, tmp_path):
+    G, sigma = ((graphs.multigraph(12, 2, [(v, (v + 1) % 12)
+                                           for v in range(12)]),
+                 np.arange(12) % 4) if graph == "cycle" else
+                (_pair_planted(), np.repeat(np.arange(4), 3)))
+    gpath, cpath, out = tmp_path / "g", tmp_path / "c", tmp_path / "o"
+    gpath.write_text(graphs.format_graph(G))
+    cpath.write_text(" ".join(map(str, sigma.tolist())) + "\n")
+    args = ["--filter", value] if flag == "--filter" else [
+        "--predicate", "separable", "--coloring", str(cpath)] + (
+            [] if value == "0.1" else ["--kappa", value])  # 0.1: the default
+    assert run(["--out", str(out), "count", "--graph", str(gpath), "--k",
+                "4"] + args) == 0
+    assert out.read_text() == _LABEL_BLIND_PINS[graph, flag, value]
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_sample_planted_refuses_few_colors(k, capsys):
     refused(["sample", "--planted", "--n", "12", "--d", "4", "--k", str(k)],

@@ -152,6 +152,14 @@ def test_freedom_report_modes():
         clustergeo.freedom_report(G, sigma, 1, mode="loose")
 
 
+def test_core_analysis_refuses_a_bad_mode_before_the_peel(monkeypatch):
+    monkeypatch.setattr(clustergeo, "sigma_ell_core", None)
+    G = graphs.multigraph(4, 0, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValidationError, match="^mode must be prose or strict$"):
+        clustergeo.core_analysis(G, colorings.coloring([0, 1, 0, 1], 2), 1,
+                                 mode="loose")
+
+
 def test_freedom_modes_differ_at_an_own_color_core_neighbor():
     # K4 on 0..3 plus the edge (0, 4); vertex 4 shares its color with its
     # only core neighbor 0, so strict counts one vacant color fewer

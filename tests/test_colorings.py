@@ -593,6 +593,107 @@ def test_nice12_filter_counts_subset():
     assert 0 <= nice <= all_count
 
 
+def _filter_count_reference(G, k, filter):
+    """The "skewed" and "nice12" counts over every labeled coloring, each
+    built and tested: the reference for the orbit search."""
+    if filter == "skewed":
+        return sum(colorings.is_skewed(G, tau) for tau in
+                   colorings.enumerate_proper_colorings(G, k, balanced=True))
+    reports = (colorings.is_nice(G, tau) for tau in
+               colorings.enumerate_proper_colorings(G, k))
+    return sum(rep.condition1 and rep.condition2 for rep in reports)
+
+
+def _is_separable_reference(G, sigma, kappa):
+    """is_separable over every balanced labeled coloring: the reference for
+    the orbit search."""
+    kap = Fraction(kappa).limit_denominator(10 ** 9)
+    return not any(colorings.CLUSTER_DIAG < x < 1 - kap for tau in
+                   colorings.enumerate_proper_colorings(G, sigma.k,
+                                                        balanced=True)
+                   for row in colorings.overlap(sigma, tau) for x in row)
+
+
+@st.composite
+def _regular_instances(draw):
+    """A d-regular multigraph (d >= 1; loops and parallel edges as they
+    come) and a coloring of it, balanced and proper or any.  Uniform with at
+    most 3^8 colorings, or planted on four classes of q <= 2 vertices with
+    drawn class-pair counts: at this size only a planted graph skews a
+    balanced coloring."""
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        n = draw(st.integers(1, {2: 12, 3: 8, 4: 6}[k]))
+        d = draw(st.integers(1, 4).filter(lambda d: n * d % 2 == 0))
+        G = graphs.sample_uniform(n, d, r)
+    else:
+        k, q = 4, draw(st.integers(1, 2))
+        # at q = 2, d >= 3 leaves 8 vertices few proper 4-colorings
+        d = draw(st.integers(1 + 2 * (q - 1), 6))
+        n, c = 4 * q, q * d  # each class's edges to the other three
+        a = draw(st.just(c) | st.integers(0, c))  # c: skewed at d >= 5
+        b = draw(st.integers(0, c - a))
+        e = c - a - b
+        G = graphs.sample_planted(
+            np.repeat(np.arange(k), q), d,
+            [[0, a, b, e], [a, 0, e, b], [b, e, 0, a], [e, b, a, 0]], r)
+    balanced = list(colorings.enumerate_proper_colorings(G, k, balanced=True))
+    drawn = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(
+        lambda a: colorings.coloring(a, k))
+    return G, draw(st.sampled_from(balanced) | drawn if balanced else drawn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_regular_instances())
+# the orbit representative (0 1 0 1 0 1) overlaps sigma in 2/3 off the
+# diagonal only; its relabelling (1 0 1 0 1 0) puts 2/3 on the diagonal
+@example((cycle_graph(6), colorings.coloring([0, 0, 0, 0, 0, 1], 2)))
+def test_label_blind_questions_match_every_labeling(instance):
+    G, sigma = instance
+    k = sigma.k
+    for filter in ("skewed", "nice12"):
+        assert colorings.count_colorings(G, k, filter) == \
+            _filter_count_reference(G, k, filter)
+    for kappa in (0.1, 0.49, 0.5):
+        assert colorings.is_separable(G, sigma, kappa) is \
+            _is_separable_reference(G, sigma, kappa)
+
+
+def test_pair_planted_skewed_and_nice12_counts():
+    # k = 4, n = 12, d = 5: the planted pairs carry 15, 0 and 0 edges
+    # against dn/(k(k-1)) = 5, a deviation of 10 > sqrt(12) ln 12 = 8.6, so
+    # the 4! relabellings of the planted coloring are skewed
+    c = 15
+    G = graphs.sample_planted(
+        np.repeat(np.arange(4), 3), 5,
+        [[0, c, 0, 0], [c, 0, 0, 0], [0, 0, 0, c], [0, 0, c, 0]],
+        rng.stream(1, 0))
+    assert colorings.count_colorings(G, 4, "skewed") == 24
+    assert colorings.count_colorings(G, 4, "nice12") == 127320
+
+
+def test_overlap_questions_refuse_no_vertices(monkeypatch):
+    # an overlap divides by n: refused before any search; counting and
+    # deciding colorability are defined at n = 0
+    G, sigma = graphs.multigraph(0, 0, []), colorings.coloring([], 2)
+    calls = [lambda: colorings.overlap(sigma, sigma),
+             lambda: colorings.in_cluster(sigma, sigma),
+             lambda: colorings.cluster_of(G, sigma),
+             lambda: colorings.star_cluster(G, sigma),
+             lambda: colorings.is_separable(G, sigma),
+             lambda: colorings.count_pairs_with_overlap(
+                 G, 2, np.eye(2, dtype=int))]
+    monkeypatch.setattr(colorings, "_leaves", None)
+    for call in calls:
+        with pytest.raises(ValidationError,
+                           match="^overlaps need n >= 1, got n=0$"):
+            call()
+    monkeypatch.undo()
+    assert colorings.count_colorings(G, 2) == 1
+    assert colorings.is_colorable(G, 2)
+
+
 def _brute_force_predicates(G, k, sigma, proper):
     """The exhaustive predicates from `proper`, every proper assignment of
     the k^n, with overlaps and class-pair edge counts by Python loops."""
