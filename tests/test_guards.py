@@ -88,9 +88,6 @@ CASES = [
     ("MAX_COUNT_COLORS", 3, lambda: colorings.count_colorings(_cycle4(), 3)),
     ("MAX_CLUSTER_VERTICES", 4, _separable),
     ("MAX_CLUSTER_COLORS", 2, _separable),
-    # the 4-cycle's two balanced 2-colorings make 2^2 ordered pairs
-    ("MAX_OVERLAP_PAIRS", 4, lambda: colorings.count_pairs_with_overlap(
-        _cycle4(), 2, np.eye(2, dtype=int))),
     ("MAX_START_ENTRIES", (2 + 7) * 9, lambda: birkhoff.maximize_f(
         3, 5, restarts=2)),
     ("MAX_CLASS_ENTRIES", 4 * 2, lambda: _load_coloring(2)),
@@ -102,6 +99,9 @@ CASES = [
             "kind = cycle-census\nn = 4\nd = 2\nsamples = 3\n"))),
     ("MAX_CLASS_ENTRIES", 4 * 2 + 3 * 2 * 2, lambda: _count_vacant(2)),
     ("MAX_INPUT_BYTES", 8, _read_graph_file),
+    # the 4-cycle's two balanced 2-colorings make 2^2 ordered pairs
+    ("MAX_OVERLAP_PAIRS", 4, lambda: colorings.count_pairs_with_overlap(
+        _cycle4(), 2, np.eye(2, dtype=int))),
 ]
 
 
