@@ -206,12 +206,15 @@ def kappa_paper(k):
 
 def is_separable(G, sigma, kappa=0.1):
     """Overlaps above 0.51 with any balanced proper coloring are >= 1 - kappa.
-    Relabellings permute columns: one per orbit is searched.  Guarded."""
+    Relabellings permute columns: one per orbit is searched.  Guarded.  When
+    1 - kappa <= 0.51 no overlap lies between them: True, with no search."""
     if not math.isfinite(kappa):
         raise ValidationError("kappa must be a finite number, got %r"
                               % (kappa,))
     _cluster_guard(G, k := sigma.k)
     kap = kappa if isinstance(kappa, Fraction) else Fraction(kappa).limit_denominator(10 ** 9)
+    if 1 - kap <= CLUSTER_DIAG:
+        return True
     return not any(CLUSTER_DIAG < x < 1 - kap for tau, _ in
                    _leaves(G, k, [G.n // k] * k, symmetric=True)
                    for row in overlap(sigma, coloring(tau, k)) for x in row)

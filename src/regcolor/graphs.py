@@ -12,6 +12,10 @@ per-vertex view is a graph's CSR `adjacency`, int64 arrays built from the
 edge array on first use and kept on the graph, whose rows `neighbor_rows`
 gathers for a whole vertex array at once.
 
+The integer files (a graph's edge lines, a coloring's line) are written by
+`format_rows` as one uint32 word matrix per block of rows, from the one
+4-digit table `_DIGIT_WORDS`, which threshold's CSV writer also reads.
+
 A configuration on n vertices of degree d is a fixed-point-free involution of
 the dn clones; clone (v, p) is stored flat as v*d + p.  Contracting the d
 clones of each vertex yields a d-regular multigraph where a self-loop
@@ -327,18 +331,21 @@ def class_edge_matrix(G, assignment, k):
 def vertex_class_degrees(G, assignment, k, within=None):
     """n x k integer array: entry (v, j) = e(v, S cap V_j), where S is the
     set of vertices marked in the boolean mask `within` (every vertex when
-    None).  A loop at v in S adds 2 to column assignment[v]."""
+    None).  A loop at v in S adds 2 to column assignment[v].  A vertex
+    outside S is counted in a spare column k, dropped from the result, so a
+    masked count costs what an unmasked one does."""
     color = np.asarray(assignment, dtype=np.int64)
+    width = k
+    if within is not None:
+        color = np.where(within, color, k)
+        width = k + 1
     ends = G.edges
-    out = np.zeros(G.n * k, dtype=np.int64)
+    out = np.zeros(G.n * width, dtype=np.int64)
     # each edge counts once from either end: u's count of v, then v's of u
     for a, b in ((0, 1), (1, 0)):
-        src, dst = ends[:, a], ends[:, b]
-        if within is not None:
-            keep = within[dst]
-            src, dst = src[keep], dst[keep]
-        out += np.bincount(src * k + color[dst], minlength=G.n * k)
-    return out.reshape(G.n, k)
+        out += np.bincount(ends[:, a] * width + color[ends[:, b]],
+                           minlength=G.n * width)
+    return out.reshape(G.n, width)[:, :k]
 
 
 @dataclass(frozen=True)
@@ -493,15 +500,74 @@ def sample_planted(assignment, d, counts, rng):
 
 # --- graph file format: header "n d", one "u v" line per edge ---
 
-_FORMAT_BLOCK = 1 << 16  # rows per % in format_rows
+_FORMAT_BLOCK = 1 << 16  # rows per word matrix in format_rows
+
+
+def _digit_words():
+    """[v + 10^4 mode]: the 4 ASCII digits of v < 10^4 as one word, most
+    significant byte first; mode 1 drops its leading zeros, mode 2 its
+    trailing zeros, and mode 3 is mode 1 led by ','."""
+    digits = (np.arange(10 ** 4, dtype=np.int16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.int16) % 10)
+    zero = digits == 0
+    words = np.empty((4, 10 ** 4, 4), dtype=np.uint8)
+    words[:] = digits + ord("0")
+    words[1][np.logical_and.accumulate(zero, axis=1)] = 0
+    words[2][np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]] = 0
+    words[3] = words[1]
+    words[3, :, 0] = ord(",")
+    return words.view("<u4").ravel()
+
+
+# the one digit-word table: format_rows and threshold's CSV writer read it
+_DIGIT_WORDS = _digit_words()
+_ZERO_WORD = np.frombuffer(b"\0\0\0" b"0", dtype="<u4")[0]
+
+
+def _words(text):
+    """`text` as little-endian 4-byte words, NUL-padded."""
+    return np.frombuffer((text + "\0" * (-len(text) % 4)).encode("ascii"),
+                         dtype="<u4")
+
+
+def _format_block(block, head, tail):
+    """The text of `format_rows` for one block, from its word matrix."""
+    if block.min() < 0:
+        raise ValueError("format_rows writes nonnegative integers")
+    groups = -(-len(str(block.max())) // 4)
+    buffer = bytearray(4 * len(block) * (head.size + tail.size
+                                         + len(tail) * groups))
+    words = np.frombuffer(buffer, dtype="<u4").reshape(len(block), -1)
+    words[:, :head.size] = head
+    field = words[:, head.size:].reshape(len(block), len(tail), -1)
+    field[:, :, groups:] = tail
+    value = block
+    for j in range(groups - 1, -1, -1):  # lowest group first
+        high = value // 10 ** 4
+        mode = high == 0  # no group above: drop leading zeros
+        field[:, :, j] = _DIGIT_WORDS[value - 10 ** 4 * (high - mode)]
+        value = high
+    field[:, :, groups - 1][block == 0] = _ZERO_WORD
+    return buffer.translate(None, b"\0").decode("ascii")
 
 
 def format_rows(rows, fmt):
-    """`fmt` filled from each row of the 2-D int array `rows`, as str blocks:
-    one % per block, so Python ints exist for one block at a time."""
+    """`fmt`, whose fields are "%d", filled from each row of the 2-D array
+    `rows` of nonnegative integers, one field per column, as str blocks of
+    _FORMAT_BLOCK rows.
+
+    A block is one uint32 word matrix decoded once.  A row is `fmt`'s
+    leading text, then per column the value's 4-digit groups from
+    `_DIGIT_WORDS` (as many as the block's widest value has) and the text
+    after the field, each text NUL-padded to whole words.  A group above a
+    value's first digit drops its leading zeros (all four when it is 0, the
+    lowest group of 0 keeping one), and one `translate` deletes the NULs."""
+    head, *tails = (_words(text) for text in fmt.split("%d"))
+    tail = np.zeros((len(tails), max(t.size for t in tails)), dtype="<u4")
+    for row, t in zip(tail, tails):
+        row[:t.size] = t
     for start in range(0, len(rows), _FORMAT_BLOCK):
-        block = rows[start:start + _FORMAT_BLOCK]
-        yield fmt * len(block) % tuple(block.ravel().tolist())
+        yield _format_block(rows[start:start + _FORMAT_BLOCK], head, tail)
 
 
 def graph_blocks(G):

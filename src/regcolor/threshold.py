@@ -5,9 +5,11 @@ older comparison intervals.
 Every interval comes from the vectorized `threshold_scan`; a table scans
 one block of k at a time, as it is written (`format_csv`), and writes each
 block from one byte matrix (`_csv_rows`) with the bytes of '%.12g', or of
-the row expression itself where a value leaves 1 <= x < 1e11.  The endpoints
-share the large common term (2k-1) ln k, so the interval length is taken
-from the O(1) offsets and keeps full precision even when that term is ~1e7.
+the row expression itself where a value leaves 1 <= x < 1e11.  Its digits
+are words of `graphs._DIGIT_WORDS`, the table the graph writer reads.  The
+endpoints share the large common term (2k-1) ln k, so the interval length is
+taken from the O(1) offsets and keeps full precision even when that term is
+~1e7.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 from . import guards
+from .graphs import _DIGIT_WORDS
 
 AT_THRESHOLD_TOL = 1e-9
 
@@ -160,28 +163,10 @@ _CSV_BLOCK = 4096  # rows per block, each from its own threshold_scan
 # k as 16 ASCII digits; lo, hi and d_col each as ',' and 15 digit places; then
 # ',' and the method with its newline.  NUL bytes mark what a row drops
 # (leading zeros, a fraction's trailing zeros, a '.' with no fraction after
-# it, padding), and one `translate` deletes them from the whole block.
+# it, padding), and one `translate` deletes them from the whole block.  The
+# digits are words of graphs' `_DIGIT_WORDS`, the table `format_rows` reads.
 _POW10 = (10 ** np.arange(13)).astype(np.float64)     # exact: 1 .. 1e12
 _ROW_WORDS = 19
-
-
-def _digit_words():
-    """[v + 10^4 mode]: the 4 ASCII digits of v < 10^4 as one word, most
-    significant byte first; mode 1 drops its leading zeros, mode 2 its
-    trailing zeros, and mode 3 is mode 1 led by ','."""
-    digits = (np.arange(10 ** 4, dtype=np.int16)[:, None]
-              // np.array([1000, 100, 10, 1], dtype=np.int16) % 10)
-    zero = digits == 0
-    words = np.empty((4, 10 ** 4, 4), dtype=np.uint8)
-    words[:] = digits + ord("0")
-    words[1][np.logical_and.accumulate(zero, axis=1)] = 0
-    words[2][np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]] = 0
-    words[3] = words[1]
-    words[3, :, 0] = ord(",")
-    return words.view("<u4").ravel()
-
-
-_DIGIT_WORDS = _digit_words()
 _METHOD_WORDS = (np.array([b",midpoint\n", b",integer\n"], dtype="S12")
                  .view("<u4").reshape(2, 3))
 

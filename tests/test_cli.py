@@ -907,6 +907,24 @@ def test_write_streams_a_table():
     assert max(peaks) < 4 * 2 ** 20, peaks
 
 
+def test_write_streams_a_graph():
+    # a graph file is written block by block: the traced peak is a few
+    # times one block's word matrix, whatever the number of edges
+    peaks = []
+    for n in (2 ** 15, 2 ** 18):    # d = 8: 2 and 16 blocks of edges
+        G = graphs.sample_uniform(n, 8, rng.stream(1, 0))
+        tracemalloc.start()
+        try:
+            cli._write(os.devnull, graphs.graph_blocks(G))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # ids of 5-6 digits: two 4-digit groups each, a ' ' word and a '\n' one
+    matrix = 4 * (2 * 2 + 2) * graphs._FORMAT_BLOCK
+    assert max(peaks) < 5 * matrix, peaks
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
 def test_table_refusals_come_before_the_output(tmp_path, capsys):
     # at eps 0.307 the first interval of 110738..128000 holding two integers
     # is k = 127121, several blocks in: it is refused before the output opens

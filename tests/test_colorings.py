@@ -660,6 +660,35 @@ def test_label_blind_questions_match_every_labeling(instance):
             _is_separable_reference(G, sigma, kappa)
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("searched")
+
+
+def test_is_separable_needs_no_search_past_the_diagonal(monkeypatch):
+    # at 1 - kappa <= 0.51 no overlap lies in (0.51, 1 - kappa): True with
+    # no search, after the kappa and size refusals, in that order
+    H = graphs.multigraph(6, 0, [(0, 1), (2, 3), (4, 5)])
+    tau = colorings.coloring([0, 1, 0, 1, 0, 1], 2)
+    big, flat = cycle_graph(16), colorings.coloring([0, 1] * 8, 2)
+    leaves, calls = colorings._leaves, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return leaves(*args, **kwargs)
+
+    monkeypatch.setattr(colorings, "_leaves", spy)
+    assert colorings.is_separable(H, tau, 0.48) is \
+        _is_separable_reference(H, tau, 0.48)
+    assert calls
+    monkeypatch.setattr(colorings, "_leaves", _no_search)
+    for kappa in (0.49, 0.5, Fraction(49, 100), 7):
+        assert colorings.is_separable(H, tau, kappa) is True
+    with pytest.raises(ValidationError, match="finite"):
+        colorings.is_separable(big, flat, math.inf)
+    with pytest.raises(GuardError):
+        colorings.is_separable(big, flat, 0.5)
+
+
 def test_pair_planted_skewed_and_nice12_counts():
     # k = 4, n = 12, d = 5: the planted pairs carry 15, 0 and 0 edges
     # against dn/(k(k-1)) = 5, a deviation of 10 > sqrt(12) ln 12 = 8.6, so

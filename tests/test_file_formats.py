@@ -1,14 +1,18 @@
-"""The graph and coloring file parsers against their per-line forms.
+"""The graph and coloring file parsers against their per-line forms, and
+the writer against its %-formatting form.
 
 `parse_graph` and `parse_coloring` read a clean file as whole-text arrays
 and hand any other to a per-line path that words the refusal.  The oracles
 below are those per-line parsers as they stood before the array path: on
 every text, the parsers must return the same graph or coloring, or refuse
-with the same message."""
+with the same message.  `reference_format_rows` is `format_rows` as it
+stood before the word-matrix writer: both must write the same text."""
 
 import itertools
 import string
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,3 +244,41 @@ def test_block_formatting_matches_one_string(block, n, data):
     assert graph_text == "%d 0\n" % n + "".join(
         "%d %d\n" % (u, v) for u, v in G.edges.tolist())
     assert coloring_text == " ".join(map(str, colors)) + "\n"
+
+
+def reference_format_rows(rows, fmt):
+    """`fmt` filled from each row of the 2-D int array `rows`, as str blocks:
+    one % per block, so Python ints exist for one block at a time."""
+    for start in range(0, len(rows), graphs._FORMAT_BLOCK):
+        block = rows[start:start + graphs._FORMAT_BLOCK]
+        yield fmt * len(block) % tuple(block.ravel().tolist())
+
+
+# values up to 18 digits, weighted toward 0 and the edges of 4-digit groups
+_row_value = (st.sampled_from([0, 1, 9, 9999, 10 ** 4, 10 ** 4 + 1,
+                               10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1,
+                               10 ** 12, 10 ** 16 - 1, 10 ** 18 - 1])
+              | st.integers(0, 10 ** 4) | st.integers(0, 10 ** 18 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(1, " %d"), (2, "%d %d\n")]), st.integers(1, 3),
+       st.data())
+def test_format_rows_matches_percent_formatting(layout, block, data):
+    columns, fmt = layout
+    rows = np.array(data.draw(st.lists(st.lists(
+        _row_value, min_size=columns, max_size=columns), max_size=10)),
+        dtype=np.int64).reshape(-1, columns)
+    saved = graphs._FORMAT_BLOCK
+    graphs._FORMAT_BLOCK = block
+    try:
+        got = list(graphs.format_rows(rows, fmt))
+        want = list(reference_format_rows(rows, fmt))
+    finally:
+        graphs._FORMAT_BLOCK = saved
+    assert got == want
+
+
+def test_format_rows_refuses_negative_values():
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(graphs.format_rows(np.array([[3, -1]]), "%d %d\n"))

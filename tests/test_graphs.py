@@ -362,6 +362,42 @@ def test_vertex_class_degrees():
     assert deg[2].tolist() == [0, 1]
 
 
+def reference_vertex_class_degrees(G, assignment, k, within=None):
+    """vertex_class_degrees as it stood before the spare column: each
+    direction's edges compressed to those whose far end is in the mask."""
+    color = np.asarray(assignment, dtype=np.int64)
+    ends = G.edges
+    out = np.zeros(G.n * k, dtype=np.int64)
+    # each edge counts once from either end: u's count of v, then v's of u
+    for a, b in ((0, 1), (1, 0)):
+        src, dst = ends[:, a], ends[:, b]
+        if within is not None:
+            keep = within[dst]
+            src, dst = src[keep], dst[keep]
+        out += np.bincount(src * k + color[dst], minlength=G.n * k)
+    return out.reshape(G.n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.data())
+def test_masked_class_degrees_match_compressed_edges(n, k, data):
+    # loops and parallel edges as drawn; no mask, an empty, a full and a
+    # drawn one
+    vertex = st.integers(0, n - 1)
+    G = graphs.multigraph(n, 0, data.draw(st.lists(
+        st.tuples(vertex, vertex), max_size=30)))
+    color = data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                               max_size=n))
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+    for within in (None, np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                   drawn):
+        got = graphs.vertex_class_degrees(G, color, k, within)
+        want = reference_vertex_class_degrees(G, color, k, within)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_cycle_census_hand_instances():
     # loop + doubled edge + triangle through the doubled edge
     H = graphs.multigraph(3, 0, [(0, 1), (0, 1), (1, 2), (0, 2), (2, 2)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcolor import threshold
+from regcolor import graphs, threshold
 from regcolor.errors import GuardError, ValidationError
 
 
@@ -402,3 +402,10 @@ def test_scan_refuses_eps_value_without_value_mode():
                            match="^eps_value needs eps_mode=value$"):
             threshold.format_csv(3, 10, mode, 0.0)
     assert len(threshold.threshold_scan(3, 10, "value", 0.05)["k"]) == 8
+
+
+def test_one_digit_word_table():
+    # the CSV writer reads the table graphs builds for format_rows, so no
+    # second one is built at import
+    assert threshold._DIGIT_WORDS is graphs._DIGIT_WORDS
+    assert not hasattr(threshold, "_digit_words")
