@@ -163,8 +163,7 @@ _CSV_BLOCK = 4096  # rows per block, each from its own threshold_scan
 # k as 16 ASCII digits; lo, hi and d_col each as ',' and 15 digit places; then
 # ',' and the method with its newline.  NUL bytes mark what a row drops
 # (leading zeros, a fraction's trailing zeros, a '.' with no fraction after
-# it, padding), and one `translate` deletes them from the whole block.  The
-# digits are words of graphs' `_DIGIT_WORDS`, the table `format_rows` reads.
+# it, padding), and one `translate` deletes them from the whole block.
 _POW10 = (10 ** np.arange(13)).astype(np.float64)     # exact: 1 .. 1e12
 _ROW_WORDS = 19
 _METHOD_WORDS = (np.array([b",midpoint\n", b",integer\n"], dtype="S12")
