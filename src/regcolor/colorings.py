@@ -63,8 +63,12 @@ def coloring(values, k):
 
 
 def format_coloring(sigma):
-    # " c" per color, then the first space dropped: one line
-    return "".join(format_rows(sigma.assignment[:, None], " %d"))[1:] + "\n"
+    """The coloring file, its colors on one line, as str blocks."""
+    # " c" per color, the first block without its space
+    blocks = format_rows(sigma.assignment[:, None], " %d")
+    yield next(blocks, " ")[1:]
+    yield from blocks
+    yield "\n"
 
 
 def _parse_tokens(text, k):

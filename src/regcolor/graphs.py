@@ -500,7 +500,7 @@ def sample_planted(assignment, d, counts, rng):
 
 # --- graph file format: header "n d", one "u v" line per edge ---
 
-_FORMAT_BLOCK = 1 << 16  # rows per word matrix in format_rows
+_FORMAT_BLOCK = 1 << 14  # rows per word matrix in format_rows
 
 
 def _digit_words():

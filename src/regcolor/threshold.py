@@ -7,9 +7,12 @@ one block of k at a time, as it is written (`format_csv`), and writes each
 block from one byte matrix (`_csv_rows`) with the bytes of '%.12g', or of
 the row expression itself where a value leaves 1 <= x < 1e11.  Its digits
 are words of `graphs._DIGIT_WORDS`, the table the graph writer reads.  The
-endpoints share the large common term (2k-1) ln k, so the interval length is
-taken from the O(1) offsets and keeps full precision even when that term is
-~1e7.
+table also comes pre-escaped, as its JSON string form (each LF written as
+backslash and 'n'), which a JSON writer copies as it is.  The endpoints
+share the large common term (2k-1) ln k, so the interval length is taken
+from the O(1) offsets and keeps full precision even when that term is ~1e7;
+the table's refusal pass scans only the blocks where that length, plus one
+spacing of the ends, may reach 1 (`_may_refuse`).
 """
 
 import math
@@ -166,14 +169,17 @@ _CSV_BLOCK = 4096  # rows per block, each from its own threshold_scan
 # it, padding), and one `translate` deletes them from the whole block.
 _POW10 = (10 ** np.arange(13)).astype(np.float64)     # exact: 1 .. 1e12
 _ROW_WORDS = 19
-_METHOD_WORDS = (np.array([b",midpoint\n", b",integer\n"], dtype="S12")
-                 .view("<u4").reshape(2, 3))
+# [end]: ',' and each method with the row end, LF or its JSON escape
+_METHOD_WORDS = {end: np.array([",midpoint" + end, ",integer" + end],
+                               dtype="S12").view("<u4").reshape(2, 3)
+                 for end in ("\n", "\\n")}
 
 
-def _csv_row(k, lo, hi, d_col, n_integers):
+def _csv_row(k, lo, hi, d_col, n_integers, end="\n"):
     """One table row by '%.12g': the rows outside `_significant`'s domain."""
-    return ("%d,%.12g,%.12g,%.12g,%s\n"
-            % (k, lo, hi, d_col, "integer" if n_integers == 1 else "midpoint"))
+    return ("%d,%.12g,%.12g,%.12g,%s%s"
+            % (k, lo, hi, d_col, "integer" if n_integers == 1 else "midpoint",
+               end))
 
 
 def _significant(x):
@@ -205,10 +211,11 @@ def _significant(x):
     return digits, e, fraction
 
 
-def _csv_rows(scan):
-    """The rows of a threshold_scan, as `_csv_row` writes each one: a row
-    holding a value outside the domain of `_significant` is `_csv_row`
-    itself, spliced in at its offset."""
+def _csv_rows(scan, end="\n"):
+    """The rows of a threshold_scan, as `_csv_row` writes each one, each
+    ending in `end` (LF, or its JSON escape): a row holding a value outside
+    the domain of `_significant` is `_csv_row` itself, spliced in at its
+    offset."""
     n = scan["k"].size
     values = np.stack([scan["lo"], scan["hi"], scan["d_col"]], axis=1)
     inside = (values >= 1) & (values < 1e11)
@@ -216,7 +223,7 @@ def _csv_rows(scan):
     rows = zip(*(scan[key][outside].tolist()
                  for key in ("k", "lo", "hi", "d_col", "n_integers")))
     if outside.size == n:           # every row from k ~ 2.3e9 on
-        return "".join(_csv_row(*row) for row in rows)
+        return "".join(_csv_row(*row, end) for row in rows)
     numbers = np.empty((n, 4))
     numbers[:, 0] = scan["k"]
     numbers[:, 1:], e, fraction = _significant(np.where(inside, values, 1.0))
@@ -238,7 +245,8 @@ def _csv_rows(scan):
         numbers += 1e4 * mode
         words[:, j:16:4] = _DIGIT_WORDS[numbers.astype(np.intp)]
         numbers = high
-    words[:, 16:] = _METHOD_WORDS[(scan["n_integers"] == 1).astype(np.intp)]
+    words[:, 16:] = _METHOD_WORDS[end][
+        (scan["n_integers"] == 1).astype(np.intp)]
     text = words.view(np.uint8)
     np.put_along_axis(text, np.array([19, 35, 51]) + e,
                       np.where(fraction, ord("."), 0), axis=1)
@@ -249,7 +257,7 @@ def _csv_rows(scan):
     ends = np.cumsum(np.count_nonzero(text, axis=1)).tolist()
     parts, start = [], 0
     for i, row in zip(outside.tolist(), rows):
-        parts += [out[start:ends[i]], _csv_row(*row)]
+        parts += [out[start:ends[i]], _csv_row(*row, end)]
         start = ends[i]
     parts.append(out[start:])
     return "".join(parts)
@@ -257,41 +265,66 @@ def _csv_rows(scan):
 
 class TextBlocks:
     """Text as str blocks, made anew by each iteration from `make()`, an
-    iterator of them: a lazy value that can be written more than once."""
+    iterator of them: a lazy value that can be written more than once.
+    `escaped()`, when given, makes the same text already in JSON-string
+    form (each block as `json.encoder.encode_basestring_ascii` writes it,
+    without the quotes), so that a JSON writer copies it unescaped."""
 
-    def __init__(self, make):
+    def __init__(self, make, escaped=None):
         self._make = make
+        self.escaped = escaped
 
     def __iter__(self):
         return self._make()
+
+
+def _may_refuse(start, stop, eps_mode, eps_value):
+    """Whether an interval for k in [start, stop] may hold two integers, so
+    that its scan may refuse.
+
+    Two integers inside need a computed hi - lo > 1.  lo and hi are the one
+    computed base plus lo_off and hi_off, each sum rounded once, so the
+    computed hi - lo is at most hi_off - lo_off = 2 ln 2 - 1 + 2 eps plus
+    half a spacing (ulp) of each end: one spacing of the block's largest
+    end.  eps is largest at the block's first k (pow09 decreases in k).
+    While 2 eps < 1 both ends are positive and below (2k - 1) ln k + eps at
+    the block's last k, and a larger eps puts the bound past 1 anyway.  The
+    1e-9 covers the rounding of the offsets and of this bound.  (The spacing
+    is a safe overestimate: rounding is monotone and integers below 2^53 are
+    doubles, so rounding an end never carries it past an integer.)"""
+    eps = {"pow09": default_eps(start), "zero": 0.0}.get(eps_mode, eps_value)
+    top = (2 * stop - 1) * math.log(stop) * (1 + 1e-12) + eps
+    return 2 * math.log(2) - 1 + 2 * eps + math.ulp(top) + 1e-9 >= 1
 
 
 def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     """CSV table `k,lo,hi,d_col,method` for k in [k_lo, k_hi] as TextBlocks:
     the header, then one block of _CSV_BLOCK rows per threshold_scan, made as
     it is iterated, so no whole-range array or string exists.  Every refusal
-    comes at the call: a first pass over the blocks' scans refuses the first
-    interval with several integers.
+    comes at the call: a first pass over the scans of the blocks that
+    `_may_refuse` refuses the first interval with several integers.
 
     A block is one byte matrix (`_csv_rows`) that holds each value's 12
     significant digits exactly as '%.12g' rounds them, decoded once; a row
     with a value outside 1 <= x < 1e11 (every row past k ~ 2.3e9, where the
-    ends reach 1e11) is the per-row expression `_csv_row`, spliced in."""
+    ends reach 1e11) is the per-row expression `_csv_row`, spliced in.  The
+    text is ASCII digits, letters, ',', '.', '+', '-' and LF, so its JSON
+    string form (`escaped`) is the same blocks with each LF written as the
+    two characters backslash and 'n'."""
     _check_scan(k_lo, k_hi, eps_mode, eps_value)
+    ranges = [(start, min(start + _CSV_BLOCK - 1, k_hi))
+              for start in range(k_lo, k_hi + 1, _CSV_BLOCK)]
+    for start, stop in ranges:
+        if _may_refuse(start, stop, eps_mode, eps_value):
+            _refuse_several_integers(threshold_scan(start, stop, eps_mode,
+                                                    eps_value))
 
-    def scans():
-        for start in range(k_lo, k_hi + 1, _CSV_BLOCK):
-            yield threshold_scan(start, min(start + _CSV_BLOCK - 1, k_hi),
-                                 eps_mode, eps_value)
-
-    for scan in scans():
-        _refuse_several_integers(scan)
-
-    def blocks():
-        yield "k,lo,hi,d_col,method\n"
-        for scan in scans():
-            yield _csv_rows(scan)
-    return TextBlocks(blocks)
+    def blocks(end="\n"):
+        yield "k,lo,hi,d_col,method" + end
+        for start, stop in ranges:
+            yield _csv_rows(threshold_scan(start, stop, eps_mode, eps_value),
+                            end)
+    return TextBlocks(blocks, lambda: blocks("\\n"))
 
 
 def smallest_reliable_k(k_max=10 ** 6, eps_mode="pow09", eps_value=None):

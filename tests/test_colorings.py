@@ -26,7 +26,7 @@ def test_coloring_basics():
     assert sigma.class_sizes() == [2, 1, 1]
     with pytest.raises(ValidationError):
         colorings.coloring([0, 3], 3)
-    text = colorings.format_coloring(sigma)
+    text = "".join(colorings.format_coloring(sigma))
     assert colorings.parse_coloring(text, 3) == sigma
     with pytest.raises(ValidationError, match="'x'"):
         colorings.parse_coloring("0 1 x", 3)
@@ -43,8 +43,8 @@ def test_coloring_is_one_value_whatever_it_is_built_from(k, data):
         assert a.dtype == np.int64 and a.shape == (len(values),)
         assert not a.flags.writeable
         assert sigma == built[0] and hash(sigma) == hash(built[0])
-        assert colorings.parse_coloring(colorings.format_coloring(sigma),
-                                        k) == sigma
+        assert colorings.parse_coloring(
+            "".join(colorings.format_coloring(sigma)), k) == sigma
     assert len(set(built)) == 1
     # the builder copies: a later write to its input changes nothing
     source = np.array(values + [0], dtype=np.int64)

@@ -6,17 +6,22 @@ and hand any other to a per-line path that words the refusal.  The oracles
 below are those per-line parsers as they stood before the array path: on
 every text, the parsers must return the same graph or coloring, or refuse
 with the same message.  `reference_format_rows` is `format_rows` as it
-stood before the word-matrix writer: both must write the same text."""
+stood before the word-matrix writer, and `reference_format_coloring` is
+`format_coloring` as it stood before it wrote blocks: both pairs must write
+the same text."""
 
 import itertools
+import os
 import string
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcolor import colorings, graphs, rng
+from regcolor import cli, colorings, graphs, rng
 from regcolor.errors import ValidationError
 
 
@@ -164,8 +169,8 @@ def test_parse_graph_matches_per_line_parser(text):
 @given(st.integers(1, 5), st.data())
 def test_parse_coloring_matches_per_token_parser(k, data):
     values = data.draw(st.lists(st.integers(0, k), max_size=12))
-    text = data.draw(mutated(colorings.format_coloring(
-        colorings.coloring(values, k + 1)), k))
+    text = data.draw(mutated("".join(colorings.format_coloring(
+        colorings.coloring(values, k + 1))), k))
     assert outcome(colorings.parse_coloring, text, k) == outcome(
         reference_parse_coloring, text, k)
 
@@ -188,7 +193,8 @@ def test_parsers_agree_on_every_single_token_edit():
             assert outcome(graphs.parse_graph, text) == outcome(
                 reference_parse_graph, text), text
     sigma = colorings.coloring([0, 2, 1, 1], 3)
-    for text in single_token_edits(colorings.format_coloring(sigma), 3):
+    for text in single_token_edits("".join(colorings.format_coloring(sigma)),
+                                   3):
         assert outcome(colorings.parse_coloring, text, 3) == outcome(
             reference_parse_coloring, text, 3), text
 
@@ -221,8 +227,8 @@ def test_clean_files_take_the_array_path(monkeypatch):
             assert graphs.parse_graph(
                 text.replace("\n", "\r\n") if crlf else text) == G
         sigma = colorings.coloring([v % 3 for v in range(n)], 3)
-        assert colorings.parse_coloring(colorings.format_coloring(sigma),
-                                        3) == sigma
+        assert colorings.parse_coloring(
+            "".join(colorings.format_coloring(sigma)), 3) == sigma
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,8 +243,8 @@ def test_block_formatting_matches_one_string(block, n, data):
     graphs._FORMAT_BLOCK = block
     try:
         graph_text = graphs.format_graph(G)
-        coloring_text = colorings.format_coloring(
-            colorings.coloring(colors, 3))
+        coloring_text = "".join(colorings.format_coloring(
+            colorings.coloring(colors, 3)))
     finally:
         graphs._FORMAT_BLOCK = saved
     assert graph_text == "%d 0\n" % n + "".join(
@@ -282,3 +288,37 @@ def test_format_rows_matches_percent_formatting(layout, block, data):
 def test_format_rows_refuses_negative_values():
     with pytest.raises(ValueError, match="nonnegative"):
         list(graphs.format_rows(np.array([[3, -1]]), "%d %d\n"))
+
+
+def reference_format_coloring(sigma):
+    """The coloring file as one string, joined from `format_rows`."""
+    return "".join(graphs.format_rows(sigma.assignment[:, None],
+                                      " %d"))[1:] + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.data())
+def test_coloring_blocks_join_to_the_one_string(k, block, data):
+    # blocks of 1-3 colors, so that the first block's space and the final
+    # newline meet block edges; and the empty coloring
+    sigma = colorings.coloring(data.draw(st.lists(st.integers(0, k - 1),
+                                                  max_size=10)), k)
+    with mock.patch.object(graphs, "_FORMAT_BLOCK", block):
+        blocks = list(colorings.format_coloring(sigma))
+        want = reference_format_coloring(sigma)
+    assert "".join(blocks) == want
+    assert len(blocks) == max(1, -(-sigma.n // block)) + 1
+
+
+def test_coloring_file_streams():
+    # a coloring file is written block by block: the traced peak stays well
+    # below its text (2 MB of 10^6 colors), which one string held twice
+    sigma = colorings.coloring(np.arange(10 ** 6) % 7, 7)
+    size = len(reference_format_coloring(sigma))
+    tracemalloc.start()
+    try:
+        cli._write(os.devnull, colorings.format_coloring(sigma))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 2, (peak, size)

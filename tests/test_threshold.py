@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import re
 from decimal import Decimal, localcontext
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcolor import graphs, threshold
+from regcolor import cli, graphs, threshold
 from regcolor.errors import GuardError, ValidationError
 
 
@@ -316,6 +319,68 @@ def test_format_csv_guard_message(k_lo, k_hi, eps):
         record_csv(k_lo, k_hi, eps)
     assert str(scan_err.value) == str(rec_err.value)
     assert "contains 2 integers" in str(scan_err.value)
+
+
+def refuse_every_block(k_lo, k_hi, eps_mode, eps_value):
+    """format_csv's refusal pass as it stood before it skipped blocks: the
+    scan of every block, in order."""
+    for start in range(k_lo, k_hi + 1, threshold._CSV_BLOCK):
+        threshold._refuse_several_integers(threshold.threshold_scan(
+            start, min(start + threshold._CSV_BLOCK - 1, k_hi), eps_mode,
+            eps_value))
+
+
+def refusal(call, *args):
+    """The message of the GuardError `call(*args)` raises, or None."""
+    try:
+        call(*args)
+    except GuardError as exc:
+        return str(exc)
+    return None
+
+
+# eps where the interval length 2 ln 2 - 1 + 2 eps crosses 1, and k up to the
+# last one a scan takes, where the ends are 1/8 to 1/2 apart as doubles
+_crossing_eps = st.tuples(st.just("value"), st.floats(0.3060, 0.3075))
+_k_lo = st.one_of(st.integers(3, 3 * 10 ** 5), st.integers(3, K_LAST),
+                  st.integers(K_LAST // 8, K_LAST))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_k_lo, st.integers(0, 3 * threshold._CSV_BLOCK),
+       _crossing_eps | st.sampled_from([("pow09", None), ("zero", None)]))
+def test_refusal_pass_matches_scanning_every_block(k_lo, span, eps):
+    k_hi = min(k_lo + span, K_LAST)
+    assert (refusal(threshold.format_csv, k_lo, k_hi, *eps)
+            == refusal(refuse_every_block, k_lo, k_hi, *eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(3, K_LAST),
+                 st.sampled_from([3, K_1E11, K_1E12, K_LAST]).flatmap(
+                     lambda k: st.integers(k - 3 * threshold._CSV_BLOCK, k))),
+       st.integers(0, 3 * threshold._CSV_BLOCK),
+       st.sampled_from([("pow09", None), ("zero", None)])
+       | st.tuples(st.just("value"), st.floats(0, 0.3)))
+def test_json_string_form_is_the_escaped_table(k_lo, span, eps):
+    # the table's own JSON string form, written unescaped, is the JSON
+    # string of its text, across the rows past 1e11 and 1e12; and the text
+    # is the per-row '%.12g' of its scan
+    k_lo = max(k_lo, 3)
+    k_hi = min(k_lo + span, K_LAST)
+    try:
+        table = threshold.format_csv(k_lo, k_hi, *eps)
+    except GuardError:
+        return
+    text = "".join(table)
+    scan = threshold.threshold_scan(k_lo, k_hi, *eps)
+    values = np.stack([scan["lo"], scan["hi"], scan["d_col"]], axis=1)
+    assert text == "k,lo,hi,d_col,method\n" + percent_g_rows(
+        scan["k"].tolist(), values.ravel().tolist(), scan["n_integers"])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._write(None, {"table": table})
+    assert out.getvalue() == json.dumps({"table": text}, sort_keys=True,
+                                        indent=2) + "\n"
 
 
 def test_huge_eps_refusals():
