@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
+from .colorings import CLUSTER_DIAG
 from .moments import _check_doubly_stochastic, ds_residuals, f_entries
 
 ARMIJO = 1e-4
@@ -91,7 +92,7 @@ def classify_stability(rho, kappa=0.1):
     is >= 1-kappa; label 's-stable' or 'non-separable'."""
     r = _check_doubly_stochastic(rho)
     s = int((r >= 1 - kappa).sum())
-    separable = bool(((r <= 0.51) | (r >= 1 - kappa)).all())
+    separable = bool(((r <= float(CLUSTER_DIAG)) | (r >= 1 - kappa)).all())
     return StabilityReport(s, separable, "%d-stable" % s if separable
                            else "non-separable")
 

@@ -27,7 +27,8 @@ MAX_TABLE_ROWS = 4 * 10 ** 6
 MAX_START_ENTRIES = 10 ** 7
 
 # a coloring file refuses more n k class-degree or k^2 class-edge entries:
-# `core` and `nice` take about 20 B per entry.  `vacant` also refuses more
+# `core` peaks at 29 B per entry of n k traced (290 MB at the bound), `nice`
+# at 24 B per entry of k^2.  `vacant` also refuses more
 # n k + 3 k^2 (its n k entries in k^2 "i,j" groups): 57-66 B per unit, that
 # is 66 B per vacant entry at k << n and 260 B at k ~ n
 MAX_CLASS_ENTRIES = 10 ** 7
@@ -39,8 +40,12 @@ MAX_CLASS_ENTRIES = 10 ** 7
 MAX_INPUT_BYTES = 8 * 10 ** 7
 
 # experiment specs refuse more samples: the cheapest kind takes 50 us a
-# sample (cycle-census, n = 2, d = 1, L = 1) and the metric lists 32 B per
-# metric per sample, 50 s and near 370 MiB (12 metrics at L = 12) at the bound
+# sample (cycle-census, n = 2, d = 1, L = 1), 50 s at the bound, and its
+# one metric list and the copies that summarize it peak at
+# 32 B per metric per sample traced.  A value that is its own object adds its
+# size: the two float metrics of vacant-fractions take 45 B per metric per
+# sample, and 12 metrics of ints past 256 (28 B each) would take near 460 MB
+# at the bound
 MAX_EXPERIMENT_SAMPLES = 10 ** 6
 
 # exact rational partition probability (big factorials stay cheap here)

@@ -10,9 +10,9 @@ are words of `graphs._DIGIT_WORDS`, the table the graph writer reads.  The
 table also comes pre-escaped, as its JSON string form (each LF written as
 backslash and 'n'), which a JSON writer copies as it is.  The endpoints
 share the large common term (2k-1) ln k, so the interval length is taken
-from the O(1) offsets and keeps full precision even when that term is ~1e7;
-the table's refusal pass scans only the blocks where that length, plus one
-spacing of the ends, may reach 1 (`_may_refuse`).
+from the O(1) offsets (`_offsets`) and keeps full precision even when that
+term is ~1e7; the table's refusal pass scans only the blocks where that
+length reaches 1.
 """
 
 import math
@@ -109,20 +109,25 @@ def _check_scan(k_lo, k_hi, eps_mode, eps_value):
         raise ValidationError("unknown eps_mode %r" % (eps_mode,))
 
 
-def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
-    """Vectorized records for k in [k_lo, k_hi]: returns a dict of arrays
-    (k, lo, hi, length, n_integers, d_col).  eps_mode: pow09 | zero | value."""
-    _check_scan(k_lo, k_hi, eps_mode, eps_value)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+def _offsets(ks, eps_mode, eps_value):
+    """I_k's ends less (2k-1) ln k for the float array ks: (-2 ln 2 - eps,
+    -1 + eps), eps by eps_mode."""
     if eps_mode == "pow09":
         eps = ks ** -0.9
     elif eps_mode == "zero":
         eps = np.zeros_like(ks)
     else:
         eps = np.full_like(ks, float(eps_value))
+    return -2 * math.log(2) - eps, -1 + eps
+
+
+def threshold_scan(k_lo, k_hi, eps_mode="pow09", eps_value=None):
+    """Vectorized records for k in [k_lo, k_hi]: returns a dict of arrays
+    (k, lo, hi, length, n_integers, d_col).  eps_mode: pow09 | zero | value."""
+    _check_scan(k_lo, k_hi, eps_mode, eps_value)
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+    lo_off, hi_off = _offsets(ks, eps_mode, eps_value)
     base = (2 * ks - 1) * np.log(ks)
-    lo_off = -2 * math.log(2) - eps
-    hi_off = -1 + eps
     lo = base + lo_off
     hi = base + hi_off
     # integers strictly inside (lo, hi); an integer endpoint is outside
@@ -278,31 +283,15 @@ class TextBlocks:
         return self._make()
 
 
-def _may_refuse(start, stop, eps_mode, eps_value):
-    """Whether an interval for k in [start, stop] may hold two integers, so
-    that its scan may refuse.
-
-    Two integers inside need a computed hi - lo > 1.  lo and hi are the one
-    computed base plus lo_off and hi_off, each sum rounded once, so the
-    computed hi - lo is at most hi_off - lo_off = 2 ln 2 - 1 + 2 eps plus
-    half a spacing (ulp) of each end: one spacing of the block's largest
-    end.  eps is largest at the block's first k (pow09 decreases in k).
-    While 2 eps < 1 both ends are positive and below (2k - 1) ln k + eps at
-    the block's last k, and a larger eps puts the bound past 1 anyway.  The
-    1e-9 covers the rounding of the offsets and of this bound.  (The spacing
-    is a safe overestimate: rounding is monotone and integers below 2^53 are
-    doubles, so rounding an end never carries it past an integer.)"""
-    eps = {"pow09": default_eps(start), "zero": 0.0}.get(eps_mode, eps_value)
-    top = (2 * stop - 1) * math.log(stop) * (1 + 1e-12) + eps
-    return 2 * math.log(2) - 1 + 2 * eps + math.ulp(top) + 1e-9 >= 1
-
-
 def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     """CSV table `k,lo,hi,d_col,method` for k in [k_lo, k_hi] as TextBlocks:
     the header, then one block of _CSV_BLOCK rows per threshold_scan, made as
     it is iterated, so no whole-range array or string exists.  Every refusal
-    comes at the call: a first pass over the scans of the blocks that
-    `_may_refuse` refuses the first interval with several integers.
+    comes at the call: a first pass refuses the first interval with several
+    integers, scanning the blocks whose offsets at their first k (eps is
+    largest there) are at least 1 apart.  Rounding the ends, one base plus
+    each offset, is monotone and integers are doubles, so two integers
+    inside need the offsets more than 1 apart.
 
     A block is one byte matrix (`_csv_rows`) that holds each value's 12
     significant digits exactly as '%.12g' rounds them, decoded once; a row
@@ -314,10 +303,11 @@ def format_csv(k_lo, k_hi, eps_mode="pow09", eps_value=None):
     _check_scan(k_lo, k_hi, eps_mode, eps_value)
     ranges = [(start, min(start + _CSV_BLOCK - 1, k_hi))
               for start in range(k_lo, k_hi + 1, _CSV_BLOCK)]
-    for start, stop in ranges:
-        if _may_refuse(start, stop, eps_mode, eps_value):
-            _refuse_several_integers(threshold_scan(start, stop, eps_mode,
-                                                    eps_value))
+    lo_off, hi_off = _offsets(np.arange(k_lo, k_hi + 1, _CSV_BLOCK,
+                                        dtype=np.float64), eps_mode, eps_value)
+    for i in np.flatnonzero(hi_off - lo_off >= 1).tolist():
+        _refuse_several_integers(threshold_scan(*ranges[i], eps_mode,
+                                                eps_value))
 
     def blocks(end="\n"):
         yield "k,lo,hi,d_col,method" + end

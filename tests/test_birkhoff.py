@@ -176,6 +176,16 @@ def test_hessian_matches_finite_differences():
         assert np.abs(H[a] - fd_row).max() < 1e-5
 
 
+def test_grad_and_hessian_refuse_a_boundary_point():
+    # the identity is doubly stochastic but has zero entries, where the
+    # log terms of f are unbounded
+    ident = np.eye(3)
+    with pytest.raises(ValidationError, match="gradient needs interior rho"):
+        birkhoff.grad_f(ident, 5)
+    with pytest.raises(ValidationError, match="Hessian needs interior rho"):
+        birkhoff.hessian_f(ident, 5)
+
+
 def test_gradient_zero_at_flat():
     for k, d in [(3, 5), (5, 20), (10, 80)]:
         flat = np.full((k, k), 1 / k)

@@ -324,6 +324,17 @@ def test_help_exits_zero(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: regcolor")
 
 
+def test_internal_error_exits_1(monkeypatch, capsys):
+    # a fault inside the library is exit 1 and one line naming it, and no
+    # output is written
+    def fail(k, d):
+        raise RuntimeError("rate table lost")
+    monkeypatch.setattr(moments, "first_moment_rate", fail)
+    assert run(["rates", "--k", "3", "--d", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "internal error: rate table lost\n")
+
+
 def test_float_overflow_refusals(tmp_path, capsys):
     # integers whose float arithmetic would overflow are refused, not an
     # internal error: 2k - 1 in dplus, 2 ell ln k in the W/U/Y sets

@@ -161,6 +161,33 @@ def _optimizer_starts():
             (restarts + 7) * 9)
 
 
+def _core_classes():
+    # `core` with k = 250 colors on a d = 2 graph, where the n k entries of
+    # its class-degree tables and masks outweigh the graph
+    n, k = 2000, 250
+    graph = graphs.format_graph(graphs.sample_uniform(n, 2, rng.stream(1, 0)))
+
+    def call():
+        with tempfile.TemporaryDirectory() as tmp:
+            gpath, cpath = Path(tmp) / "g.txt", Path(tmp) / "c.txt"
+            gpath.write_text(graph)
+            cpath.write_text(" ".join(str(v % k) for v in range(n)) + "\n")
+            cli.cmd_core(cli.build_parser().parse_args([
+                "--out", os.devnull, "core", "--graph", str(gpath),
+                "--coloring", str(cpath), "--k", str(k), "--ell", "1"]))
+    return call, n * k
+
+
+def _experiment_samples():
+    # the cheapest kind, with its one metric of small ints (shared objects);
+    # a warm call first
+    spec = "kind = cycle-census\nn = 2\nd = 1\nL = 1\nsamples = %d\n"
+    experiments.run_experiment(experiments.parse_spec(spec % 3))
+    samples = 2000
+    return (lambda: experiments.run_experiment(experiments.parse_spec(
+        spec % samples)), samples)
+
+
 # (constant, bytes per unit in its comment, the unit, a set-up returning
 # the traced call and its number of units)
 COSTS = [
@@ -171,6 +198,8 @@ COSTS = [
     ("MAX_TABLE_ROWS", 89, "row",
      lambda: (lambda: threshold.threshold_scan(3, 10 ** 4 + 2), 10 ** 4)),
     ("MAX_START_ENTRIES", 52, "entry", _optimizer_starts),
+    ("MAX_CLASS_ENTRIES", 29, "entry", _core_classes),
+    ("MAX_EXPERIMENT_SAMPLES", 32, "metric per sample", _experiment_samples),
 ]
 
 

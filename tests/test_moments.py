@@ -29,6 +29,8 @@ def test_kl_divergence_basics():
     assert abs(val - (0.8 * math.log(1.6) + 0.2 * math.log(0.4))) < 1e-14
     with pytest.raises(ValidationError, match="index 1"):
         moments.kl_divergence([0.5, 0.5], [1.0, 0.0])
+    with pytest.raises(ValidationError, match="KL needs equal shapes"):
+        moments.kl_divergence([0.5, 0.5], [0.25, 0.25, 0.5])
     # zero in mu where nu positive is fine
     assert moments.kl_divergence([0.0, 1.0], [0.5, 0.5]) == math.log(2)
 
@@ -56,6 +58,8 @@ def test_kl_bernoulli_matches_vector_form():
 def test_phi_and_chernoff():
     assert moments.phi(0) == 0.0
     assert moments.phi(-1) == 1.0
+    with pytest.raises(ValidationError, match=re.escape("[-1, inf)")):
+        moments.phi(-1.5)
     assert abs(moments.phi(1) - (2 * math.log(2) - 1)) < 1e-14
     up, lo = moments.chernoff_bounds(10.0, 5.0)
     assert up == math.exp(-10 * moments.phi(0.5))
@@ -313,6 +317,8 @@ def test_first_moment_rate():
     for k, d in [(3, 4), (4, 7), (5, 12)]:
         assert abs(moments.first_moment_rate_profile([1 / k] * k, d) -
                    moments.first_moment_rate(k, d)) < 1e-12
+    with pytest.raises(ValidationError, match="probability distribution"):
+        moments.first_moment_rate_profile([0.5, 0.4], 3)
 
 
 def test_balanced_first_moment_against_exact():

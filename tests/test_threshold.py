@@ -355,6 +355,23 @@ def test_refusal_pass_matches_scanning_every_block(k_lo, span, eps):
             == refusal(refuse_every_block, k_lo, k_hi, *eps))
 
 
+# threshold_scan calls for format_csv(3, 50000, ...) made and iterated: its
+# 13 blocks are each scanned to be written, and scanned first for refusals
+# where the interval length at the block's first k reaches 1: only the first
+# block (eps_3 = 0.372) for pow09, none for zero or eps 0.2 (length 0.386 and
+# 0.786), and every block for eps 0.30686 (length 1.0000144), which no k in
+# 3..50000 refuses
+@pytest.mark.parametrize("eps, calls", [
+    (("pow09", None), 14), (("zero", None), 13), (("value", 0.2), 13),
+    (("value", 0.30686), 26)])
+def test_refusal_pass_scans_only_blocks_that_may_refuse(eps, calls):
+    with mock.patch.object(threshold, "threshold_scan",
+                           wraps=threshold.threshold_scan) as scan:
+        for _ in threshold.format_csv(3, 50000, *eps):
+            pass
+    assert scan.call_count == calls
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.integers(3, K_LAST),
                  st.sampled_from([3, K_1E11, K_1E12, K_LAST]).flatmap(
