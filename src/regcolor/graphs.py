@@ -348,12 +348,27 @@ def vertex_class_degrees(G, assignment, k, within=None):
     return out.reshape(G.n, width)[:, :k]
 
 
+_HASH = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd: Fibonacci hashing
+
+
+def _slots(keys, bits):
+    """Fibonacci hash of the int64 `keys` into range(2**bits): the top bits
+    of keys * _HASH mod 2^64."""
+    slot = keys.view(np.uint64) * np.uint64(_HASH)
+    slot >>= np.uint64(64 - bits)
+    return slot.view(np.int64)
+
+
 @dataclass(frozen=True)
 class CycleCensus:
     counts: tuple  # counts[j-1] = number of j-cycles, j = 1..L
 
     def __getitem__(self, j):
-        return self.counts[j - 1]
+        """The number of j-cycles; j outside 1..L is refused."""
+        L = len(self.counts)
+        if 1 <= j <= L:
+            return self.counts[j - 1]
+        raise IndexError("cycle length %r is not in 1..%d" % (j, L))
 
 
 def _weighted_triangles(n, key, mult):
@@ -362,24 +377,57 @@ def _weighted_triangles(n, key, mult):
     weighted by the product of its three multiplicities.
 
     Id-ordered wedge count: each key pairs with the later keys of its run of
-    equal u (the forward row of u), and the closing edges, argsorted, are
+    equal u (the forward row of u), and the closing edge of each wedge is
     looked up among the keys.  A triangle's lowest vertex sees its other two
     in its forward row, so the triangle is found once.  The wedges number
     sum_u C(fdeg(u), 2): about n d (d - 1) / 6 on d-regular input, but
     C(D, 2) for a hub of degree D at a low id.
+
+    Few wedges close, so each closing edge is first checked in a table of
+    2^ceil(log2 8m) bools marked at the hashes of the m keys: a clear slot
+    means it is no key.  Only the survivors (about 10%) are argsorted and
+    looked up.  The wedges are made one offset s at a time, key p with key
+    p + s while both are in one row, so beside key, mult and the table only
+    one bool per key (is the next key in the same row?) is kept.
     """
-    u, v = np.divmod(key, n)
-    # key p pairs with the keys p+1 .. end-1 of its run, in that order
-    later = np.cumsum(np.bincount(u, minlength=n))[u] - np.arange(u.size) - 1
-    del u
-    wedges = int(later.sum())
+    row = key // n
+    fdeg = np.bincount(row)
+    wedges = int((fdeg * (fdeg - 1) // 2).sum())
+    del fdeg
     guards.check(wedges, "MAX_CENSUS_WEDGES", "wedges", "wedge")
-    second = np.arange(wedges) + np.repeat(
-        np.arange(1, later.size + 1) - np.cumsum(later) + later, later)
-    # v ascends within a run, so each closing key is a (lower, higher) pair
-    closing = np.repeat(v * n, later) + v[second]
-    wedge = np.repeat(mult, later) * mult[second]
-    del later, second, v
+    if not wedges:
+        return 0
+    # same[p]: key p + 1 is in key p's row (the last key has no successor)
+    same = np.zeros(key.size, dtype=bool)
+    np.equal(row[:-1], row[1:], out=same[:-1])
+    del row
+    bits = (8 * key.size - 1).bit_length()
+    table = np.zeros(1 << bits, dtype=bool)
+    table[_slots(key, bits)] = True
+    # q: the later key of each wedge at offset s, paired with key q - s
+    closings, weights = [], []
+    q, s = np.flatnonzero(same) + 1, 1
+    while q.size:
+        # v ascends within a row, so each closing key is a (lower, higher)
+        # pair; made in place, one wedge-sized temporary at a time
+        closing = key[q - s]
+        closing %= n
+        closing *= n
+        end = key[q]
+        end %= n
+        closing += end
+        del end
+        keep = table[_slots(closing, bits)]
+        closings.append(closing[keep])
+        kept = q[keep]
+        weights.append(mult[kept - s] * mult[kept])
+        del closing
+        q = q[same[q]]
+        q += 1
+        s += 1
+    del same, table, q
+    closing, wedge = np.concatenate(closings), np.concatenate(weights)
+    del closings, weights
     order = np.argsort(closing)
     closing, wedge = closing[order], wedge[order]
     del order

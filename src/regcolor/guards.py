@@ -68,7 +68,9 @@ MAX_OVERLAP_PAIRS = 10 ** 8
 MAX_CYCLE_LENGTH = 12
 
 # cycle_census refuses more triangle wedges sum_v C(fdeg(v), 2), fdeg(v) the
-# edges to higher ids: 42 B per wedge traced (n = 10^5, d = 12, 24), 400 MiB
+# edges to higher ids: 13 B per wedge traced (n = 10^4, d = 12; 14 B at
+# n = 10^5, 7 B at d = 24), of which 2-4 B at d = 12 is the hash filter's
+# table of 8-16 B per distinct edge; 140 MB at the bound
 MAX_CENSUS_WEDGES = 10 ** 7
 
 # exhaustive subset search in the density falsifier (a branch, not a refusal)

@@ -407,6 +407,10 @@ def test_cycle_census_hand_instances():
     census = graphs.cycle_census(K4, 4)
     assert census.counts == (0, 0, 4, 3)
     assert census[3] == 4
+    for j in (0, -1, 5):  # outside 1..L
+        with pytest.raises(IndexError,
+                           match=r"^cycle length %d is not in 1\.\.4$" % j):
+            census[j]
     # triple edge: 3 choose 2 = 3 two-cycles
     T = graphs.multigraph(2, 3, [(0, 1)] * 3)
     assert graphs.cycle_census(T, 2).counts == (0, 3)
@@ -542,15 +546,54 @@ def reference_weighted_triangles(n, key, mult):
     return int((wedge[hit] * mult[pos[hit]]).sum())
 
 
+def reference_id_ordered_triangles(n, key, mult):
+    """Triangles of the multigraph whose distinct non-loop edges are
+    key = u*n + v (u < v, sorted, unique) with multiplicities `mult`, each
+    weighted by the product of its three multiplicities.
+
+    Id-ordered wedge count: each key pairs with the later keys of its run of
+    equal u (the forward row of u), and the closing edges, argsorted, are
+    looked up among the keys.  A triangle's lowest vertex sees its other two
+    in its forward row, so the triangle is found once.  The wedges number
+    sum_u C(fdeg(u), 2): about n d (d - 1) / 6 on d-regular input, but
+    C(D, 2) for a hub of degree D at a low id.
+    """
+    u, v = np.divmod(key, n)
+    # key p pairs with the keys p+1 .. end-1 of its run, in that order
+    later = np.cumsum(np.bincount(u, minlength=n))[u] - np.arange(u.size) - 1
+    del u
+    wedges = int(later.sum())
+    guards.check(wedges, "MAX_CENSUS_WEDGES", "wedges", "wedge")
+    second = np.arange(wedges) + np.repeat(
+        np.arange(1, later.size + 1) - np.cumsum(later) + later, later)
+    # v ascends within a run, so each closing key is a (lower, higher) pair
+    closing = np.repeat(v * n, later) + v[second]
+    wedge = np.repeat(mult, later) * mult[second]
+    del later, second, v
+    order = np.argsort(closing)
+    closing, wedge = closing[order], wedge[order]
+    del order
+    pos = np.minimum(np.searchsorted(key, closing), key.size - 1)
+    hit = key[pos] == closing
+    return int((wedge[hit] * mult[pos[hit]]).sum())
+
+
+def distinct_edges(G):
+    """The distinct non-loop edges of G by np.unique: sorted keys
+    u*n + v (u < v) and their multiplicities."""
+    u, v = G.edges.T
+    loop = u == v
+    return np.unique(u[~loop] * G.n + v[~loop], return_counts=True)
+
+
 def reference_short_census(G):
     """The counts of j = 1, 2, 3 as the degree-ordered census made them:
     the distinct edges by np.unique, the triangles by
     reference_weighted_triangles."""
-    u, v = G.edges.T
-    loop = u == v
-    key, mult = np.unique(u[~loop] * G.n + v[~loop], return_counts=True)
+    key, mult = distinct_edges(G)
     triangles = reference_weighted_triangles(G.n, key, mult) if key.size else 0
-    return int(loop.sum()), int((mult * (mult - 1) // 2).sum()), triangles
+    loops = int((G.edges[:, 0] == G.edges[:, 1]).sum())
+    return loops, int((mult * (mult - 1) // 2).sum()), triangles
 
 
 @settings(max_examples=60, deadline=None)
@@ -567,6 +610,72 @@ def test_short_census_matches_degree_order_on_samples(n, d, seed):
 @given(_skewed_multigraphs())
 def test_short_census_matches_degree_order_on_skewed(G):
     assert graphs.cycle_census(G, 3).counts == reference_short_census(G)
+
+
+def assert_triangles_match_id_order(G):
+    key, mult = distinct_edges(G)
+    assert graphs._weighted_triangles(G.n, key, mult) == (
+        reference_id_ordered_triangles(G.n, key, mult))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_skewed_multigraphs())
+def test_filtered_triangles_match_id_order_on_skewed(G):
+    assert_triangles_match_id_order(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_filtered_triangles_match_id_order_on_samples(n, d, seed):
+    if n * d % 2:
+        n += 1
+    assert_triangles_match_id_order(
+        graphs.sample_uniform(n, d, rng.stream(seed, 0)))
+
+
+def test_saturated_filter_keeps_counts_exact(monkeypatch):
+    # with _HASH = 0 every key and every closing edge hashes to slot 0, so
+    # every wedge passes the filter and only the lookup decides
+    samples = [graphs.sample_uniform(n, d, rng.stream(seed, 0))
+               for n, d, seed in [(2000, 3, 1), (600, 12, 2), (3000, 4, 3)]]
+    K4 = graphs.multigraph(4, 3, list(itertools.combinations(range(4), 2)))
+    hand = graphs.multigraph(4, 0, [(0, 1), (0, 1), (1, 2), (0, 2), (0, 2),
+                                    (0, 2), (2, 3), (1, 3), (2, 2)])
+    monkeypatch.setattr(graphs, "_HASH", 0)
+    assert not graphs._slots(np.arange(1, 100), 10).any()
+    for G in samples + [K4, hand]:
+        assert_triangles_match_id_order(G)
+        assert graphs.cycle_census(G, 3).counts == reference_short_census(G)
+    assert graphs.cycle_census(hand, 3).counts == (1, 1 + 3, 6 + 1)
+
+
+def test_filter_drops_most_wedges_that_do_not_close():
+    # the m keys mark at most m of the 2^ceil(log2 8m) slots; a wedge that
+    # does not close passes about as often as a random slot is marked
+    G = graphs.sample_uniform(10 ** 4, 3, rng.stream(1, 0))
+    key, _ = distinct_edges(G)
+    bits = (8 * key.size - 1).bit_length()
+    table = np.zeros(1 << bits, dtype=bool)
+    table[graphs._slots(key, bits)] = True
+    # on cubic input each forward row holds at most 3 keys
+    u, v = np.divmod(key, G.n)
+    closing = np.setdiff1d(np.concatenate(
+        [(v[:-s] * G.n + v[s:])[u[:-s] == u[s:]] for s in (1, 2)]), key)
+    passed = table[graphs._slots(closing, bits)].mean()
+    assert closing.size > 9000 and passed < 2 * table.mean() < 0.25
+
+
+def test_census_peak_above_the_graph():
+    # L = 3 on a cubic sample of 10^5 vertices: 6.53 MB traced above the
+    # graph, against 8.0 MB for the unfiltered id-ordered count
+    G = graphs.sample_uniform(10 ** 5, 3, rng.stream(5, 0))
+    tracemalloc.start()
+    try:
+        graphs.cycle_census(G, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.63e6, peak
 
 
 @settings(max_examples=20, deadline=None)

@@ -191,7 +191,7 @@ def _experiment_samples():
 # (constant, bytes per unit in its comment, the unit, a set-up returning
 # the traced call and its number of units)
 COSTS = [
-    ("MAX_CENSUS_WEDGES", 42, "wedge", _census_wedges),
+    ("MAX_CENSUS_WEDGES", 13, "wedge", _census_wedges),
     ("MAX_SAMPLE_CLONES", 53, "clone", _planted_core),
     # a table holds one block's scan at a time: the whole-range holder is
     # threshold_scan itself (coloring_number, smallest_reliable_k)
