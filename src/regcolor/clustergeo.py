@@ -13,7 +13,9 @@ the rows of the graph's CSR `adjacency`.
 Every vertex set in a result is a read-only boolean mask: an (n,) mask, or
 an (n, k) mask whose entry [v, j] belongs to the pair (sigma(v), j).  Count
 one with `np.count_nonzero`; `len()` of a mask is n, not the size of the
-set.
+set.  Like the class-degree tables they are built from, the (n, k) masks
+are color-major (transposes of C-ordered k x n arrays), so the reductions
+over each vertex's k colors run along n-long rows.
 """
 
 import itertools
@@ -25,13 +27,21 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import degrees, neighbor_rows, read_only, vertex_class_degrees
+from .graphs import (_others, _run_starts, degrees, neighbor_rows,
+                     read_only, vertex_class_degrees)
 
 
 @dataclass(frozen=True, eq=False)
 class CoreResult:
     core: np.ndarray        # (n,) mask of the core
     peel_order: np.ndarray  # the evicted vertices, ascending
+
+
+def _distinct(a):
+    """The distinct values of the integer array `a`, ascending, as
+    `np.unique` gives them: one sort and one compare."""
+    a = np.sort(a)
+    return a[_run_starts(a)[:-1]]
 
 
 def sigma_ell_core(G, sigma, ell):
@@ -42,18 +52,20 @@ def sigma_ell_core(G, sigma, ell):
     for the next round.  Counts only fall, so the order does not matter."""
     if ell < 1:
         raise ValidationError("ell >= 1 required")
-    color = sigma.assignment
-    cnt = vertex_class_degrees(G, color, sigma.k)  # e(v, alive cap V_i)
-    other = np.arange(sigma.k) != color[:, None]  # none needed into own class
-    alive = np.ones(G.n, dtype=bool)
-    evict = np.flatnonzero((other & (cnt < ell)).any(axis=1))
+    n, color = G.n, sigma.assignment
+    cnt = vertex_class_degrees(G, color, sigma.k)  # e(v, alive cap V_j)
+    flat = cnt.T.reshape(-1)  # its buffer: [j n + v] is cnt[v, j]
+    alive = np.ones(n, dtype=bool)
+    # none needed into own class
+    evict = np.flatnonzero((_others(color, sigma.k) & (cnt < ell)).any(axis=1))
     while evict.size:
         alive[evict] = False
         src, nbr, mult = neighbor_rows(G.adjacency, evict)
         keep = alive[nbr] & (color[nbr] != color[src])
-        nbr, col = nbr[keep], color[src[keep]]
-        np.subtract.at(cnt, (nbr, col), mult[keep])
-        evict = np.unique(nbr[cnt[nbr, col] < ell])
+        nbr = nbr[keep]
+        at = color[src[keep]] * n + nbr
+        np.subtract.at(flat, at, mult[keep])
+        evict = _distinct(nbr[flat[at] < ell])
     return CoreResult(read_only(alive), read_only(np.flatnonzero(~alive)))
 
 
@@ -78,7 +90,7 @@ def build_WUY(G, sigma, ell):
     deg = vertex_class_degrees(G, color, k)
     hi = 2 * ell * math.log(k)
 
-    other = np.arange(k) != color[:, None]  # [v, j]: j != sigma(v)
+    other = _others(color, k)
     W = other & (deg < 3 * ell) & (deg < hi).all(axis=1, keepdims=True)
     in_w = W.any(axis=1)
     outside = other & ~in_w[:, None]
@@ -92,7 +104,7 @@ def build_WUY(G, sigma, ell):
         in_y[join] = True
         _, nbr, mult = neighbor_rows(G.adjacency, join)
         np.add.at(into_y, nbr, mult)  # a loop at v: into_y[v] is not read
-        join = np.unique(nbr[~in_y[nbr] & (into_y[nbr] > ell)])
+        join = _distinct(nbr[~in_y[nbr] & (into_y[nbr] > ell)])
     return WUYSets(*map(read_only, (W, in_w, U, U_prime, in_y)))
 
 

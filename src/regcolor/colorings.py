@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ValidationError
 from . import guards
-from .graphs import (_int_tokens, class_edge_matrix, format_rows, read_only,
-                     vertex_class_degrees)
+from .graphs import (_int_tokens, _others, class_edge_matrix, format_rows,
+                     read_only, vertex_class_degrees)
 
 CLUSTER_DIAG = Fraction(51, 100)   # strict > for cluster membership
 NICE_DIAG = Fraction(9, 10)        # >= for the rigidity condition
@@ -303,7 +303,7 @@ def vacant_table(G, sigma):
     color class j != sigma(v), so column j of the rows of class i is the
     vacant set of the pair (i, j)."""
     return read_only((vertex_class_degrees(G, sigma.assignment, sigma.k) == 0)
-                     & (np.arange(sigma.k) != sigma.assignment[:, None]))
+                     & _others(sigma.assignment, sigma.k))
 
 
 def rainbow_vertices(G, sigma):

@@ -151,11 +151,19 @@ def _run_colorability(p, generator):
     return {"colorable": 1.0 if colorings.is_colorable(G, p["k"]) else 0.0}
 
 
+def _vacant_counts(G, sigma):
+    """k x k counts [i, j]: the vertices of V_i vacant in V_j."""
+    k = sigma.k
+    # the table is color-major: read it as [j, v]
+    j, v = np.nonzero(colorings.vacant_table(G, sigma).T)
+    return np.bincount(sigma.assignment[v] * k + j,
+                       minlength=k * k).reshape(k, k)
+
+
 def _run_vacant(p, generator):
     n, d, k = p["n"], p["d"], p["k"]
     G, sigma = sample_flat_planted(n, d, k, generator)
-    counts = np.zeros((k, k), dtype=np.int64)  # [i, j]: V_i vacant in V_j
-    np.add.at(counts, sigma.assignment, colorings.vacant_table(G, sigma))
+    counts = _vacant_counts(G, sigma)
     fracs = counts[~np.eye(k, dtype=bool)] / (n / k)
     return {"vacant_fraction": float(np.mean(fracs)),
             "predicted": (1 - (1 / (k * (k - 1))) / (1 / k)) ** d}
@@ -234,16 +242,18 @@ def run_experiment(spec):
     kind = SPEC_TABLE[spec.kind]
     params = {key: spec.params.get(key, default)
               for key, (_, default) in kind.params.items()}
-    streams = ((rng.stream(spec.seed, idx) for idx in range(spec.samples))
-               if kind.draws else [None])
-    out = {}
-    for generator in streams:
+    # one float64 column per metric, a row per sample; a kind that draws
+    # nothing runs once and fills every row with its one value
+    rows = range(spec.samples) if kind.draws else [slice(None)]
+    columns, table = {}, None
+    for row in rows:
+        generator = rng.stream(spec.seed, row) if kind.draws else None
         for name, value in kind.run(params, generator).items():
-            out.setdefault(name, []).append(value)
-    table = out.pop("table", [None])[0]
-    repeat = 1 if kind.draws else spec.samples
-    metrics = {name: _summarize(vals * repeat)
-               for name, vals in sorted(out.items())}
+            if name == "table":
+                table = value
+            else:
+                columns.setdefault(name, np.empty(spec.samples))[row] = value
+    metrics = {name: _summarize(col) for name, col in sorted(columns.items())}
     return RunReport(spec, metrics, table, time.monotonic() - start,
                      spec.content_hash())
 

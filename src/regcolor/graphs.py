@@ -304,6 +304,15 @@ def vertex_mask(n, S):
     return mask
 
 
+def _run_starts(a):
+    """(len(a) + 1,) mask over the sorted 1-D array `a`: [i] is set where a
+    run of equal values starts, and at i = len(a), where the last one ends.
+    `a[_run_starts(a)[:-1]]` is `np.unique(a)` by one compare."""
+    starts = np.ones(a.size + 1, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:-1])
+    return starts
+
+
 def read_only(a):
     """`a`, marked read-only, as every array a query hands out is."""
     a.flags.writeable = False
@@ -332,20 +341,30 @@ def vertex_class_degrees(G, assignment, k, within=None):
     """n x k integer array: entry (v, j) = e(v, S cap V_j), where S is the
     set of vertices marked in the boolean mask `within` (every vertex when
     None).  A loop at v in S adds 2 to column assignment[v].  A vertex
-    outside S is counted in a spare column k, dropped from the result, so a
-    masked count costs what an unmasked one does."""
+    outside S is counted in a spare class k, dropped from the result, so a
+    masked count costs what an unmasked one does.
+
+    The array is the transpose of a C-ordered k x n buffer (color-major):
+    a reduction over the k colors of every vertex then runs along n-long
+    rows, where numpy is fast, not along k-long ones."""
     color = np.asarray(assignment, dtype=np.int64)
     width = k
     if within is not None:
         color = np.where(within, color, k)
         width = k + 1
-    ends = G.edges
-    out = np.zeros(G.n * width, dtype=np.int64)
+    n, ends = G.n, G.edges
+    out = np.zeros(width * n, dtype=np.int64)
     # each edge counts once from either end: u's count of v, then v's of u
     for a, b in ((0, 1), (1, 0)):
-        out += np.bincount(ends[:, a] * width + color[ends[:, b]],
-                           minlength=G.n * width)
-    return out.reshape(G.n, width)[:, :k]
+        out += np.bincount(color[ends[:, b]] * n + ends[:, a],
+                           minlength=width * n)
+    return out.reshape(width, n)[:k].T
+
+
+def _others(assignment, k):
+    """The (n, k) mask [v, j]: j != assignment[v], color-major like the
+    class-degree tables it is combined with."""
+    return (np.arange(k)[:, None] != assignment).T
 
 
 _HASH = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, odd: Fibonacci hashing
@@ -456,9 +475,10 @@ def cycle_census(G, L):
     if L >= 2:
         key = (u * n + v)[~loop]
         del u, v, loop
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, mult = key[first], np.diff(first, append=key.size)
-        del first
+        new = _run_starts(key)
+        key = key[new[:-1]]  # the distinct keys; the full array is freed
+        mult = np.diff(np.flatnonzero(new))
+        del new
         counts[1] = int((mult * (mult - 1) // 2).sum())
         if L >= 3:
             counts[2] = _weighted_triangles(n, key, mult)
@@ -654,8 +674,7 @@ def _int_tokens(text):
         pos = end - 1 - j
         value = value * 10 + np.where(pos >= start, b[pos] - 48, 0)
     line = np.searchsorted(np.flatnonzero(brk), start)
-    first = np.flatnonzero(np.diff(line, prepend=-1))
-    return value, np.diff(first, append=line.size)
+    return value, np.diff(np.flatnonzero(_run_starts(line)))
 
 
 def _int_pair(line):

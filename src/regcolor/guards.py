@@ -41,11 +41,10 @@ MAX_INPUT_BYTES = 8 * 10 ** 7
 
 # experiment specs refuse more samples: the cheapest kind takes 50 us a
 # sample (cycle-census, n = 2, d = 1, L = 1), 50 s at the bound, and its
-# one metric list and the copies that summarize it peak at
-# 32 B per metric per sample traced.  A value that is its own object adds its
-# size: the two float metrics of vacant-fractions take 45 B per metric per
-# sample, and 12 metrics of ints past 256 (28 B each) would take near 460 MB
-# at the bound
+# one float64 metric column and the variance's temporary peak at
+# 18 B per metric per sample traced at 2,000 samples, 16 B as samples grow.
+# Every metric is a column of 8 B a sample whatever its values, so the 12
+# metrics of a cycle-census with L = 12 take near 105 MB at the bound
 MAX_EXPERIMENT_SAMPLES = 10 ** 6
 
 # exact rational partition probability (big factorials stay cheap here)

@@ -129,6 +129,29 @@ def test_python_dash_m(tmp_path):
     assert proc.stderr.startswith("refused: cannot open")
 
 
+def test_core_run_leaves_numpy_ma_unimported(tmp_path):
+    # the peel and Y's closure dedupe by sort: the first np.unique call
+    # without counts imports numpy.ma, about 10 ms of a core run
+    gpath, cpath, out = (tmp_path / name for name in ("g.txt", "c.txt",
+                                                       "core.json"))
+    assert run(["--seed", "3", "--out", str(gpath), "sample", "--n", "60",
+                "--d", "6", "--k", "3", "--planted", "--coloring-out",
+                str(cpath)]) == 0
+    src = Path(colorings.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys\nfrom regcolor import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "--out", str(out),
+                           "core", "--graph", str(gpath), "--coloring",
+                           str(cpath), "--k", "3", "--ell", "1"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["core_size"] < 60  # vertices peel
+    assert proc.stdout == "False\n"
+
+
 def test_refusals_under_a_memory_limit(tmp_path):
     # inputs that would allocate by k, or overflow d / 2, unless refused
     # first: each child runs under a 512 MiB address-space limit, so a

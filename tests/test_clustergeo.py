@@ -612,3 +612,32 @@ def test_cluster_size_rate():
     assert abs(margin - (rate - upper)) < 1e-14
     with pytest.raises(ValidationError):
         clustergeo.cluster_size_rate(2, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3),
+                          st.integers(-2 ** 63, 2 ** 63 - 1)), max_size=60))
+@example([])
+@example([5])
+@example([7] * 9)
+def test_sort_dedupe_matches_unique(values):
+    a = np.array(values, dtype=np.int64)
+    got = clustergeo._distinct(a)
+    assert got.dtype == np.int64 and np.array_equal(got, np.unique(a))
+    assert np.array_equal(a, np.array(values, dtype=np.int64))  # a is kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(planted_instances(), uniform_instances(),
+                 multigraph_instances()))
+def test_class_tables_are_color_major(instance):
+    # every (n, k) table and mask is the transpose of a C-ordered k x n
+    # array, so a reduction over each vertex's k colors runs along n-long rows
+    G, sigma, ell = instance
+    color, k = sigma.assignment, sigma.k
+    wuy = clustergeo.build_WUY(G, sigma, ell)
+    for table in (graphs.vertex_class_degrees(G, color, k),
+                  graphs.vertex_class_degrees(G, color, k, within=wuy.Y),
+                  colorings.vacant_table(G, sigma),
+                  wuy.W, wuy.U, wuy.U_prime):
+        assert table.shape == (G.n, k) and table.T.flags.c_contiguous

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regcolor import cli, experiments, graphs, moments, rng, threshold
+from regcolor import (cli, colorings, experiments, graphs, moments, rng,
+                      threshold)
 from regcolor.errors import GuardError, ValidationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -99,6 +102,24 @@ def test_vacant_fractions():
     assert abs(pred - 0.75 ** 5) < 1e-12
     emp = rep.metrics["vacant_fraction"].mean
     assert abs(emp - pred) < 0.1
+
+
+def vacant_counts_reference(G, sigma):
+    """The [i, j] counts as `_run_vacant` first took them: one `np.add.at`
+    of the vacant table's rows into the rows of their colors."""
+    counts = np.zeros((sigma.k, sigma.k), dtype=np.int64)
+    np.add.at(counts, sigma.assignment, colorings.vacant_table(G, sigma))
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 5), st.integers(1, 8),
+       st.integers(0, 10 ** 6))
+def test_vacant_counts_match_the_add_at_reference(k, m, d, seed):
+    n = k * (k - 1) * m  # k | n and k(k-1) | dn, with dn even
+    G, sigma = experiments.sample_flat_planted(n, d, k, rng.stream(seed, 0))
+    assert np.array_equal(experiments._vacant_counts(G, sigma),
+                          vacant_counts_reference(G, sigma))
 
 
 def test_core_profile():

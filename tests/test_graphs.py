@@ -678,6 +678,21 @@ def test_census_peak_above_the_graph():
     assert peak < 7.63e6, peak
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5) | st.integers(0, 2 ** 63 - 1), max_size=60))
+@example([])
+@example([4])
+@example([2] * 7)
+def test_run_starts_give_unique_values_and_counts(values):
+    # the census's dedupe of its sorted edge keys
+    key = np.sort(np.array(values, dtype=np.int64))
+    new = graphs._run_starts(key)
+    assert new.dtype == bool and new.shape == (key.size + 1,)
+    want, counts = np.unique(key, return_counts=True)
+    assert np.array_equal(key[new[:-1]], want)
+    assert np.array_equal(np.diff(np.flatnonzero(new)), counts)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(100, 400), st.floats(0.01, 0.1), st.integers(0, 10 ** 6))
 def test_triangles_match_networkx(n, p, seed):

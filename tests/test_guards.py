@@ -179,7 +179,7 @@ def _core_classes():
 
 
 def _experiment_samples():
-    # the cheapest kind, with its one metric of small ints (shared objects);
+    # the cheapest kind, with its one metric (a float64 column of samples);
     # a warm call first
     spec = "kind = cycle-census\nn = 2\nd = 1\nL = 1\nsamples = %d\n"
     experiments.run_experiment(experiments.parse_spec(spec % 3))
@@ -199,7 +199,7 @@ COSTS = [
      lambda: (lambda: threshold.threshold_scan(3, 10 ** 4 + 2), 10 ** 4)),
     ("MAX_START_ENTRIES", 52, "entry", _optimizer_starts),
     ("MAX_CLASS_ENTRIES", 29, "entry", _core_classes),
-    ("MAX_EXPERIMENT_SAMPLES", 32, "metric per sample", _experiment_samples),
+    ("MAX_EXPERIMENT_SAMPLES", 18, "metric per sample", _experiment_samples),
 ]
 
 
