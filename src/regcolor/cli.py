@@ -66,9 +66,9 @@ def _read(path):
 def _encode(doc):
     """The JSON text of `doc` in pieces, a numpy array or scalar as its
     Python value (`tolist`) and a `threshold.TextBlocks` value as one JSON
-    string: the blocks of its `escaped` form as they are, or else its blocks
-    escaped one by one.  `default` queues such a value and stands "" in for
-    it, so the encoder's next piece is that placeholder."""
+    string, the blocks of its `escaped` form as they are.  `default` queues
+    such a value and stands "" in for it, so the encoder's next piece is
+    that placeholder."""
     queued = []
 
     def default(value):
@@ -80,13 +80,8 @@ def _encode(doc):
     encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
     for piece in encoder.iterencode(doc):
         if queued:
-            blocks = queued.pop()
             yield '"'
-            if blocks.escaped:
-                yield from blocks.escaped()
-            else:
-                for block in blocks:
-                    yield json.encoder.encode_basestring_ascii(block)[1:-1]
+            yield from queued.pop().escaped()
             yield '"'
         else:
             yield piece

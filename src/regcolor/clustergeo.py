@@ -1,8 +1,9 @@
 """Deterministic cluster geometry on a colored multigraph.  `core_analysis`
-runs core peeling, the W/U/U'/Y screening construction, the free/complete
+runs the W/U/U'/Y screening construction, core peeling, the free/complete
 vertex split with its cluster-size bound and the core-inclusion witness, in
-that order; `freedom_report` and `check_core_inclusion` are views of it.
-Also a density falsifier and the cluster-size rate.
+that order, so W/U/Y's class-degree tables are freed before the peel's is
+kept for the split; `freedom_report` and `check_core_inclusion` are views
+of it.  Also a density falsifier and the cluster-size rate.
 
 The (sigma, ell)-core is the largest induced subgraph in which every vertex
 has at least ell edges into each other color class inside the subgraph.  It
@@ -33,8 +34,9 @@ from .graphs import (_others, _run_starts, degrees, neighbor_rows,
 
 @dataclass(frozen=True, eq=False)
 class CoreResult:
-    core: np.ndarray        # (n,) mask of the core
-    peel_order: np.ndarray  # the evicted vertices, ascending
+    core: np.ndarray           # (n,) mask of the core
+    peel_order: np.ndarray     # the evicted vertices, ascending
+    class_degrees: np.ndarray  # (n, k): [v, j] = e(v, core cap V_j)
 
 
 def _distinct(a):
@@ -47,9 +49,11 @@ def _distinct(a):
 def sigma_ell_core(G, sigma, ell):
     """Peel vertices with fewer than ell edges into some other color class
     inside the surviving set until none remains.  Each round evicts every
-    deficient vertex at once and subtracts its edges from its surviving
-    neighbours' class counts; only the vertices whose counts fell are checked
-    for the next round.  Counts only fall, so the order does not matter."""
+    deficient vertex at once and subtracts its edge ends (a loop's two) from
+    all its neighbours' counts, so the table stays exactly
+    `vertex_class_degrees(G, sigma.assignment, k, within=alive)`, ending as
+    `class_degrees`; only alive other-class counts that fell are checked for
+    the next round.  Counts only fall, so the order does not matter."""
     if ell < 1:
         raise ValidationError("ell >= 1 required")
     n, color = G.n, sigma.assignment
@@ -61,12 +65,11 @@ def sigma_ell_core(G, sigma, ell):
     while evict.size:
         alive[evict] = False
         src, nbr, mult = neighbor_rows(G.adjacency, evict)
-        keep = alive[nbr] & (color[nbr] != color[src])
-        nbr = nbr[keep]
-        at = color[src[keep]] * n + nbr
-        np.subtract.at(flat, at, mult[keep])
-        evict = _distinct(nbr[flat[at] < ell])
-    return CoreResult(read_only(alive), read_only(np.flatnonzero(~alive)))
+        at = color[src] * n + nbr
+        np.subtract.at(flat, at, mult << (nbr == src))  # a loop: 2 ends
+        fell = alive[nbr] & (color[nbr] != color[src]) & (flat[at] < ell)
+        evict = _distinct(nbr[fell])
+    return CoreResult(*map(read_only, (alive, np.flatnonzero(~alive), cnt)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +99,7 @@ def build_WUY(G, sigma, ell):
     outside = other & ~in_w[:, None]
     U = outside & (vertex_class_degrees(G, color, k, within=in_w) > ell)
     U_prime = outside & (deg > hi)
+    del deg, other, outside  # not held while Y's growth builds the adjacency
 
     in_y = (U | U_prime).any(axis=1)
     into_y = vertex_class_degrees(G, color, k, within=in_y).sum(axis=1)
@@ -138,7 +142,7 @@ class CoreAnalysis:
 
 def core_analysis(G, sigma, ell, mode="prose"):
     """The (sigma, ell)-core, the W/U/U'/Y sets, the freedom report and the
-    core-inclusion witness, from one peel and one W/U/Y construction.
+    core-inclusion witness, from one W/U/Y construction and one peel.
 
     The freedom report classifies vertices by how many colors have no
     neighbor inside the core.  mode="prose": count colors other than
@@ -149,10 +153,10 @@ def core_analysis(G, sigma, ell, mode="prose"):
     a proper coloring has none."""
     if mode not in ("prose", "strict"):
         raise ValidationError("mode must be prose or strict")
-    core = sigma_ell_core(G, sigma, ell)
     wuy = build_WUY(G, sigma, ell)
+    core = sigma_ell_core(G, sigma, ell)
     k, color = sigma.k, sigma.assignment
-    vacant = vertex_class_degrees(G, color, k, within=core.core) == 0
+    vacant = core.class_degrees == 0
     n_vacant = vacant.sum(axis=1)
     if mode == "prose":
         n_vacant -= vacant[np.arange(G.n), color]  # only colors != sigma(v)

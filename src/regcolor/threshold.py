@@ -271,11 +271,11 @@ def _csv_rows(scan, end="\n"):
 class TextBlocks:
     """Text as str blocks, made anew by each iteration from `make()`, an
     iterator of them: a lazy value that can be written more than once.
-    `escaped()`, when given, makes the same text already in JSON-string
-    form (each block as `json.encoder.encode_basestring_ascii` writes it,
-    without the quotes), so that a JSON writer copies it unescaped."""
+    `escaped()` makes the same text already in JSON-string form (each block
+    as `json.encoder.encode_basestring_ascii` writes it, without the
+    quotes), so that a JSON writer copies it unescaped."""
 
-    def __init__(self, make, escaped=None):
+    def __init__(self, make, escaped):
         self._make = make
         self.escaped = escaped
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 
 from regcolor import (birkhoff, clustergeo, colorings, experiments, graphs,
                       moments, rng, threshold)
@@ -201,6 +202,77 @@ def test_core_inclusion_planted(k, n, d):
         for ell in (1, 2, 3):
             ok, witness = clustergeo.check_core_inclusion(G, sigma, ell)
             assert ok, (k, ell, idx, witness)
+
+
+# 6b. core size against its tree fixed point --------------------------------
+# (the inclusion check above is vacuous at its points: V minus (W cup Y) is
+# empty at all 900 of them, so its subset test never sees a vertex)
+
+def _log_tail(N, q, at_least):
+    """log P[class j gets at least at_least[j] live edges] when each of N
+    edges is live with probability q, into one of the len(at_least)
+    classes uniformly: a dynamic program over the classes and then the dead
+    edges, on the number of edges placed, in log space (N! overflows past
+    N = 170)."""
+    x = np.arange(N + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(x[1:]))))
+    acc = np.where(x == 0, 0.0, -np.inf)  # log sum of prod p^x_j / x_j!
+    for p, t in [(q / len(at_least), t) for t in at_least] + [(1 - q, 0)]:
+        with np.errstate(divide="ignore"):  # x log p, 0 at x = 0 for p = 0
+            log_px = np.concatenate(([0.0],
+                                     np.cumsum(np.full(N, np.log(p)))))
+        w = np.where(x >= t, log_px - log_fact, -np.inf)
+        terms = acc[x[:, None] - x] + w  # [s, x]: s placed, x of them here
+        terms[x[:, None] < x] = -np.inf
+        acc = scipy.special.logsumexp(terms, axis=1)
+    return acc[N] + log_fact[N]
+
+
+def _core_fraction(k, d, ell):
+    """The (sigma, ell)-core fraction on the planted tree.  A vertex reached
+    from its parent has d - 1 further edges, each into one of the k - 1
+    other classes uniformly, to a surviving vertex with probability q; it
+    survives when every other class holds ell survivors, its parent counted
+    in its own class.  q is the largest fixed point q = F(q), iterated from
+    q = 1, and a root needs ell survivors in every class from d edges."""
+    q, child = 1.0, [ell - 1] + [ell] * (k - 2)
+    for _ in range(10 ** 4):
+        # clamped: a probability that rounds above 1 makes 1 - q negative
+        q, last = min(1.0, math.exp(_log_tail(d - 1, q, child))), q
+        if abs(q - last) < 1e-12:
+            return math.exp(_log_tail(d, q, [ell] * (k - 1)))
+    raise AssertionError("no fixed point at k=%d d=%d ell=%d" % (k, d, ell))
+
+
+@pytest.mark.parametrize("N, q, at_least", [
+    (5, 0.7, [1, 0, 2]), (6, 1.0, [1, 1]), (4, 0.3, [2]), (3, 0.0, [0, 0]),
+    (3, 0.5, [2, 2])])
+def test_log_tail_matches_enumeration(N, q, at_least):
+    c = len(at_least)
+    probs = [q / c] * c + [1 - q]
+    total = 0.0
+    for ends in itertools.product(range(c + 1), repeat=N):
+        live = Counter(ends)
+        if all(live[j] >= t for j, t in enumerate(at_least)):
+            total += math.prod(probs[e] for e in ends)
+    assert math.exp(_log_tail(N, q, at_least)) == pytest.approx(total,
+                                                                abs=1e-12)
+
+
+# (k, d, ell, n, sd): ell = 1 at least 2 above the degree where the core
+# emerges by the fixed point (d = 8, 18 and 40 at k = 4, 6 and 10), and
+# ell = 2 far above the window's top (2k - 1) ln k - 1 = 42.7 at k = 10; sd
+# is the core fraction's standard deviation over 12 other seeds at that n
+_CORE_POINTS = [(4, 12, 1, 99996, 0.00037), (6, 20, 1, 99990, 0.00171),
+                (10, 45, 1, 99990, 0.00138), (10, 90, 2, 39990, 0.00030)]
+
+
+@pytest.mark.parametrize("k, d, ell, n, sd", _CORE_POINTS)
+def test_core_fraction_matches_tree_fixed_point(k, d, ell, n, sd):
+    G, sigma = experiments.sample_flat_planted(n, d, k, rng.stream(1, 0))
+    core = clustergeo.sigma_ell_core(G, sigma, ell).core
+    assert abs(np.count_nonzero(core) / n - _core_fraction(k, d, ell)) \
+        <= 6 * sd
 
 
 # 7. cluster-size bound ----------------------------------------------------------

@@ -908,11 +908,14 @@ _tricky = st.sampled_from('"\\/\x00\x1f\n\t\x7f\xe9\u2028\U0001f600\udfff')
        st.dictionaries(st.text(), st.integers() | st.text(), max_size=3),
        st.sampled_from(("top", "list", "nested")))
 def test_write_escapes_text_blocks_as_one_string(blocks, rest, place):
-    # a TextBlocks value is written as the JSON string of its joined text
+    # a TextBlocks value is written as the JSON string of its joined text,
+    # its escaped blocks copied as they are
     def where(value):
         return {"top": value, "list": [1, value, None],
                 "nested": {"z": value, "a": 0}}[place]
-    doc = {**rest, "table": where(threshold.TextBlocks(lambda: iter(blocks)))}
+    text = threshold.TextBlocks(lambda: iter(blocks), lambda: (
+        json.encoder.encode_basestring_ascii(b)[1:-1] for b in blocks))
+    doc = {**rest, "table": where(text)}
     joined = {**rest, "table": where("".join(blocks))}
     with contextlib.redirect_stdout(io.StringIO()) as out:
         cli._write(None, doc)

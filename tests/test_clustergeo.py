@@ -577,6 +577,38 @@ def test_peel_matches_lazy_deletion_reference(instance):
         ~res.core).tolist()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(multigraph_instances(), uniform_instances(),
+                 planted_instances()))
+@example((*cascade_path(40, [(5, 5), (5, 5), (6, 7), (20, 20)]), 1))
+def test_peel_keeps_the_core_class_degree_table(instance):
+    # every edge end into an evicted vertex is taken off, own-class columns
+    # and evicted rows included, a loop's two ends from its own vertex
+    G, sigma, ell = instance
+    res = clustergeo.sigma_ell_core(G, sigma, ell)
+    table = res.class_degrees
+    assert np.array_equal(table, graphs.vertex_class_degrees(
+        G, sigma.assignment, sigma.k, within=res.core))
+    assert table.dtype == np.int64 and not table.flags.writeable
+
+
+def test_core_analysis_counts_four_class_degree_tables(monkeypatch):
+    # build_WUY counts three, the peel one; the freedom step reads the
+    # peel's table instead of counting a fifth
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("within") is None)
+        return graphs.vertex_class_degrees(*args, **kwargs)
+    monkeypatch.setattr(clustergeo, "vertex_class_degrees", counted)
+    for ell in (1, 2):
+        G, sigma = planted(60, 4, 12, 1)
+        for mode in ("prose", "strict"):
+            calls.clear()
+            clustergeo.core_analysis(G, sigma, ell, mode)
+            assert sorted(calls) == [False, False, True, True]
+
+
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("instance", ["planted", "cascade"])
 def test_peel_order_counts_evicted_vertices(instance, ell):
